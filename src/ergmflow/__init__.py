@@ -12,7 +12,7 @@ from .stats import (LINEAR_KINDS, NONLINEAR_KINDS, TERM_KINDS, ChangeStats,
                     ModelSpec, TermSpec, conditional_profile,
                     global_statistic, model_from_dict, model_to_dict,
                     mutual_min_stat, statistic_vector, waypoint_flow_stat)
-from .estimator import (CapPolicy, DyadSample, FitResult, census_sample,
+from .estimator import (DyadSample, FitResult, census_sample,
                         conditional_log_pmf, effect_multiplier, fit_mple,
                         penalized_pseudo_loglik, pseudo_bic,
                         stratified_dyad_sample)
@@ -38,7 +38,7 @@ __all__ = [
     "ChangeStats", "mutual_min_stat", "waypoint_flow_stat",
     "global_statistic", "statistic_vector", "conditional_profile",
     "model_to_dict", "model_from_dict",
-    "CapPolicy", "DyadSample", "FitResult", "stratified_dyad_sample",
+    "DyadSample", "FitResult", "stratified_dyad_sample",
     "census_sample", "conditional_log_pmf", "penalized_pseudo_loglik",
     "fit_mple", "pseudo_bic", "effect_multiplier",
     "ProposalConfig", "ChainConfig", "ChainRun", "mcmc_simulate",

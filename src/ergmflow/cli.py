@@ -282,8 +282,9 @@ def cmd_fit(args, config):
                     ["fit.json", "coefficients.csv"])
     for label, est, se in zip(fit.labels, fit.theta, fit.std_errors):
         print("%-32s %12.6f  (SE %.6f)" % (label, est, se))
-    print("converged: %s after %d iterations; pseudo-BIC %.1f"
-          % (fit.converged, fit.iterations, fit.pseudo_bic))
+    bic = "%.1f" % fit.pseudo_bic if np.isfinite(fit.pseudo_bic) else "n/a"
+    print("converged: %s after %d iterations; pseudo-BIC %s"
+          % (fit.converged, fit.iterations, bic))
     if not fit.converged:
         print("warning: fit did not converge; report written anyway",
               file=sys.stderr)

@@ -3,11 +3,14 @@
 The pseudo-likelihood replaces the intractable joint normalizer with a
 product of single-dyad conditionals: for each dyad, the distribution of its
 count given every other dyad is a one-dimensional exponential family with
-weights ``w(v) = exp(theta . g_profile(v)) / v!``, normalized over a
-truncated support chosen adaptively (see :class:`CapPolicy`). Dyads are
-drawn with a tie/no-tie stratified scheme and re-weighted by inverse
-inclusion probabilities, so the weighted objective is unbiased for the
-full-census pseudo-log-likelihood.
+weights ``w(v) = exp(theta . g_profile(v)) / v!`` on v = 0, 1, 2, ...
+Every term is piecewise-linear in v, so on each of at most five integer
+segments the log-weight is ``A_s + a_s * v - log v!``, whose sum is
+``exp(A_s + e^a_s)`` times a Poisson interval probability: the normalizer
+and the moments behind the gradient and Hessian are exact, at a cost that
+does not grow with the counts. Dyads are drawn with a tie/no-tie stratified
+scheme and re-weighted by inverse inclusion probabilities, so the weighted
+objective is unbiased for the full-census pseudo-log-likelihood.
 
 Per-dyad contributions are evaluated in vectorized chunks with a fixed
 chunk order, so values, gradients and Hessians are reproducible bit-for-bit
@@ -23,13 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammainc, gammaincc, gammaln
 
 from .errors import EstimationError, ValidationError
 from .stats import ChangeStats, ModelSpec, model_to_dict
 
 __all__ = [
-    "CapPolicy",
     "DyadSample",
     "FitResult",
     "stratified_dyad_sample",
@@ -42,32 +44,7 @@ __all__ = [
 ]
 
 _CHUNK_DYADS = 16384
-_CHUNK_ELEMENTS = 4 << 20  # budget on dyads * support size per chunk
 _THETA_NORM_GUARD = 1e4
-
-
-@dataclass(frozen=True)
-class CapPolicy:
-    """Truncation rule for single-dyad conditional supports.
-
-    The support starts at max(observed y_ij, y_ji, ``min_cap``) and doubles
-    until the last support point's share of the normalizer drops below
-    ``tail_rel``, up to a hard ceiling of ``ceiling_factor`` times the
-    largest observed edge value (never below the starting cap).
-    """
-
-    min_cap: int = 20
-    tail_rel: float = 1e-12
-    ceiling_factor: int = 10
-
-    def initial(self, y_obs, y_rec, at_least=0):
-        return int(max(int(y_obs), int(y_rec), self.min_cap, int(at_least)))
-
-    def ceiling(self, network_max, floor):
-        # floored at ceiling_factor * min_cap so that doubling still has
-        # headroom on sparse networks whose largest edge is small
-        return int(max(self.ceiling_factor * int(network_max),
-                       self.ceiling_factor * self.min_cap, int(floor)))
 
 
 # -- dyad indexing and sampling ---------------------------------------------
@@ -181,33 +158,85 @@ def census_sample(network):
 
 # -- conditional pmf ---------------------------------------------------------
 
-def _log_weight_matrix(cs, theta, ii, jj, vgrid, design=None):
-    """Unnormalized conditional log-weights, shape (len(ii), len(vgrid))."""
-    x = cs.linear_design(ii, jj) if design is None else design
-    rate = x @ theta[cs.lin_pos]
-    logw = rate[:, None] * vgrid[None, :].astype(np.float64)
-    for pos, prof in cs.nonlinear_profiles(ii, jj, vgrid):
-        logw += theta[pos] * prof
-    logw -= gammaln(vgrid.astype(np.float64) + 1.0)
-    return logw
+def _log_series(a, lo, hi, below):
+    """log P(lo <= X <= hi), X ~ Poisson(e^a), summed from the end nearer
+    the mean (hi where ``below``, else lo), where term ratios are below one
+    and shrink; stops once a term is under 1e-17 of the sum."""
+    lam = np.exp(a)
+    start = np.where(below, hi, lo)
+    total = np.ones_like(a)
+    term = np.ones_like(a)
+    active = np.flatnonzero(hi > lo)
+    k = 0
+    while len(active):
+        k += 1
+        term[active] *= np.where(below[active], (start[active] - (k - 1)) / lam[active],
+                                 lam[active] / (start[active] + k))
+        total[active] += term[active]
+        active = active[(term[active] > 1e-17 * total[active]) & (hi[active] - lo[active] > k)]
+    return start * a - gammaln(start + 1.0) - lam + np.log(total)
 
 
-def _normalized_rows(cs, theta, ii, jj, v_start, ceiling, tail_rel, design=None):
-    """Log-weights and log-normalizers on an adaptively doubled support."""
-    support = int(v_start)
-    while True:
-        vgrid = np.arange(support + 1, dtype=np.int64)
-        logw = _log_weight_matrix(cs, theta, ii, jj, vgrid, design=design)
-        lse = logsumexp(logw, axis=1)
-        if not np.all(np.isfinite(lse)):
-            bad = int(np.flatnonzero(~np.isfinite(lse))[0])
-            raise EstimationError(
-                "non-finite conditional normalizer for dyad (%d, %d); "
-                "check theta and covariates for NaN/inf" % (ii[bad], jj[bad]))
-        tail = logw[:, -1] - lse
-        if support >= ceiling or float(tail.max()) <= math.log(tail_rel):
-            return logw, lse, vgrid
-        support = min(2 * support, ceiling)
+def _log_poisson_interval(a, lo, hi):
+    """log P(lo <= X <= hi) for X ~ Poisson(e^a), elementwise; -inf where
+    lo > hi, and ``hi`` may be inf. Each endpoint takes the regularized
+    incomplete gamma tail on its own side of the mean, so no tail is one
+    minus another; where the result underflows, :func:`_log_series` sums it
+    from the nearer endpoint instead."""
+    out = np.full(np.shape(a), -np.inf)
+    live = lo <= hi
+    a, lo, hi = a[live], lo[live], hi[live]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam = np.exp(a)
+        below = hi < lam
+        above = lo > lam
+        # t_lo: P(X >= lo) above the mean, else P(X < lo);
+        # t_hi: P(X <= hi) below the mean, else P(X > hi)
+        t_lo = np.zeros_like(a)
+        t_hi = np.zeros_like(a)
+        for t, k, upper, need in ((t_lo, lo, above, lo > 0),
+                                  (t_hi, hi + 1.0, ~below, hi < np.inf)):
+            up, low = need & upper, need & ~upper
+            t[up] = gammainc(k[up], lam[up])
+            t[low] = gammaincc(k[low], lam[low])
+        prob = np.where(below, t_hi - t_lo, np.where(above, t_lo - t_hi, 1.0 - t_lo - t_hi))
+        res = np.log(prob)
+        tiny = ~(prob >= 1e-280)  # underflowing, or too close to it to trust
+        res[tiny] = _log_series(a[tiny], lo[tiny], hi[tiny], below[tiny])
+    out[live] = res
+    return out
+
+
+def _segment_moments(a, lam, log_p, lo, hi):
+    """Mean and variance of v within each segment, under weights e^{a v} / v!.
+
+    With P_k = P(lo-k <= X <= hi-k), X ~ Poisson(lam = e^a), the mean is
+    lam P_1/P_0 and E[v(v-1)] = lam^2 P_2/P_0. Above the mean P_1 - P_0 =
+    pi(lo-1) - pi(hi) (pi the pmf) adds more than it takes, so the moments
+    follow from lam pi(lo-1)/P_0 and lam pi(hi)/P_0, taken in log space.
+    Elsewhere that difference would cancel, and P_1, P_2 come from
+    :func:`_log_poisson_interval`. Segments with log_p = -inf get zeros.
+    """
+    live = log_p > -np.inf
+    up = live & (lo > lam)
+    rest = live & ~up
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = a - lam - log_p
+        has_hi = up & (hi < np.inf)
+        s_lo = np.where(up & (lo >= 1), np.exp(base + (lo - 1.0) * a - gammaln(lo)), 0.0)
+        s_hi = np.where(has_hi, np.exp(base + hi * a - gammaln(hi + 1.0)), 0.0)
+        # lam (P_1/P_0 - 1) and lam^2 (P_2 - P_1)/P_0
+        e1 = s_lo - s_hi
+        f2 = (lo - 1.0) * s_lo - np.where(has_hi, hi * s_hi, 0.0)
+    mean = np.where(up, lam + e1, 0.0)
+    var = np.where(up, f2 - lam * e1 - e1 * e1 + mean, 0.0)
+    shift = np.array([[1.0], [2.0]])
+    r1, r2 = np.exp(_log_poisson_interval(
+        np.broadcast_to(a[rest], (2, rest.sum())), np.maximum(lo[rest] - shift, 0.0),
+        hi[rest] - shift) - log_p[rest])
+    mean[rest] = lam[rest] * r1
+    var[rest] = lam[rest] ** 2 * (r2 - r1 * r1) + mean[rest]
+    return mean, var
 
 
 def _check_theta(model, theta):
@@ -220,12 +249,46 @@ def _check_theta(model, theta):
     return theta
 
 
-def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v, cap=None):
+class _Chunk:
+    """A block of dyads with all of their data that does not depend on theta."""
+
+    def __init__(self, cs, ii, jj, w):
+        self.lin, self.nl = cs.lin_pos, cs.nonlin_pos
+        self.y = cs.observed_values(ii, jj).astype(np.float64)
+        self.w = w
+        self.x = cs.linear_design(ii, jj)
+        self.lo, self.hi, self.c, d = cs.nonlinear_segments(ii, jj)
+        self.d = d.astype(np.int8)  # slopes are 0, 1 or 2
+        rows = np.arange(len(self.y))
+        at = np.sum(self.hi < self.y[:, None], axis=1)  # the segment holding y
+        self.nl_obs = self.c[rows, at] + self.d[rows, at] * self.y[:, None]
+
+    def log_pmf(self, theta, v):
+        """log P(y_ij = v | rest) per dyad (-inf or NaN where some e^a_s
+        overflows), and per segment (a, e^a, log P, share of the normalizer).
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = self.x @ theta[self.lin]
+            intercept = self.c @ theta[self.nl]
+            slope = rate[:, None] + self.d @ theta[self.nl]
+            lam = np.exp(slope)
+            log_p = _log_poisson_interval(slope, self.lo, self.hi)
+            log_z = intercept + lam + log_p
+            top = log_z.max(axis=1, keepdims=True)
+            share = np.exp(log_z - top)
+            total = share.sum(axis=1, keepdims=True)
+            rows = np.arange(len(v))
+            at = np.sum(self.hi < v[:, None], axis=1)  # the segment holding v
+            log_w = intercept[rows, at] + slope[rows, at] * v - gammaln(v + 1.0)
+            return log_w - (top + np.log(total))[:, 0], (slope, lam, log_p, share / total)
+
+
+def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
     """log P(y_ij = v | rest of network) under the model at ``theta``.
 
-    Computed in log space with max-subtraction over the adaptively truncated
-    support. For models whose terms are all affine in y_ij this reduces to a
-    Poisson log-pmf with rate exp(theta . unit-change).
+    Exact: the normalizer is a sum of closed-form Poisson pieces over the
+    whole support 0, 1, 2, ... For models whose terms are all affine in
+    y_ij this reduces to a Poisson log-pmf with rate exp(theta . unit-change).
     """
     theta = _check_theta(model, theta)
     if v < 0 or int(v) != v:
@@ -233,129 +296,87 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v, cap=None):
     i, j = dyad
     if i == j:
         raise ValidationError("dyad (%r, %r) is a self-loop" % (i, j))
-    cap = cap or CapPolicy()
+    chunk = _Chunk(ChangeStats(model, network, nodes, dyads),
+                   np.array([int(i)], dtype=np.intp), np.array([int(j)], dtype=np.intp),
+                   np.ones(1))
+    value = float(chunk.log_pmf(theta, np.array([float(v)]))[0][0])
+    if not math.isfinite(value):
+        raise EstimationError(
+            "non-finite conditional normalizer for dyad (%d, %d); "
+            "check theta and covariates for NaN/inf" % (i, j))
+    return value
+
+
+# -- weighted pseudo-likelihood ----------------------------------------------
+#
+# The sample is split into chunks of a fixed size and order, which bounds
+# memory and makes the reductions deterministic. _value keeps each chunk's
+# per-segment state, from which _derivatives builds the gradient and Hessian.
+
+def _chunks(model, network, nodes, dyads, sample):
+    if sample.n_dyads == 0:
+        raise EstimationError("dyad sample is empty")
     cs = ChangeStats(model, network, nodes, dyads)
-    ii = np.array([int(i)], dtype=np.intp)
-    jj = np.array([int(j)], dtype=np.intp)
-    y_obs = int(cs.observed_values(ii, jj)[0])
-    y_rec = int(cs.reciprocal_values(ii, jj)[0])
-    v_start = cap.initial(y_obs, y_rec, at_least=v)
-    ceiling = cap.ceiling(network.max_value, v_start)
-    logw, lse, _ = _normalized_rows(cs, theta, ii, jj, v_start, ceiling, cap.tail_rel)
-    return float(logw[0, int(v)] - lse[0])
+    ii = np.asarray(sample.src, dtype=np.intp)
+    jj = np.asarray(sample.dst, dtype=np.intp)
+    w = np.asarray(sample.weights, dtype=np.float64)
+    return [_Chunk(cs, ii[k:k + _CHUNK_DYADS], jj[k:k + _CHUNK_DYADS], w[k:k + _CHUNK_DYADS])
+            for k in range(0, len(w), _CHUNK_DYADS)]
 
 
-# -- weighted pseudo-likelihood workspace ------------------------------------
+def _value(chunks, theta, ridge_lambda):
+    """(penalized objective, per-chunk state); the objective is NaN or -inf
+    where a normalizer overflows."""
+    value = 0.0
+    state = []
+    for ch in chunks:
+        log_pmf, st = ch.log_pmf(theta, ch.y)
+        value += float(ch.w @ log_pmf)
+        state.append(st)
+    return value - ridge_lambda * float(theta @ theta), state
 
-class _Workspace:
-    """Chunked evaluator of the weighted penalized pseudo-log-likelihood.
 
-    Dyads are sorted by their initial support cap so that chunks are
-    homogeneous; chunk sizes respect an element budget so a handful of
-    large-valued dyads cannot blow up memory. Chunk order is fixed, which
-    makes the reductions deterministic.
+def _derivatives(chunks, theta, state, ridge_lambda, want_hess=True):
+    """Gradient and (optionally) Hessian from the state of :func:`_value`.
+
+    Each dyad's conditional is a mixture over segments with weights q_s;
+    within segment s, v has mean m_s and variance s2_s (see
+    :func:`_segment_moments`). A linear term changes by x * v, a
+    nonlinear one by h_s + d_s * (v - m_s) with h_s = c_s + d_s * m_s.
+    Covariances are summed as within-segment plus between-segment parts,
+    each around its own mean, so no large raw moments cancel.
     """
-
-    def __init__(self, model, network, nodes, dyads, sample, cap=None):
-        if sample.n_dyads == 0:
-            raise EstimationError("dyad sample is empty")
-        self.model = model
-        self.cap = cap or CapPolicy()
-        self.cs = ChangeStats(model, network, nodes, dyads)
-        ii = np.asarray(sample.src, dtype=np.intp)
-        jj = np.asarray(sample.dst, dtype=np.intp)
-        y = self.cs.observed_values(ii, jj).astype(np.int64)
-        yrec = self.cs.reciprocal_values(ii, jj).astype(np.int64)
-        v0 = np.maximum(np.maximum(y, yrec), self.cap.min_cap)
-        order = np.argsort(v0, kind="stable")
-        self.ii = ii[order]
-        self.jj = jj[order]
-        self.y = y[order]
-        self.v0 = v0[order]
-        self.w = np.asarray(sample.weights, dtype=np.float64)[order]
-        self.sample = sample
-        self.ceiling = self.cap.ceiling(network.max_value, int(self.v0.max()))
-        self.design = self.cs.linear_design(self.ii, self.jj)
-        self.nl_obs = self.cs.nonlinear_at_observed(self.ii, self.jj)
-        self.n_terms = model.n_terms
-        self.chunks = self._plan_chunks()
-
-    def _plan_chunks(self):
-        chunks = []
-        start = 0
-        n = len(self.y)
-        while start < n:
-            width = int(self.v0[start]) + 1
-            span = max(64, _CHUNK_ELEMENTS // width)
-            stop = min(n, start + min(span, _CHUNK_DYADS))
-            chunks.append(slice(start, stop))
-            start = stop
-        return chunks
-
-    def evaluate(self, theta, ridge_lambda, want_grad=True, want_hess=True):
-        """(value, gradient, hessian) of the penalized objective at theta."""
-        theta = _check_theta(self.model, theta)
-        cs = self.cs
-        lin_pos = cs.lin_pos
-        value = 0.0
-        grad = np.zeros(self.n_terms) if want_grad else None
-        hess = np.zeros((self.n_terms, self.n_terms)) if want_hess else None
-
-        for sl in self.chunks:
-            ii, jj, y, w = self.ii[sl], self.jj[sl], self.y[sl], self.w[sl]
-            x = self.design[sl]
-            v_start = int(self.v0[sl][-1])
-            logw, lse, vgrid = _normalized_rows(
-                cs, theta, ii, jj, v_start, self.ceiling, self.cap.tail_rel, design=x)
-            rows = np.arange(len(y))
-            value += float(w @ (logw[rows, y] - lse))
-            if not want_grad and not want_hess:
-                continue
-
-            p = np.exp(logw - lse[:, None])
-            vf = vgrid.astype(np.float64)
-            ev = p @ vf
-            profs = cs.nonlinear_profiles(ii, jj, vgrid)
-            means = {pos: np.einsum("dv,dv->d", p, prof) for pos, prof in profs}
-
-            if want_grad:
-                resid = y - ev
-                grad[lin_pos] += x.T @ (w * resid)
-                for pos, d_obs in self.nl_obs:
-                    grad[pos] += float(w @ (d_obs[sl] - means[pos]))
-
-            if want_hess:
-                var_v = p @ (vf * vf) - ev * ev
-                if len(lin_pos):
-                    hess[np.ix_(lin_pos, lin_pos)] -= x.T @ (x * (w * var_v)[:, None])
-                for pos, prof in profs:
-                    cov_v = np.einsum("dv,dv->d", p, prof * vf[None, :]) - ev * means[pos]
-                    block = x.T @ (w * cov_v)
-                    hess[lin_pos, pos] -= block
-                    hess[pos, lin_pos] -= block
-                for a in range(len(profs)):
-                    pos_a, prof_a = profs[a]
-                    for b in range(a, len(profs)):
-                        pos_b, prof_b = profs[b]
-                        cov_ab = np.einsum("dv,dv->d", p, prof_a * prof_b) \
-                            - means[pos_a] * means[pos_b]
-                        hess[pos_a, pos_b] -= float(w @ cov_ab)
-                        if pos_b != pos_a:
-                            hess[pos_b, pos_a] = hess[pos_a, pos_b]
-
-        value -= ridge_lambda * float(theta @ theta)
-        if want_grad:
-            grad -= 2.0 * ridge_lambda * theta
-        if want_hess:
-            hess -= 2.0 * ridge_lambda * np.eye(self.n_terms)
-        if not math.isfinite(value):
-            raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
-        return value, grad, hess
+    grad = np.zeros(len(theta))
+    hess = np.zeros((len(theta), len(theta)))
+    for ch, (slope, lam, log_p, q) in zip(chunks, state):
+        lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
+        m, s2 = _segment_moments(slope, lam, log_p, ch.lo, ch.hi)
+        mean_v = np.sum(q * m, axis=1)
+        h = ch.c + d * m[:, :, None]
+        mean_nl = np.einsum("dsk,ds->dk", h, q)
+        grad[lin] += x.T @ (w * (ch.y - mean_v))
+        grad[nl] += w @ (ch.nl_obs - mean_nl)
+        if not want_hess:
+            continue
+        dm = m - mean_v[:, None]
+        dev = h - mean_nl[:, None, :]
+        var_v = np.sum(q * (dm * dm + s2), axis=1)
+        cov_lin_nl = np.einsum("ds,dsk->dk", q, dm[:, :, None] * dev + s2[:, :, None] * d)
+        wq = (w[:, None] * q).reshape(-1, 1)
+        dev = dev.reshape(len(wq), -1)
+        d = d.reshape(dev.shape)
+        hess[np.ix_(lin, lin)] -= x.T @ (x * (w * var_v)[:, None])
+        block = x.T @ (w[:, None] * cov_lin_nl)
+        hess[np.ix_(lin, nl)] -= block
+        hess[np.ix_(nl, lin)] -= block.T
+        hess[np.ix_(nl, nl)] -= dev.T @ (dev * wq) + d.T @ (d * (wq * s2.reshape(-1, 1)))
+    grad -= 2.0 * ridge_lambda * theta
+    hess -= 2.0 * ridge_lambda * np.eye(len(theta))
+    return grad, (hess if want_hess else None)
 
 
 def penalized_pseudo_loglik(model, theta, network, nodes, dyads, sample,
-                            ridge_lambda=0.0, *, gradient=False, hessian=False,
-                            cap=None):
+                            ridge_lambda=0.0, *, gradient=False, hessian=False):
     """Weighted penalized pseudo-log-likelihood, optionally with derivatives.
 
     Value: sum over sampled dyads of weight * conditional log-pmf at the
@@ -366,15 +387,17 @@ def penalized_pseudo_loglik(model, theta, network, nodes, dyads, sample,
     """
     if ridge_lambda < 0:
         raise ValidationError("ridge_lambda must be >= 0")
-    ws = _Workspace(model, network, nodes, dyads, sample, cap=cap)
-    value, grad, hess = ws.evaluate(theta, ridge_lambda,
-                                    want_grad=gradient or hessian,
-                                    want_hess=hessian)
+    theta = _check_theta(model, theta)
+    chunks = _chunks(model, network, nodes, dyads, sample)
+    value, state = _value(chunks, theta, ridge_lambda)
+    if not math.isfinite(value):
+        raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
+    if not (gradient or hessian):
+        return value
+    grad, hess = _derivatives(chunks, theta, state, ridge_lambda, want_hess=hessian)
     if hessian:
         return value, grad, hess
-    if gradient:
-        return value, grad
-    return value
+    return value, grad
 
 
 # -- fitting -----------------------------------------------------------------
@@ -386,6 +409,8 @@ class FitResult:
     ``std_errors`` are pseudo-likelihood standard errors from the inverse
     penalized Hessian; they carry no design-based correction for dyad
     subsampling. NaN entries mean the Hessian was not invertible.
+    ``pseudo_bic`` is :func:`pseudo_bic` of the fit, or NaN when the fit did
+    not converge.
     """
 
     theta: np.ndarray
@@ -416,7 +441,7 @@ class FitResult:
                            for s in self.std_errors],
             "penalized_pll": self.penalized_pll,
             "unpenalized_pll": self.unpenalized_pll,
-            "pseudo_bic": self.pseudo_bic,
+            "pseudo_bic": self.pseudo_bic if math.isfinite(self.pseudo_bic) else None,
             "converged": self.converged,
             "iterations": self.iterations,
             "ridge_lambda": self.ridge_lambda,
@@ -440,31 +465,30 @@ class FitResult:
 
 
 def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
-             tol=1e-6, max_iter=50, cap=None, theta0=None):
+             tol=1e-6, max_iter=50, theta0=None):
     """Fit theta by damped Newton ascent on the penalized pseudo-likelihood.
 
     Iterates until the gradient max-norm drops below ``tol`` or ``max_iter``
     is hit; falls back to scaled gradient steps when the Hessian is not
     negative definite, and halves the step until the objective improves.
-    Standard errors come from the inverse penalized Hessian at the optimum;
-    a singular Hessian yields NaN standard errors and a non-converged flag
-    rather than fabricated values.
+    Step candidates are scored by value alone; the gradient and Hessian are
+    computed only at an accepted step. Standard errors come from the inverse
+    penalized Hessian at the optimum; a singular Hessian yields NaN standard
+    errors and a non-converged flag rather than fabricated values.
     """
     if ridge_lambda < 0:
         raise ValidationError("ridge_lambda must be >= 0")
-    ws = _Workspace(model, network, nodes, dyads, sample, cap=cap)
+    chunks = _chunks(model, network, nodes, dyads, sample)
     n_terms = model.n_terms
     theta = np.zeros(n_terms) if theta0 is None else _check_theta(model, np.asarray(theta0, float))
 
     notes = []
-    value, grad, hess = ws.evaluate(theta, ridge_lambda)
+    value, state = _value(chunks, theta, ridge_lambda)
+    if not math.isfinite(value):
+        raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
+    grad, hess = _derivatives(chunks, theta, state, ridge_lambda)
     iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        gmax = float(np.abs(grad).max())
-        if gmax < tol:
-            converged = True
-            break
+    while iterations < max_iter and float(np.abs(grad).max()) >= tol:
         iterations += 1
         try:
             factor = cho_factor(-hess)
@@ -475,30 +499,24 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
             notes.append("indefinite Hessian at iteration %d; gradient step" % iterations)
         slope = float(grad @ step)
         t = 1.0
-        accepted = False
         for _ in range(40):
             cand = theta + t * step
-            cand_value, cand_grad, cand_hess = ws.evaluate(cand, ridge_lambda)
+            cand_value, cand_state = _value(chunks, cand, ridge_lambda)
             if cand_value >= value + 1e-4 * t * slope - 1e-12 * (1.0 + abs(value)):
-                theta, value, grad, hess = cand, cand_value, cand_grad, cand_hess
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             notes.append("step halving stalled at iteration %d" % iterations)
             break
+        theta, value = cand, cand_value
+        grad, hess = _derivatives(chunks, theta, cand_state, ridge_lambda)
         if float(np.linalg.norm(theta)) > _THETA_NORM_GUARD:
             raise EstimationError(
                 "theta norm exceeded %g after iteration %d; the model is "
                 "diverging (check covariate scaling or increase ridge_lambda)"
                 % (_THETA_NORM_GUARD, iterations))
-    else:
-        gmax = float(np.abs(grad).max())
-        converged = gmax < tol
-
     gmax = float(np.abs(grad).max())
-    if not converged and gmax < tol:
-        converged = True
+    converged = gmax < tol
 
     neg_hess = -hess
     std_errors = np.full(n_terms, np.nan)
@@ -515,15 +533,12 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
         notes.append("singular or ill-conditioned Hessian at optimum (cond=%.3g)" % cond)
         converged = False
 
-    unpenalized = value + ridge_lambda * float(theta @ theta)
-    weight_total = ws.w.sum()
-    bic = -2.0 * unpenalized + n_terms * math.log(weight_total)
-    return FitResult(
+    fit = FitResult(
         theta=theta,
         std_errors=std_errors,
         penalized_pll=value,
-        unpenalized_pll=unpenalized,
-        pseudo_bic=bic,
+        unpenalized_pll=value + ridge_lambda * float(theta @ theta),
+        pseudo_bic=math.nan,
         converged=converged,
         iterations=iterations,
         ridge_lambda=ridge_lambda,
@@ -535,6 +550,9 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
             "notes": notes,
         },
     )
+    if converged:
+        fit.pseudo_bic = pseudo_bic(fit)
+    return fit
 
 
 def pseudo_bic(fit, effective_n=None):

@@ -17,14 +17,13 @@ dyad            sum_ij y_ij * d_ij for a named dyad covariate d
 lagged_log_flow sum_ij y_ij * log(1 + previous-period flow ij)
 
 All but ``nonzero``, ``mutual_min`` and ``waypoint_flow`` are affine in any
-single dyad value, which the estimator and sampler exploit: the conditional
-distribution of one dyad given the rest depends on theta only through a
-per-dyad linear rate plus the three nonlinear local contributions.
+single dyad value, and those three are piecewise-linear in it, which the
+estimator and sampler exploit: one dyad's conditional distribution depends
+on theta only through a per-dyad linear rate plus the nonlinear profiles.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,7 +220,8 @@ class ChangeStats:
     and candidate values v, the statistic contributions that move when y_ij
     is set to v while the rest of the network stays at its observed values.
     Linear terms contribute x_ij * v with a per-dyad unit change x_ij; the
-    nonlinear terms contribute the local profiles below.
+    nonlinear terms contribute the piecewise-linear profiles of
+    :meth:`nonlinear_segments`.
 
     Shared by the pseudo-likelihood estimator and by
     :func:`conditional_profile`; instances are read-only once built.
@@ -262,9 +262,6 @@ class ChangeStats:
     def observed_values(self, ii, jj):
         return self.values[ii, jj]
 
-    def reciprocal_values(self, ii, jj):
-        return self.values[jj, ii]
-
     def linear_design(self, ii, jj):
         """Per-unit change of each linear term on the given dyads: (D, L)."""
         d = len(ii)
@@ -280,45 +277,37 @@ class ChangeStats:
                 out[:, k] = payload[ii, jj]
         return out
 
-    def nonlinear_profiles(self, ii, jj, vgrid):
-        """Local contribution of each nonlinear term on a value grid.
+    def nonlinear_segments(self, ii, jj):
+        """Integer segments of y_ij on which every nonlinear term is linear.
 
-        Returns a list of (term position, (D, len(vgrid)) array). The
-        waypoint profile uses rest-of-network volumes, i.e. the observed
-        volumes with the focal dyad's own value removed.
+        Returns (lo, hi, c, d): segment s of dyad n covers lo[n, s]..hi[n, s]
+        (the last ends at inf; lo > hi marks an empty one), where the term at
+        ``nonlin_pos[k]`` contributes c[n, s, k] + d[n, s, k] * y_ij. There
+        are at most 5 segments, one more than the breakpoints.
         """
-        y_obs = self.values[ii, jj].astype(np.float64)
-        out = []
-        vrow = vgrid[None, :].astype(np.float64)
-        for pos, kind in self.nonlin:
-            if kind == "nonzero":
-                prof = np.broadcast_to((vgrid > 0).astype(np.float64),
-                                       (len(ii), len(vgrid))).copy()
+        y = self.values[ii, jj].astype(np.float64)
+        zero, one = np.zeros_like(y), np.ones_like(y)
+        pieces = []  # (k, p, q): term k gains min(p + v, q)
+        for k, (_pos, kind) in enumerate(self.nonlin):
+            if kind == "nonzero":  # 1[v > 0] is min(v, 1) on the integers
+                pieces.append((k, zero, one))
             elif kind == "mutual_min":
-                yrec = self.values[jj, ii].astype(np.float64)
-                prof = np.minimum(vrow, yrec[:, None])
-            else:  # waypoint_flow
-                out_rest_i = self.out_vol[ii] - y_obs
-                in_rest_j = self.in_vol[jj] - y_obs
-                prof = (np.minimum(out_rest_i[:, None] + vrow, self.in_vol[ii][:, None])
-                        + np.minimum(self.out_vol[jj][:, None], in_rest_j[:, None] + vrow))
-            out.append((pos, prof))
-        return out
-
-    def nonlinear_at_observed(self, ii, jj):
-        """Local contribution of each nonlinear term at the observed values."""
-        y_obs = self.values[ii, jj].astype(np.float64)
-        out = []
-        for pos, kind in self.nonlin:
-            if kind == "nonzero":
-                vals = (y_obs > 0).astype(np.float64)
-            elif kind == "mutual_min":
-                vals = np.minimum(y_obs, self.values[jj, ii].astype(np.float64))
-            else:
-                vals = (np.minimum(self.out_vol[ii], self.in_vol[ii])
-                        + np.minimum(self.out_vol[jj], self.in_vol[jj]))
-            out.append((pos, vals))
-        return out
+                pieces.append((k, zero, self.values[jj, ii].astype(np.float64)))
+            else:  # waypoint_flow: out_i and in_j move with v, in_i and out_j do not
+                pieces.append((k, self.out_vol[ii] - y, self.in_vol[ii]))
+                pieces.append((k, self.in_vol[jj] - y, self.out_vol[jj]))
+        b = np.column_stack([zero - 1.0] + [q - p for _k, p, q in pieces])
+        b = np.maximum(np.sort(b, axis=1), -1.0)
+        lo = b + 1.0
+        hi = np.column_stack([b[:, 1:], np.full_like(y, np.inf)])
+        c = np.zeros(lo.shape + (len(self.nonlin),))
+        d = np.zeros_like(c)
+        for k, p, q in pieces:
+            # a non-empty segment lies wholly on one side of each break q - p
+            left = lo <= (q - p)[:, None]
+            c[:, :, k] += np.where(left, p[:, None], q[:, None])
+            d[:, :, k] += left
+        return lo, hi, c, d
 
 
 def conditional_profile(model, network, nodes, dyads, dyad, v_max):
@@ -349,19 +338,10 @@ def conditional_profile(model, network, nodes, dyads, dyad, v_max):
     x = cs.linear_design(ii, jj)[0]
     for k, pos in enumerate(cs.lin_pos):
         prof[:, pos] += x[k] * (vgrid - y_obs)
-    nl_profiles = cs.nonlinear_profiles(ii, jj, vgrid)
-    nl_observed = dict(cs.nonlinear_at_observed(ii, jj))
-    for pos, local in nl_profiles:
-        prof[:, pos] += local[0] - float(nl_observed[pos][0])
+    _lo, hi, c, d = cs.nonlinear_segments(ii, jj)
+    v = np.append(vgrid, y_obs)[:, None]
+    at = np.sum(hi[0] < v, axis=1)  # the segment holding each value
+    local = c[0, at] + d[0, at] * v
+    prof[:, cs.nonlin_pos] += local[:-1] - local[-1]
     return prof
 
-
-def log_factorial(v):
-    """log(v!) for scalar or array v."""
-    from scipy.special import gammaln
-
-    return gammaln(np.asarray(v, dtype=np.float64) + 1.0)
-
-
-def _scalar_log_factorial(v):
-    return math.lgamma(v + 1.0)

@@ -77,13 +77,16 @@ class TestFit:
         cfg_path.write_text(json.dumps(config))
         assert main(["fit", "--config", str(cfg_path)]) == 4
 
-    def test_nonconvergence_exits_3_with_report(self, synth_dir, tmp_path):
+    def test_nonconvergence_exits_3_with_report(self, synth_dir, tmp_path, capsys):
         cfg = _fit_config(synth_dir, tmp_path / "nc",
                           estimator={"ridge_lambda": 0.01, "max_iter": 1,
                                      "tol": 1e-14})
         assert main(["fit", "--config", str(cfg)]) == 3
         fit = json.loads((tmp_path / "nc" / "fit.json").read_text())
         assert not fit["converged"]
+        # no pseudo-BIC for a fit that pseudo_bic() would refuse
+        assert fit["pseudo_bic"] is None
+        assert "pseudo-BIC n/a" in capsys.readouterr().out
 
     def test_missing_model_exits_2(self, synth_dir, tmp_path):
         cfg_path = _fit_config(synth_dir, tmp_path / "nomodel")

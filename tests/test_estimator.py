@@ -1,16 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ergmflow import (CapPolicy, DyadCovariateSet, EstimationError,
+from ergmflow import (DyadCovariateSet, EstimationError,
                       FlowNetwork, ModelSpec, TermSpec, ValidationError,
                       build_network, census_sample, conditional_log_pmf,
                       effect_multiplier, fit_mple, penalized_pseudo_loglik,
                       pseudo_bic, stratified_dyad_sample)
 
 from oracles import (brute_conditional_log_pmf, central_gradient,
-                     central_hessian, irls_poisson, relative_error)
+                     central_hessian, grid_pseudo_loglik, irls_poisson,
+                     relative_error)
 
 
 class TestStratifiedSample:
@@ -98,16 +100,18 @@ class TestConditionalLogPmf:
             assert got == pytest.approx(-lam, abs=1e-12)
 
     def test_matches_brute_force_normalization(self):
-        # two-node network, y_10 = 2, model [sum, mutual_min]
+        # two-node network, y_10 = 2, model [sum, mutual_min]; at the second
+        # theta the mass sits on v <= 2 under a segment rate near 1100, whose
+        # Poisson interval probability underflows
         net = build_network([(1, 0, 2)], n_nodes=2)
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("mutual_min")))
-        theta = np.array([0.5, 0.3])
         payloads = [("sum", None), ("mutual_min", None)]
         dense = net.dense_matrix().tolist()
-        for v in (0, 1, 2, 3, 7):
-            got = conditional_log_pmf(model, theta, net, None, None, (0, 1), v)
-            want = brute_conditional_log_pmf(payloads, dense, theta, 0, 1, v)
-            assert got == pytest.approx(want, abs=1e-10)
+        for theta in (np.array([0.5, 0.3]), np.array([-5.0, 12.0])):
+            for v in (0, 1, 2, 3, 7):
+                got = conditional_log_pmf(model, theta, net, None, None, (0, 1), v)
+                want = brute_conditional_log_pmf(payloads, dense, theta, 0, 1, v)
+                assert got == pytest.approx(want, abs=1e-10)
 
     def test_affine_model_reduces_to_poisson_with_covariate_rate(self):
         # every term affine in the focal dyad: conditional pmf is Poisson
@@ -138,13 +142,23 @@ class TestConditionalLogPmf:
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero"),
                                  TermSpec("mutual_min"), TermSpec("waypoint_flow")))
         theta = np.array([0.1, 0.4, 0.2, -0.05])
-        cap = CapPolicy()
         for (i, j) in [(0, 1), (2, 5), (4, 3)]:
-            v_start = cap.initial(net.value(i, j), net.value(j, i))
+            top = max(net.value(i, j), net.value(j, i)) + 200
             total = sum(math.exp(conditional_log_pmf(model, theta, net, None,
                                                      None, (i, j), v))
-                        for v in range(v_start + 1))
+                        for v in range(top))
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_support_is_not_truncated(self):
+        # a mean far above ten times the largest edge: the whole Poisson(500)
+        # support counts, not a grid cut off near the observed values
+        model = ModelSpec(terms=(TermSpec("sum"),))
+        net = build_network([(0, 1, 3), (1, 2, 1), (2, 0, 2)], n_nodes=3)
+        got = conditional_log_pmf(model, np.array([math.log(500.0)]), net,
+                                  None, None, (0, 1), 500)
+        want = 500 * math.log(500.0) - 500.0 - math.lgamma(501.0)
+        assert want == pytest.approx(-4.026, abs=5e-4)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_nonfinite_theta_rejected(self):
         model = ModelSpec(terms=(TermSpec("sum"),))
@@ -208,6 +222,36 @@ class TestPenalizedPseudoLoglik:
                                           hessian=True)
         assert relative_error(g, central_gradient(value, theta)) < 1e-6
         assert relative_error(h, central_hessian(grad, theta)) < 1e-6
+
+    def test_matches_growing_grid_oracle_on_heavy_counts(self):
+        # counts ~ Poisson(40) with a third of the dyads zeroed; the last
+        # theta puts segment means near e^8.6, far past the old support
+        # ceiling of ten times the largest edge
+        rng = np.random.default_rng(77)
+        n = 30
+        mat = rng.poisson(40.0, (n, n)) * (rng.random((n, n)) < 0.7)
+        np.fill_diagonal(mat, 0)
+        net = FlowNetwork.from_dense(mat)
+        z = rng.normal(0, 1, (n, n))
+        np.fill_diagonal(z, 0)
+        dyads = DyadCovariateSet(n, {"z": z})
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero"),
+                                 TermSpec("mutual_min"), TermSpec("waypoint_flow"),
+                                 TermSpec("dyad", "z")))
+        payloads = [("sum", None), ("nonzero", None), ("mutual_min", None),
+                    ("waypoint_flow", None), ("dyad", z)]
+        sample = stratified_dyad_sample(net, 500, seed=4)
+        assert 10 * net.max_value < math.exp(8.0)
+        thetas = [np.array([3.4, 0.8, 0.004, 0.0005, 0.1]),
+                  np.array([1.0, -2.0, -0.3, 0.01, -0.5]),
+                  np.array([7.6, -1.0, 0.02, -0.002, 0.5])]
+        for theta in thetas:
+            got = penalized_pseudo_loglik(model, theta, net, None, dyads, sample,
+                                          0.01, gradient=True, hessian=True)
+            want = grid_pseudo_loglik(payloads, mat, theta, sample.pairs,
+                                      sample.weights, ridge_lambda=0.01)
+            for g, w in zip(got, want):
+                assert relative_error(g, w) < 1e-10
 
     def test_empty_sample_rejected(self, small_data):
         model, _theta, net, _lag, nodes, dyads = small_data
@@ -363,6 +407,17 @@ class TestPseudoBic:
         fit.converged = False
         with pytest.raises(EstimationError):
             pseudo_bic(fit)
+
+    def test_not_reported_for_unconverged_fit(self, small_data, tmp_path):
+        model, _theta, net, _lag, nodes, dyads = small_data
+        sample = stratified_dyad_sample(net, 400, seed=11)
+        fit = fit_mple(model, net, nodes, dyads, sample, max_iter=1)
+        assert not fit.converged
+        assert math.isnan(fit.pseudo_bic)
+        with pytest.raises(EstimationError):
+            pseudo_bic(fit)
+        fit.write_json(tmp_path / "fit.json")
+        assert json.loads((tmp_path / "fit.json").read_text())["pseudo_bic"] is None
 
     def test_noise_covariate_raises_bic(self):
         rng = np.random.default_rng(21)
