@@ -152,17 +152,6 @@ def _model_from_config(config):
     return model_from_dict(model_dict)
 
 
-def _resolve_model(model, nodes, dyads):
-    # fail fast on unresolvable covariate names
-    for term in model.terms:
-        if term.kind in ("node_out", "node_in"):
-            nodes.covariate(term.covariate)
-        elif term.kind == "dyad":
-            dyads.matrix(term.covariate)
-        elif term.kind == "lagged_log_flow":
-            dyads.matrix("lagged_log_flow")
-
-
 def _chain_config(config, root_seed):
     section = dict(config.get("chain") or {})
     prop = ProposalConfig(**(section.get("proposal") or {}))
@@ -258,7 +247,6 @@ def cmd_dissim(args, config):
 def cmd_fit(args, config):
     model = _model_from_config(config)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    _resolve_model(model, nodes, dyads)
     root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     section = dict(config.get("estimator") or {})
     est_seed = section.get("seed")
@@ -295,7 +283,6 @@ def cmd_fit(args, config):
 def cmd_gof(args, config):
     model, theta = _fit_from_file(args.fit)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    _resolve_model(model, nodes, dyads)
     root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     chain, chain_seed = _chain_config(config, root_seed)
     report = adequacy_check(model, theta, nodes, dyads, network, chain,
@@ -316,7 +303,6 @@ def cmd_gof(args, config):
 def cmd_simulate(args, config):
     model, theta = _fit_from_file(args.fit)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    _resolve_model(model, nodes, dyads)
     root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     chain, chain_seed = _chain_config(config, root_seed)
     run = mcmc_simulate(model, theta, nodes, dyads, network, chain)
@@ -336,7 +322,6 @@ def cmd_simulate(args, config):
 def cmd_knockout(args, config):
     model, theta = _fit_from_file(args.fit)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    _resolve_model(model, nodes, dyads)
     labels = [x for x in (args.labels or "").split(",") if x]
     root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     chain, chain_seed = _chain_config(config, root_seed)

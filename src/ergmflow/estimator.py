@@ -254,7 +254,7 @@ class _Chunk:
 
     def __init__(self, cs, ii, jj, w):
         self.lin, self.nl = cs.lin_pos, cs.nonlin_pos
-        self.y = cs.observed_values(ii, jj).astype(np.float64)
+        self.y = cs.values[ii, jj].astype(np.float64)
         self.w = w
         self.x = cs.linear_design(ii, jj)
         self.lo, self.hi, self.c, d = cs.nonlinear_segments(ii, jj)

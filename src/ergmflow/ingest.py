@@ -464,11 +464,11 @@ def synthetic_generate(n_nodes, model, theta_true, seed,
     lag_model = ModelSpec(terms=lag_terms)
     dyads_nolag = build_dyad_covariates(nodes, km)
     lagged = one_network(lag_model, lag_theta, dyads_nolag, lag_ss)
-    lagged = FlowNetwork(n_nodes, lagged.edge_dict(), period_label="lagged",
-                         node_ids=ids)
+    lagged = FlowNetwork._from_arrays(n_nodes, *lagged.edge_arrays(),
+                                      period_label="lagged", node_ids=ids)
 
     dyads = build_dyad_covariates(nodes, km, lagged=lagged)
     current = one_network(model, theta_true, dyads, cur_ss)
-    current = FlowNetwork(n_nodes, current.edge_dict(), period_label="current",
-                          node_ids=ids)
+    current = FlowNetwork._from_arrays(n_nodes, *current.edge_arrays(),
+                                       period_label="current", node_ids=ids)
     return current, lagged, nodes, dyads

@@ -1,10 +1,15 @@
 """Sparse directed valued networks of non-negative integer flows.
 
-A :class:`FlowNetwork` stores only strictly positive dyad values; an absent
-ordered pair means zero flow. Nodes are dense 0-based indices, optionally
-carrying a sidecar list of external ids (e.g. FIPS codes). Instances are
-immutable after construction and safe to share across threads; simulation
-code mutates only private dense copies.
+A :class:`FlowNetwork` stores only strictly positive dyad values, as three
+read-only int64 arrays ``src``, ``dst`` and ``val`` sorted by (src, dst),
+plus the per-node in- and out-volumes; an absent ordered pair means zero
+flow. Every constructor (a mapping, :meth:`FlowNetwork.from_dense`,
+:func:`build_network`) goes through one vectorized check that rejects
+self-loops, out-of-range nodes, duplicate pairs and any value that is not a
+positive integer (``from_dense`` does not round fractional flows). Nodes are
+dense 0-based indices, optionally carrying a sidecar list of external ids
+(e.g. FIPS codes). Instances are immutable after construction and safe to
+share across threads; simulation code mutates only private dense copies.
 """
 
 from __future__ import annotations
@@ -49,10 +54,16 @@ class FlowNetwork:
         External id per node index. Length must equal ``n_nodes``.
     """
 
-    __slots__ = ("n_nodes", "period_label", "node_ids", "_edges",
+    __slots__ = ("n_nodes", "period_label", "node_ids",
                  "_src", "_dst", "_val", "_in_vol", "_out_vol")
 
     def __init__(self, n_nodes, edges, period_label="", node_ids=None):
+        edges = dict(edges)
+        self._assign(n_nodes, [k[0] for k in edges], [k[1] for k in edges],
+                     list(edges.values()), period_label, node_ids)
+
+    def _assign(self, n_nodes, src, dst, val, period_label, node_ids):
+        """Check (src, dst, val) entries and store them sorted by (src, dst)."""
         n_nodes = int(n_nodes)
         if n_nodes < 1:
             raise ValidationError("n_nodes must be >= 1, got %d" % n_nodes)
@@ -61,32 +72,43 @@ class FlowNetwork:
             if len(node_ids) != n_nodes:
                 raise ValidationError(
                     "node_ids has %d entries for %d nodes" % (len(node_ids), n_nodes))
-        store = {}
-        for (i, j), v in dict(edges).items():
-            i = int(i)
-            j = int(j)
-            if i == j:
-                raise ValidationError("self-loop (%d, %d) is not allowed" % (i, j))
-            if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-                raise ValidationError("dyad (%d, %d) out of range for %d nodes" % (i, j, n_nodes))
-            iv = int(v)
-            if iv != v or iv < 1:
-                raise ValidationError(
-                    "flow value for (%d, %d) must be a positive integer, got %r" % (i, j, v))
-            store[(i, j)] = iv
+        src = np.asarray(src, dtype=np.int64).reshape(-1)
+        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+        val = np.asarray(val).reshape(-1)
+
+        def first(mask):
+            k = int(np.flatnonzero(mask)[0])
+            return k, int(src[k]), int(dst[k])
+
+        loop = src == dst
+        if loop.any():
+            _, i, j = first(loop)
+            raise ValidationError("self-loop (%d, %d) is not allowed" % (i, j))
+        off = (src < 0) | (src >= n_nodes) | (dst < 0) | (dst >= n_nodes)
+        if off.any():
+            _, i, j = first(off)
+            raise ValidationError("dyad (%d, %d) out of range for %d nodes" % (i, j, n_nodes))
+        if val.dtype.kind not in "biuf":
+            raise ValidationError("flow values must be numbers, got %r" % (val[:1].tolist(),))
+        with np.errstate(invalid="ignore"):
+            good = np.isfinite(val) & (val >= 1) & (val == np.floor(val))
+        if not good.all():
+            k, i, j = first(~good)
+            raise ValidationError("flow value for (%d, %d) must be a positive integer, got %r"
+                                  % (i, j, val[k].item()))
+        codes = src * n_nodes + dst
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        dup = np.flatnonzero(codes[1:] == codes[:-1])
+        if len(dup):
+            i, j = divmod(int(codes[dup[0]]), n_nodes)
+            raise ValidationError("duplicate entry for ordered pair (%d, %d)" % (i, j))
         self.n_nodes = n_nodes
         self.period_label = str(period_label)
         self.node_ids = node_ids
-        self._edges = store
-        if store:
-            keys = sorted(store)
-            self._src = np.array([k[0] for k in keys], dtype=np.int64)
-            self._dst = np.array([k[1] for k in keys], dtype=np.int64)
-            self._val = np.array([store[k] for k in keys], dtype=np.int64)
-        else:
-            self._src = np.empty(0, dtype=np.int64)
-            self._dst = np.empty(0, dtype=np.int64)
-            self._val = np.empty(0, dtype=np.int64)
+        self._src = src[order]
+        self._dst = dst[order]
+        self._val = val[order].astype(np.int64)
         self._in_vol = np.bincount(self._dst, weights=self._val,
                                    minlength=n_nodes).astype(np.int64)
         self._out_vol = np.bincount(self._src, weights=self._val,
@@ -97,26 +119,33 @@ class FlowNetwork:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_arrays(cls, n_nodes, src, dst, val, period_label="", node_ids=None):
+        """Build from parallel (src, dst, val) arrays in any order."""
+        net = cls.__new__(cls)
+        net._assign(n_nodes, src, dst, val, period_label, node_ids)
+        return net
+
+    @classmethod
     def empty(cls, n_nodes, period_label="", node_ids=None):
-        return cls(n_nodes, {}, period_label=period_label, node_ids=node_ids)
+        return cls._from_arrays(n_nodes, (), (), (), period_label, node_ids)
 
     @classmethod
     def from_dense(cls, matrix, period_label="", node_ids=None):
-        """Build from a dense (n, n) array; the diagonal must be zero."""
+        """Build from a dense (n, n) array; the diagonal must be zero and
+        every nonzero entry a positive integer."""
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("dense flow matrix must be square")
         if np.any(np.diagonal(m)):
             raise ValidationError("dense flow matrix has nonzero diagonal entries")
         ii, jj = np.nonzero(m)
-        edges = {(int(i), int(j)): int(m[i, j]) for i, j in zip(ii, jj)}
-        return cls(m.shape[0], edges, period_label=period_label, node_ids=node_ids)
+        return cls._from_arrays(m.shape[0], ii, jj, m[ii, jj], period_label, node_ids)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def n_edges(self):
-        return len(self._edges)
+        return len(self._val)
 
     @property
     def n_dyads(self):
@@ -138,7 +167,9 @@ class FlowNetwork:
         """Flow on the ordered dyad (i, j); absent entries are 0."""
         self._check_node(i)
         self._check_node(j)
-        return self._edges.get((int(i), int(j)), 0)
+        lo, hi = np.searchsorted(self._src, (int(i), int(i) + 1))
+        k = lo + int(np.searchsorted(self._dst[lo:hi], int(j)))
+        return int(self._val[k]) if k < hi and self._dst[k] == int(j) else 0
 
     def in_volume(self, node):
         self._check_node(node)
@@ -159,13 +190,9 @@ class FlowNetwork:
         """(src, dst, val) read-only arrays sorted by (src, dst)."""
         return self._src, self._dst, self._val
 
-    def edge_dict(self):
-        """Copy of the sparse edge map."""
-        return dict(self._edges)
-
     def items(self):
-        for k in sorted(self._edges):
-            yield k, self._edges[k]
+        """((i, j), value) pairs in (i, j) order."""
+        return zip(zip(self._src.tolist(), self._dst.tolist()), self._val.tolist())
 
     def dense_matrix(self, dtype=np.int64):
         """Dense (n, n) value matrix. Intended for small networks and for
@@ -179,12 +206,12 @@ class FlowNetwork:
         available, else integer indices."""
         ids = self.node_ids
         if ids is None:
-            return [(int(i), int(j), int(v)) for (i, j), v in self.items()]
-        return [(ids[i], ids[j], int(v)) for (i, j), v in self.items()]
+            return [(i, j, v) for (i, j), v in self.items()]
+        return [(ids[i], ids[j], v) for (i, j), v in self.items()]
 
     def copy(self):
-        return FlowNetwork(self.n_nodes, self._edges,
-                           period_label=self.period_label, node_ids=self.node_ids)
+        return FlowNetwork._from_arrays(self.n_nodes, self._src, self._dst, self._val,
+                                        self.period_label, self.node_ids)
 
     def _check_node(self, node):
         if not (0 <= int(node) < self.n_nodes):
@@ -193,10 +220,13 @@ class FlowNetwork:
     def __eq__(self, other):
         if not isinstance(other, FlowNetwork):
             return NotImplemented
-        return self.n_nodes == other.n_nodes and self._edges == other._edges
+        return (self.n_nodes == other.n_nodes and np.array_equal(self._src, other._src)
+                and np.array_equal(self._dst, other._dst)
+                and np.array_equal(self._val, other._val))
 
     def __hash__(self):
-        return hash((self.n_nodes, frozenset(self._edges.items())))
+        return hash((self.n_nodes, self._src.tobytes(), self._dst.tobytes(),
+                     self._val.tobytes()))
 
     def __repr__(self):
         return "FlowNetwork(n_nodes=%d, n_edges=%d, total_flow=%d%s)" % (
@@ -208,7 +238,7 @@ def build_network(records, n_nodes=None, node_ids=None, period_label=""):
     """Assemble a :class:`FlowNetwork` from (origin, destination, count) records.
 
     Zero-count records are dropped. Duplicate ordered pairs, self-loops,
-    negative counts, and unresolvable ids are rejected.
+    negative or fractional counts, and unresolvable ids are rejected.
 
     Parameters
     ----------
@@ -222,6 +252,8 @@ def build_network(records, n_nodes=None, node_ids=None, period_label=""):
         External id per node index; defines both the id map and ``n_nodes``.
     """
     records = list(records)
+    origins = [r[0] for r in records]
+    dests = [r[1] for r in records]
     if node_ids is not None:
         node_ids = [str(x) for x in node_ids]
         index = {x: k for k, x in enumerate(node_ids)}
@@ -230,40 +262,26 @@ def build_network(records, n_nodes=None, node_ids=None, period_label=""):
         if n_nodes is not None and int(n_nodes) != len(node_ids):
             raise ValidationError("n_nodes disagrees with len(node_ids)")
         n_nodes = len(node_ids)
-
-        def resolve(x):
-            try:
-                return index[str(x)]
-            except KeyError:
-                raise ValidationError("unknown node id %r" % (x,)) from None
+        try:
+            src = [index[str(x)] for x in origins]
+            dst = [index[str(x)] for x in dests]
+        except KeyError as exc:
+            raise ValidationError("unknown node id %r" % (exc.args[0],)) from None
     else:
+        src = [int(x) for x in origins]
+        dst = [int(x) for x in dests]
         if n_nodes is None:
-            top = -1
-            for o, d, _ in records:
-                top = max(top, int(o), int(d))
-            n_nodes = top + 1 if top >= 0 else 1
-
-        def resolve(x):
-            k = int(x)
-            if not (0 <= k < n_nodes):
-                raise ValidationError("node index %r out of range for %d nodes" % (x, n_nodes))
-            return k
-
-    edges = {}
-    for o, d, c in records:
-        c = int(c)
-        if c < 0:
-            raise ValidationError("negative count %d for record (%r, %r)" % (c, o, d))
-        i, j = resolve(o), resolve(d)
-        if i == j:
-            raise ValidationError("self-loop record (%r, %r)" % (o, d))
-        if c == 0:
-            continue
-        if (i, j) in edges:
-            raise ValidationError("duplicate record for ordered pair (%r, %r)" % (o, d))
-        edges[(i, j)] = c
-    return FlowNetwork(n_nodes, edges, period_label=period_label,
-                       node_ids=tuple(node_ids) if node_ids is not None else None)
+            n_nodes = max(src + dst, default=0) + 1
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    counts = np.asarray([r[2] for r in records])
+    if counts.dtype.kind in "biuf" and np.any(counts < 0):
+        k = int(np.flatnonzero(counts < 0)[0])
+        raise ValidationError("negative count %r for record (%r, %r)"
+                              % (counts[k].item(), origins[k], dests[k]))
+    keep = (counts != 0) | (src == dst)  # a self-loop is rejected even at count 0
+    return FlowNetwork._from_arrays(n_nodes, src[keep], dst[keep], counts[keep],
+                                    period_label, node_ids)
 
 
 @dataclass(frozen=True)

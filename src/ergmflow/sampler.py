@@ -9,6 +9,12 @@ including the 1/v! reference factor, the value-proposal asymmetry at zero,
 and the state-dependent dyad-selection ratio, so detailed balance holds
 exactly. Each chain owns a private dense copy of the network and a private
 random stream; nothing is shared between chains.
+
+Every chain records, per sample, the Sum statistic and the per-node in- and
+out-volume vectors from its running state (:class:`ChainRun`). Only
+:func:`mcmc_simulate` also builds a :class:`FlowNetwork` snapshot per sample;
+the adequacy check and the knockout read the recorded summaries and build no
+networks.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -91,11 +98,18 @@ class ChainConfig:
 
 
 class ChainRun(list):
-    """Sequence of sampled :class:`FlowNetwork` states plus chain diagnostics."""
+    """Sequence of sampled :class:`FlowNetwork` states (empty for chains that
+    keep none) plus per-sample summaries and chain diagnostics.
 
-    def __init__(self, networks, sum_series, n_proposals, n_accepted,
-                 n_rejected_invalid, n_nonfinite, burn_in, thin, seed):
+    ``in_volumes`` and ``out_volumes`` are (samples, n_nodes) int64 arrays,
+    ``sum_series`` the total flow of each sample.
+    """
+
+    def __init__(self, networks, in_volumes, out_volumes, sum_series, n_proposals,
+                 n_accepted, n_rejected_invalid, n_nonfinite, burn_in, thin, seed):
         super().__init__(networks)
+        self.in_volumes = in_volumes
+        self.out_volumes = out_volumes
         self.sum_series = np.asarray(sum_series, dtype=np.float64)
         self.n_proposals = n_proposals
         self.n_accepted = n_accepted
@@ -118,35 +132,27 @@ def lag1_autocorrelation(series):
     return float((x[:-1] @ x[1:]) / (x @ x))
 
 
-def _linear_rate_matrix(cs, theta):
-    n = cs.n_nodes
-    rate = np.zeros((n, n))
-    for k, pos in enumerate(cs.lin_pos):
-        th = float(theta[pos])
-        how, payload = cs.lin_payload[k]
-        if how == "const":
-            rate += th
-        elif how == "row":
-            rate += th * payload[:, None]
-        elif how == "col":
-            rate += th * payload[None, :]
-        else:
-            rate += th * payload
-    return rate
-
-
 def mcmc_simulate(model, theta, nodes, dyads, init, config, step_observer=None):
     """Run one Metropolis-Hastings chain and return sampled networks.
 
     Returns a :class:`ChainRun`: a list of ``config.n_networks`` networks
     taken every ``thin`` proposals after ``burn_in`` proposals, carrying the
-    Sum-statistic series and acceptance diagnostics. Identical (seed,
+    Sum-statistic series, the per-sample node volumes and acceptance
+    diagnostics. Identical (seed,
     config, theta) always reproduce the identical sequence.
 
     ``step_observer``, when given, is called as ``observer(step, state)``
     after every proposal with the current dense value matrix (a nested list;
     treat it as read-only). Intended for desk-scale diagnostics.
     """
+    return _chain(model, theta, nodes, dyads, init, config, step_observer,
+                  keep_networks=True)
+
+
+def _chain(model, theta, nodes, dyads, init, config, step_observer=None,
+           keep_networks=False):
+    """The chain behind :func:`mcmc_simulate`; it builds the per-sample
+    network snapshots only when ``keep_networks`` is set."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (model.n_terms,):
         raise ValidationError("theta has shape %r for a %d-term model"
@@ -160,7 +166,7 @@ def mcmc_simulate(model, theta, nodes, dyads, init, config, step_observer=None):
     prop = config.proposal
     rng = np.random.default_rng(config.seed)
 
-    rate = _linear_rate_matrix(cs, theta)
+    rate = cs.linear_rate_matrix(theta)
     th_nz = th_mm = th_wp = 0.0
     for pos, kind in cs.nonlin:
         if kind == "nonzero":
@@ -170,16 +176,13 @@ def mcmc_simulate(model, theta, nodes, dyads, init, config, step_observer=None):
         else:
             th_wp = float(theta[pos])
 
-    y = [row.tolist() for row in init.dense_matrix()]
+    y = [row.tolist() for row in cs.values]
     out_vol = init.out_volumes().tolist()
     in_vol = init.in_volumes().tolist()
     total = init.total_flow
-    nz_list = []
-    nz_pos = {}
-    for (i, j), _v in init.items():
-        code = i * n + j
-        nz_pos[code] = len(nz_list)
-        nz_list.append(code)
+    src, dst, _ = init.edge_arrays()
+    nz_list = (src * n + dst).tolist()
+    nz_pos = {code: k for k, code in enumerate(nz_list)}
 
     rate_rows = [row.tolist() for row in rate]
     p_unit = prop.p_unit
@@ -192,6 +195,8 @@ def mcmc_simulate(model, theta, nodes, dyads, init, config, step_observer=None):
 
     total_steps = burn_in + thin * config.n_networks
     networks = []
+    ins = []
+    outs = []
     sums = []
     n_accepted = 0
     n_invalid = 0
@@ -226,126 +231,101 @@ def mcmc_simulate(model, theta, nodes, dyads, init, config, step_observer=None):
             else:
                 g = geo_l[s]
                 vp = v + g if u3[s] < 0.5 else v - g
-                if vp < 0:
-                    n_invalid += 1
-                    if step_observer is not None:
-                        step_observer(step, y)
-                    if step > burn_in and (step - burn_in) % thin == 0:
-                        networks.append(FlowNetwork.from_dense(
-                            np.asarray(y, dtype=np.int64), node_ids=init.node_ids))
-                        sums.append(total)
-                    continue
-            d = vp - v
-            dlp = rate_rows[i][j] * d - (lgamma(vp + 1) - lgamma(v + 1))
-            if th_nz != 0.0:
-                dlp += th_nz * ((vp > 0) - (v > 0))
-            if th_mm != 0.0:
-                yji = y[j][i]
-                dlp += th_mm * (min(vp, yji) - min(v, yji))
-            if th_wp != 0.0:
-                oi = out_vol[i]
-                ini = in_vol[i]
-                oj = out_vol[j]
-                inj = in_vol[j]
-                dlp += th_wp * (min(oi + d, ini) - min(oi, ini)
-                                + min(inj + d, oj) - min(inj, oj))
-
-            nzp = nzc + (vp > 0) - (v > 0)
-            sel_f = (half_uniform + (p_nonzero / nzc if v > 0 else 0.0)) \
-                if nzc > 0 else uniform_sel
-            sel_r = (half_uniform + (p_nonzero / nzp if vp > 0 else 0.0)) \
-                if nzp > 0 else uniform_sel
-            if d == 1 or d == -1:
-                qf = geo_unit + p_unit * (1.0 if v == 0 else 0.5)
-                qr = geo_unit + p_unit * (1.0 if vp == 0 else 0.5)
+            if vp < 0:
+                n_invalid += 1
             else:
-                qf = qr = 1.0  # geometric mass at |d| is shared and cancels
-            log_alpha = dlp + log(qr * sel_r) - log(qf * sel_f)
-            if not math.isfinite(log_alpha):
-                n_nonfinite += 1
-            elif log_alpha >= 0.0 or log(u4[s]) < log_alpha:
-                n_accepted += 1
-                row[j] = vp
-                out_vol[i] += d
-                in_vol[j] += d
-                total += d
-                code = i * n + j
-                if v == 0:
-                    nz_pos[code] = len(nz_list)
-                    nz_list.append(code)
-                elif vp == 0:
-                    at = nz_pos.pop(code)
-                    last = nz_list.pop()
-                    if last != code:
-                        nz_list[at] = last
-                        nz_pos[last] = at
+                d = vp - v
+                dlp = rate_rows[i][j] * d - (lgamma(vp + 1) - lgamma(v + 1))
+                if th_nz != 0.0:
+                    dlp += th_nz * ((vp > 0) - (v > 0))
+                if th_mm != 0.0:
+                    yji = y[j][i]
+                    dlp += th_mm * (min(vp, yji) - min(v, yji))
+                if th_wp != 0.0:
+                    oi = out_vol[i]
+                    ini = in_vol[i]
+                    oj = out_vol[j]
+                    inj = in_vol[j]
+                    dlp += th_wp * (min(oi + d, ini) - min(oi, ini)
+                                    + min(inj + d, oj) - min(inj, oj))
+
+                nzp = nzc + (vp > 0) - (v > 0)
+                sel_f = (half_uniform + (p_nonzero / nzc if v > 0 else 0.0)) \
+                    if nzc > 0 else uniform_sel
+                sel_r = (half_uniform + (p_nonzero / nzp if vp > 0 else 0.0)) \
+                    if nzp > 0 else uniform_sel
+                if d == 1 or d == -1:
+                    qf = geo_unit + p_unit * (1.0 if v == 0 else 0.5)
+                    qr = geo_unit + p_unit * (1.0 if vp == 0 else 0.5)
+                else:
+                    qf = qr = 1.0  # geometric mass at |d| is shared and cancels
+                log_alpha = dlp + log(qr * sel_r) - log(qf * sel_f)
+                if not math.isfinite(log_alpha):
+                    n_nonfinite += 1
+                elif log_alpha >= 0.0 or log(u4[s]) < log_alpha:
+                    n_accepted += 1
+                    row[j] = vp
+                    out_vol[i] += d
+                    in_vol[j] += d
+                    total += d
+                    code = i * n + j
+                    if v == 0:
+                        nz_pos[code] = len(nz_list)
+                        nz_list.append(code)
+                    elif vp == 0:
+                        at = nz_pos.pop(code)
+                        last = nz_list.pop()
+                        if last != code:
+                            nz_list[at] = last
+                            nz_pos[last] = at
             if step_observer is not None:
                 step_observer(step, y)
             if step > burn_in and (step - burn_in) % thin == 0:
-                networks.append(FlowNetwork.from_dense(
-                    np.asarray(y, dtype=np.int64), node_ids=init.node_ids))
+                if keep_networks:
+                    networks.append(FlowNetwork.from_dense(
+                        np.asarray(y, dtype=np.int64), node_ids=init.node_ids))
+                ins.append(in_vol[:])
+                outs.append(out_vol[:])
                 sums.append(total)
 
-    return ChainRun(networks, sums, total_steps, n_accepted, n_invalid,
-                    n_nonfinite, burn_in, thin, config.seed)
+    return ChainRun(networks, np.array(ins, dtype=np.int64),
+                    np.array(outs, dtype=np.int64), sums, total_steps, n_accepted,
+                    n_invalid, n_nonfinite, burn_in, thin, config.seed)
 
 
 # -- multi-chain orchestration ------------------------------------------------
 
-def _chain_worker(args):
-    model, theta, nodes, dyads, init, config, keep_networks = args
-    run = mcmc_simulate(model, theta, nodes, dyads, init, config)
-    return (list(run) if keep_networks else None, run.sum_series,
-            run.n_accepted, run.n_proposals, run.n_nonfinite)
+def _simulate_many(model, theta, nodes, dyads, init, config, n_chains=1, n_jobs=1):
+    """Split config.n_networks over chains and merge their summaries.
 
-
-def _simulate_many(model, theta, nodes, dyads, init, config, n_chains=1,
-                   n_jobs=1, keep_networks=True):
-    """Split config.n_networks over chains with per-chain derived seeds.
-
-    With ``n_chains == 1`` this is exactly one :func:`mcmc_simulate` call at
-    ``config.seed``. The chain partition depends only on ``n_chains``, so
-    results are reproducible for any worker count.
+    A single chain runs at ``config.seed``; several get seeds derived from
+    it. The chain partition depends only on ``n_chains``, so results are
+    reproducible for any worker count. Returns one :class:`ChainRun` that
+    holds no networks: the chains' volumes and Sum series in chain order,
+    and their summed counters.
     """
     if n_chains < 1:
         raise ValidationError("n_chains must be >= 1")
-    if n_chains == 1:
-        run = mcmc_simulate(model, theta, nodes, dyads, init, config)
-        return list(run), run.sum_series, {
-            "acceptance_rate": run.acceptance_rate,
-            "n_nonfinite": run.n_nonfinite,
-            "n_chains": 1,
-        }
     per = [config.n_networks // n_chains] * n_chains
     for k in range(config.n_networks % n_chains):
         per[k] += 1
-    children = np.random.SeedSequence(config.seed).spawn(n_chains)
-    jobs = []
-    for k in range(n_chains):
-        if per[k] == 0:
-            continue
-        cfg = replace(config, n_networks=per[k], seed=children[k])
-        jobs.append((model, theta, nodes, dyads, init, cfg, keep_networks))
+    seeds = [config.seed] if n_chains == 1 else \
+        np.random.SeedSequence(config.seed).spawn(n_chains)
+    configs = [replace(config, n_networks=m, seed=seed)
+               for m, seed in zip(per, seeds) if m > 0]
+    chain = partial(_chain, model, theta, nodes, dyads, init)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_chain_worker, jobs))
+            runs = list(pool.map(chain, configs))
     else:
-        results = [_chain_worker(j) for j in jobs]
-    networks = []
-    sums = []
-    accepted = proposals = nonfinite = 0
-    for nets, ss, acc, props, nf in results:
-        if keep_networks:
-            networks.extend(nets)
-        sums.append(ss)
-        accepted += acc
-        proposals += props
-        nonfinite += nf
-    return networks, np.concatenate(sums), {
-        "acceptance_rate": accepted / proposals if proposals else 0.0,
-        "n_nonfinite": nonfinite,
-        "n_chains": n_chains,
-    }
+        runs = [chain(c) for c in configs]
+    return ChainRun([], np.concatenate([r.in_volumes for r in runs]),
+                    np.concatenate([r.out_volumes for r in runs]),
+                    np.concatenate([r.sum_series for r in runs]),
+                    sum(r.n_proposals for r in runs), sum(r.n_accepted for r in runs),
+                    sum(r.n_rejected_invalid for r in runs),
+                    sum(r.n_nonfinite for r in runs), runs[0].burn_in, runs[0].thin,
+                    config.seed)
 
 
 # -- adequacy ------------------------------------------------------------------
@@ -446,19 +426,19 @@ def adequacy_check(model, theta, nodes, dyads, observed, config, init=None,
     """
     if init is None:
         init = observed
-    networks, sums, diag = _simulate_many(
-        model, theta, nodes, dyads, init, config, n_chains=n_chains, n_jobs=n_jobs)
+    run = _simulate_many(model, theta, nodes, dyads, init, config,
+                         n_chains=n_chains, n_jobs=n_jobs)
     n = observed.n_nodes
-    sim_in = np.stack([net.in_volumes() for net in networks]).astype(np.float64)
-    sim_out = np.stack([net.out_volumes() for net in networks]).astype(np.float64)
+    sim_in = run.in_volumes.astype(np.float64)
+    sim_out = run.out_volumes.astype(np.float64)
 
     warnings = []
     degenerate = bool(sim_in.std(axis=0).max() == 0 and sim_out.std(axis=0).max() == 0)
     if degenerate:
         warnings.append("degenerate chain: all simulated volumes identical")
-    if diag["n_nonfinite"]:
-        warnings.append("%d proposals had non-finite acceptance ratios" % diag["n_nonfinite"])
-    autocorr = lag1_autocorrelation(sums)
+    if run.n_nonfinite:
+        warnings.append("%d proposals had non-finite acceptance ratios" % run.n_nonfinite)
+    autocorr = lag1_autocorrelation(run.sum_series)
     if autocorr > 0.1:
         warnings.append("Sum-statistic lag-1 autocorrelation %.3f exceeds 0.1; "
                         "consider a larger thin" % autocorr)
@@ -482,7 +462,7 @@ def adequacy_check(model, theta, nodes, dyads, observed, config, init=None,
         out_q975=np.quantile(sim_out, 0.975, axis=0),
         in_correlation=_pearson(observed.in_volumes(), in_med),
         out_correlation=_pearson(observed.out_volumes(), out_med),
-        n_networks=len(networks),
+        n_networks=len(run.sum_series),
         sum_lag1_autocorr=autocorr,
         degenerate=degenerate,
         warnings=warnings,
@@ -518,9 +498,8 @@ def expected_total_flow(model, theta, nodes, dyads, config, init=None,
                         n_nodes=None, n_chains=1, n_jobs=1):
     """Monte-Carlo mean of total flow under the model, with batch-means SE."""
     init = _resolve_init(init, nodes, n_nodes)
-    _, sums, _ = _simulate_many(model, theta, nodes, dyads, init, config,
-                                n_chains=n_chains, n_jobs=n_jobs,
-                                keep_networks=False)
+    sums = _simulate_many(model, theta, nodes, dyads, init, config,
+                          n_chains=n_chains, n_jobs=n_jobs).sum_series
     return float(sums.mean()), _batch_means_se(sums)
 
 

@@ -20,6 +20,9 @@ All but ``nonzero``, ``mutual_min`` and ``waypoint_flow`` are affine in any
 single dyad value, and those three are piecewise-linear in it, which the
 estimator and sampler exploit: one dyad's conditional distribution depends
 on theta only through a per-dyad linear rate plus the nonlinear profiles.
+:func:`linear_unit_change` is the one definition of each linear term; the
+global statistics, :meth:`ChangeStats.linear_design` and the sampler's
+:meth:`ChangeStats.linear_rate_matrix` all read from it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "TERM_KINDS",
     "mutual_min_stat",
     "waypoint_flow_stat",
+    "linear_unit_change",
     "global_statistic",
     "statistic_vector",
     "conditional_profile",
@@ -147,12 +151,13 @@ def mutual_min_stat(network):
     Each unordered pair {i, j} is counted once (tie-break i < j); a pair with
     flow in only one direction contributes 0.
     """
-    edges = network.edge_dict()
-    total = 0
-    for (i, j), v in edges.items():
-        if i < j:
-            total += min(v, edges.get((j, i), 0))
-    return total
+    src, dst, val = network.edge_arrays()
+    n = network.n_nodes
+    up = src < dst
+    # code both directions of a pair by its (smaller, larger) endpoints
+    _, a, b = np.intersect1d((src * n + dst)[up], (dst * n + src)[~up],
+                             assume_unique=True, return_indices=True)
+    return int(np.minimum(val[up][a], val[~up][b]).sum())
 
 
 def waypoint_flow_stat(network):
@@ -164,16 +169,31 @@ def waypoint_flow_stat(network):
     return int(np.minimum(network.in_volumes(), network.out_volumes()).sum())
 
 
-def _resolve_node_covariate(nodes, name):
-    if nodes is None:
-        raise ValidationError("node covariate %r requested but no node table supplied" % name)
-    return np.asarray(nodes.covariate(name), dtype=np.float64)
+def linear_unit_change(term, nodes=None, dyads=None):
+    """How much a linear term's statistic moves per unit of one dyad value.
 
-
-def _resolve_dyad_matrix(dyads, name):
-    if dyads is None:
-        raise ValidationError("dyad covariate %r requested but no dyad covariates supplied" % name)
-    return np.asarray(dyads.matrix(name), dtype=np.float64)
+    The one place a linear term is resolved to its covariate. Returns an
+    array that broadcasts to (n, n): a scalar for ``sum``, ``c[:, None]``
+    for ``node_out``, ``c[None, :]`` for ``node_in``, and the covariate
+    matrix for ``dyad`` and ``lagged_log_flow``. Unknown or unsupplied
+    covariates raise :class:`ValidationError`.
+    """
+    kind = term.kind
+    if kind == "sum":
+        return np.float64(1.0)
+    if kind in ("node_out", "node_in"):
+        if nodes is None:
+            raise ValidationError("node covariate %r requested but no node table supplied"
+                                  % term.covariate)
+        c = np.asarray(nodes.covariate(term.covariate), dtype=np.float64)
+        return c[:, None] if kind == "node_out" else c[None, :]
+    if kind in ("dyad", "lagged_log_flow"):
+        name = term.covariate if kind == "dyad" else "lagged_log_flow"
+        if dyads is None:
+            raise ValidationError("dyad covariate %r requested but no dyad covariates supplied"
+                                  % name)
+        return np.asarray(dyads.matrix(name), dtype=np.float64)
+    raise ValidationError("term kind %r is not linear in the dyad values" % kind)
 
 
 def global_statistic(term, network, nodes=None, dyads=None):
@@ -181,27 +201,14 @@ def global_statistic(term, network, nodes=None, dyads=None):
     src, dst, val = network.edge_arrays()
     v = val.astype(np.float64)
     kind = term.kind
-    if kind == "sum":
-        return float(v.sum())
     if kind == "nonzero":
         return float(len(v))
     if kind == "mutual_min":
         return float(mutual_min_stat(network))
     if kind == "waypoint_flow":
         return float(waypoint_flow_stat(network))
-    if kind == "node_out":
-        c = _resolve_node_covariate(nodes, term.covariate)
-        return float(v @ c[src])
-    if kind == "node_in":
-        c = _resolve_node_covariate(nodes, term.covariate)
-        return float(v @ c[dst])
-    if kind == "dyad":
-        m = _resolve_dyad_matrix(dyads, term.covariate)
-        return float(v @ m[src, dst])
-    if kind == "lagged_log_flow":
-        m = _resolve_dyad_matrix(dyads, "lagged_log_flow")
-        return float(v @ m[src, dst])
-    raise ValidationError("unknown term kind %r" % kind)
+    n = network.n_nodes
+    return float(v @ np.broadcast_to(linear_unit_change(term, nodes, dyads), (n, n))[src, dst])
 
 
 def statistic_vector(model, network, nodes=None, dyads=None):
@@ -219,63 +226,49 @@ class ChangeStats:
     Precomputes everything needed to evaluate, for batches of dyads (i, j)
     and candidate values v, the statistic contributions that move when y_ij
     is set to v while the rest of the network stays at its observed values.
-    Linear terms contribute x_ij * v with a per-dyad unit change x_ij; the
-    nonlinear terms contribute the piecewise-linear profiles of
-    :meth:`nonlinear_segments`.
+    Linear terms contribute x_ij * v with the per-dyad unit change x_ij of
+    :func:`linear_unit_change`; the nonlinear terms contribute the
+    piecewise-linear profiles of :meth:`nonlinear_segments`.
 
-    Shared by the pseudo-likelihood estimator and by
+    Shared by the pseudo-likelihood estimator, the sampler and
     :func:`conditional_profile`; instances are read-only once built.
+    Building one resolves every covariate the model names, so an unknown
+    name raises :class:`ValidationError` here.
     """
 
     def __init__(self, model, network, nodes=None, dyads=None):
         self.model = model
-        self.network = network
         self.n_nodes = network.n_nodes
         self.values = network.dense_matrix(dtype=np.int64)
         self.out_vol = network.out_volumes().astype(np.float64)
         self.in_vol = network.in_volumes().astype(np.float64)
         self.lin_pos = []
-        self.lin_payload = []
+        self.lin_units = []
         self.nonlin = []  # (position, kind)
         for pos, term in enumerate(model.terms):
             if term.kind in NONLINEAR_KINDS:
                 self.nonlin.append((pos, term.kind))
-                continue
-            self.lin_pos.append(pos)
-            if term.kind == "sum":
-                self.lin_payload.append(("const", None))
-            elif term.kind == "node_out":
-                self.lin_payload.append(("row", _resolve_node_covariate(nodes, term.covariate)))
-            elif term.kind == "node_in":
-                self.lin_payload.append(("col", _resolve_node_covariate(nodes, term.covariate)))
-            elif term.kind == "dyad":
-                self.lin_payload.append(("mat", _resolve_dyad_matrix(dyads, term.covariate)))
-            else:  # lagged_log_flow
-                self.lin_payload.append(("mat", _resolve_dyad_matrix(dyads, "lagged_log_flow")))
+            else:
+                self.lin_pos.append(pos)
+                self.lin_units.append(linear_unit_change(term, nodes, dyads))
         self.lin_pos = np.array(self.lin_pos, dtype=np.intp)
         self.nonlin_pos = np.array([p for p, _ in self.nonlin], dtype=np.intp)
 
-    @property
-    def n_linear(self):
-        return len(self.lin_payload)
-
-    def observed_values(self, ii, jj):
-        return self.values[ii, jj]
-
     def linear_design(self, ii, jj):
         """Per-unit change of each linear term on the given dyads: (D, L)."""
-        d = len(ii)
-        out = np.empty((d, self.n_linear), dtype=np.float64)
-        for k, (how, payload) in enumerate(self.lin_payload):
-            if how == "const":
-                out[:, k] = 1.0
-            elif how == "row":
-                out[:, k] = payload[ii]
-            elif how == "col":
-                out[:, k] = payload[jj]
-            else:
-                out[:, k] = payload[ii, jj]
+        shape = (self.n_nodes, self.n_nodes)
+        out = np.empty((len(ii), len(self.lin_units)), dtype=np.float64)
+        for k, unit in enumerate(self.lin_units):
+            out[:, k] = np.broadcast_to(unit, shape)[ii, jj]
         return out
+
+    def linear_rate_matrix(self, theta):
+        """Dense (n, n) linear log-rate sum_k theta_k x_ij,k over the linear
+        terms; the diagonal holds no dyad and is meaningless."""
+        rate = np.zeros((self.n_nodes, self.n_nodes))
+        for pos, unit in zip(self.lin_pos, self.lin_units):
+            rate += float(theta[pos]) * unit
+        return rate
 
     def nonlinear_segments(self, ii, jj):
         """Integer segments of y_ij on which every nonlinear term is linear.
@@ -332,7 +325,7 @@ def conditional_profile(model, network, nodes, dyads, dyad, v_max):
     ii = np.array([i], dtype=np.intp)
     jj = np.array([j], dtype=np.intp)
     vgrid = np.arange(v_max + 1, dtype=np.int64)
-    y_obs = float(cs.observed_values(ii, jj)[0])
+    y_obs = float(cs.values[i, j])
 
     prof = np.tile(base, (v_max + 1, 1))
     x = cs.linear_design(ii, jj)[0]

@@ -189,12 +189,14 @@ def irls_poisson(design, y, tol=1e-12, max_iter=200):
 
 # -- exact enumeration for a two-node model ------------------------------------
 
-def exact_two_node_distribution(theta_sum, theta_mutual, grid=60):
-    """Joint pmf of (y_01, y_10) by double summation over a large grid."""
+def exact_two_node_distribution(theta_sum, theta_mutual, grid=60, theta_nonzero=0.0):
+    """Joint pmf of (y_01, y_10) by double summation over a large grid, for
+    the sum, mutual_min and (optional) nonzero terms."""
     lw = np.empty((grid + 1, grid + 1))
     for a in range(grid + 1):
         for b in range(grid + 1):
             lw[a, b] = (theta_sum * (a + b) + theta_mutual * min(a, b)
+                        + theta_nonzero * ((a > 0) + (b > 0))
                         - math.lgamma(a + 1) - math.lgamma(b + 1))
     w = np.exp(lw - lw.max())
     return w / w.sum()

@@ -125,6 +125,35 @@ class TestGof:
         assert code == 4
 
 
+def _bogus_fit(fit_path, out):
+    # a fit file naming a dyad covariate that the dataset does not have
+    payload = json.loads(fit_path.read_text())
+    payload["model"]["terms"].append({"kind": "dyad", "covariate": "bogus"})
+    payload["theta"].append(0.1)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "fit_bogus.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestUnknownCovariateInFit:
+    def test_gof_exits_2(self, fitted, tmp_path):
+        cfg, fit_path = fitted
+        bogus = _bogus_fit(fit_path, tmp_path)
+        code = main(["gof", "--config", str(cfg), "--fit", str(bogus),
+                     "--out", str(tmp_path / "gof")])
+        assert code == 2
+        assert not (tmp_path / "gof" / "adequacy.json").exists()
+
+    def test_knockout_exits_2(self, fitted, tmp_path):
+        cfg, fit_path = fitted
+        bogus = _bogus_fit(fit_path, tmp_path)
+        code = main(["knockout", "--config", str(cfg), "--fit", str(bogus),
+                     "--labels", "dyad:bogus", "--out", str(tmp_path / "ko")])
+        assert code == 2
+        assert not (tmp_path / "ko" / "knockout.json").exists()
+
+
 class TestSimulate:
     def test_writes_networks(self, fitted, tmp_path):
         cfg, fit_path = fitted

@@ -133,6 +133,45 @@ class TestFlowNetwork:
         with pytest.raises(ValidationError, match="positive integer"):
             FlowNetwork(2, {(0, 1): 0})
 
+    @pytest.mark.parametrize("bad", [1.5, 0.25, 2.9, float("nan"), float("inf")])
+    def test_every_constructor_rejects_non_integer_flow(self, bad):
+        # the message names the dyad and the offending value
+        message = r"\(0, 1\) must be a positive integer, got %s" % bad
+        with pytest.raises(ValidationError, match=message):
+            FlowNetwork(2, {(0, 1): bad})
+        with pytest.raises(ValidationError, match=message):
+            FlowNetwork.from_dense([[0, bad], [2, 0]])
+        with pytest.raises(ValidationError, match=message):
+            build_network([(0, 1, bad), (1, 0, 2)], n_nodes=2)
+
+    def test_from_dense_does_not_truncate(self):
+        with pytest.raises(ValidationError, match=r"\(0, 1\).*got 1.5"):
+            FlowNetwork.from_dense([[0, 1.5], [2.9, 0]])
+        net = FlowNetwork.from_dense(np.array([[0, 2.0], [3.0, 0]]))
+        assert net.value(0, 1) == 2 and net.value(1, 0) == 3
+
+    def test_mapping_rejects_self_loop_and_range(self):
+        with pytest.raises(ValidationError, match=r"self-loop \(1, 1\)"):
+            FlowNetwork(3, {(0, 1): 2, (1, 1): 4})
+        with pytest.raises(ValidationError, match=r"\(0, 3\) out of range"):
+            FlowNetwork(3, {(0, 3): 2})
+
+    def test_arrays_sorted_and_value_lookup(self):
+        rng = np.random.default_rng(9)
+        mat = rng.poisson(0.7, (8, 8))
+        np.fill_diagonal(mat, 0)
+        edges = {(int(i), int(j)): int(mat[i, j]) for i, j in zip(*np.nonzero(mat))}
+        net = FlowNetwork(8, dict(reversed(list(edges.items()))))
+        src, dst, val = net.edge_arrays()
+        codes = src * 8 + dst
+        assert np.all(np.diff(codes) > 0)
+        assert net == FlowNetwork.from_dense(mat)
+        assert hash(net) == hash(FlowNetwork.from_dense(mat))
+        for i in range(8):
+            for j in range(8):
+                if i != j:
+                    assert net.value(i, j) == mat[i, j]
+
 
 def make_nodes(n=4, **overrides):
     base = dict(

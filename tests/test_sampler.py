@@ -37,6 +37,15 @@ class TestChainBasics:
         run = mcmc_simulate(SUM_ONLY, theta, None, None, FlowNetwork.empty(5), cfg)
         assert [net.total_flow for net in run] == run.sum_series.tolist()
 
+    def test_recorded_volumes_match_networks(self, small_data):
+        model, theta, current, _lag, nodes, dyads = small_data
+        cfg = ChainConfig(n_networks=4, burn_in=2000, thin=500, seed=8)
+        run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        assert run.in_volumes.shape == run.out_volumes.shape == (4, current.n_nodes)
+        for k, net in enumerate(run):
+            assert np.array_equal(run.in_volumes[k], net.in_volumes())
+            assert np.array_equal(run.out_volumes[k], net.out_volumes())
+
     def test_incremental_state_matches_recomputation(self, small_data):
         model, theta, current, _lag, nodes, dyads = small_data
         cfg = ChainConfig(n_networks=3, burn_in=2000, thin=500, seed=11)
@@ -133,38 +142,77 @@ class TestPoissonTarget:
         assert abs(np.mean(wps) - exact_wp) <= 4 * batch_se(wps)
 
     def test_two_node_chain_matches_enumeration(self):
-        # short version of the acceptance run: 200k proposals
+        # short version of the acceptance run: 200k proposals, once without
+        # and once with a nonzero term, whose delta is otherwise unchecked
+        def two_node_tv(model, theta, exact):
+            counts = np.zeros((7, 7))
+            burn = 5000
+
+            def observer(step, state):
+                if step > burn:
+                    a, b = state[0][1], state[1][0]
+                    if a <= 6 and b <= 6:
+                        counts[a, b] += 1
+
+            steps = 200_000
+            cfg = ChainConfig(n_networks=1, burn_in=burn + steps - 1, thin=1, seed=5)
+            mcmc_simulate(model, theta, None, None, FlowNetwork.empty(2), cfg,
+                          step_observer=observer)
+            box = exact[:7, :7]
+            return 0.5 * np.abs(counts / counts.sum() - box / box.sum()).sum()
+
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("mutual_min")))
         theta = np.array([math.log(0.9), 0.35])
-        counts = np.zeros((7, 7))
-        burn = 5000
-
-        def observer(step, state):
-            if step > burn:
-                a, b = state[0][1], state[1][0]
-                if a <= 6 and b <= 6:
-                    counts[a, b] += 1
-
-        steps = 200_000
-        cfg = ChainConfig(n_networks=1, burn_in=burn + steps - 1, thin=1, seed=5)
-        mcmc_simulate(model, theta, None, None, FlowNetwork.empty(2), cfg,
-                      step_observer=observer)
         exact = exact_two_node_distribution(theta[0], theta[1])
-        box = exact[:7, :7]
-        tv = 0.5 * np.abs(counts / counts.sum() - box / box.sum()).sum()
-        assert tv < 0.04
+        assert two_node_tv(model, theta, exact) < 0.04
+
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero"),
+                                 TermSpec("mutual_min")))
+        theta = np.array([math.log(1.6), -1.2, 0.35])
+        exact = exact_two_node_distribution(theta[0], theta[2], theta_nonzero=theta[1])
+        assert two_node_tv(model, theta, exact) < 0.04
 
 
 class TestMultiChain:
     def test_partition_determinism(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
         cfg = ChainConfig(n_networks=10, burn_in=2000, thin=500, seed=5)
-        nets_a, sums_a, _ = sampler_mod._simulate_many(
+        a = sampler_mod._simulate_many(
             model, theta, nodes, dyads, current, cfg, n_chains=2, n_jobs=1)
-        nets_b, sums_b, _ = sampler_mod._simulate_many(
+        b = sampler_mod._simulate_many(
             model, theta, nodes, dyads, current, cfg, n_chains=2, n_jobs=2)
-        assert np.array_equal(sums_a, sums_b)
-        assert nets_a == nets_b
+        assert np.array_equal(a.sum_series, b.sum_series)
+        assert np.array_equal(a.in_volumes, b.in_volumes)
+        assert np.array_equal(a.out_volumes, b.out_volumes)
+        assert a.in_volumes.shape == (10, current.n_nodes)
+
+    def test_single_chain_keeps_config_seed(self, knockout_data):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5)
+        merged = sampler_mod._simulate_many(model, theta, nodes, dyads, current, cfg)
+        run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        assert len(merged) == 0
+        assert np.array_equal(merged.sum_series, run.sum_series)
+        assert np.array_equal(merged.in_volumes, run.in_volumes)
+        assert np.array_equal(merged.out_volumes, run.out_volumes)
+        assert merged.n_accepted == run.n_accepted
+
+    def test_adequacy_and_knockout_build_no_networks(self, knockout_data, monkeypatch):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        calls = []
+        build = FlowNetwork.from_dense.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FlowNetwork, "from_dense", classmethod(counting))
+        cfg = ChainConfig(n_networks=5, burn_in=2000, thin=500, seed=4)
+        adequacy_check(model, theta, nodes, dyads, current, cfg)
+        knockout_experiment(model, theta, nodes, dyads, {"nonzero"}, cfg, init=current)
+        assert len(calls) == 0
+        mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        assert len(calls) == 5  # the counter sees the snapshots that are built
 
 
 class TestAdequacy:
@@ -173,8 +221,10 @@ class TestAdequacy:
         model, theta, current, _lag, nodes, dyads = small_data
 
         def fake_simulate(*args, **kwargs):
-            return [current] * 20, np.full(20, float(current.total_flow)), {
-                "acceptance_rate": 0.0, "n_nonfinite": 0, "n_chains": 1}
+            return sampler_mod.ChainRun(
+                [], np.tile(current.in_volumes(), (20, 1)),
+                np.tile(current.out_volumes(), (20, 1)),
+                np.full(20, float(current.total_flow)), 0, 0, 0, 0, 0, 1, 0)
 
         monkeypatch.setattr(sampler_mod, "_simulate_many", fake_simulate)
         report = adequacy_check(model, theta, nodes, dyads, current,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergmflow import (DyadCovariateSet, FlowNetwork, ModelSpec, TermSpec,
+from ergmflow import (ChangeStats, DyadCovariateSet, FlowNetwork, ModelSpec, TermSpec,
                       ValidationError, build_network, conditional_profile,
                       global_statistic, model_from_dict, model_to_dict,
                       mutual_min_stat, statistic_vector, waypoint_flow_stat)
@@ -261,3 +261,41 @@ class TestConditionalProfile:
         model = ModelSpec(terms=(TermSpec("sum"),))
         with pytest.raises(ValidationError, match="off-diagonal"):
             conditional_profile(model, net, None, None, (1, 1), 3)
+
+
+class TestLinearTerms:
+    """The one linear-term definition seen through its three readers."""
+
+    @pytest.fixture
+    def linear_case(self, small_data):
+        model, theta, current, _lag, nodes, dyads = small_data
+        model = ModelSpec(terms=model.terms + (
+            TermSpec("node_out", "log_population"), TermSpec("node_in", "rural")))
+        theta = np.append(theta, [0.3, -0.7])
+        return model, theta, current, nodes, dyads
+
+    def test_rate_matrix_matches_design(self, linear_case):
+        model, theta, current, nodes, dyads = linear_case
+        cs = ChangeStats(model, current, nodes, dyads)
+        n = current.n_nodes
+        ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+        rate = cs.linear_rate_matrix(theta)
+        want = cs.linear_design(ii, jj) @ theta[cs.lin_pos]
+        assert np.abs(rate[ii, jj] - want).max() <= 1e-12
+
+    def test_global_statistic_matches_design(self, linear_case):
+        model, _theta, current, nodes, dyads = linear_case
+        cs = ChangeStats(model, current, nodes, dyads)
+        src, dst, val = current.edge_arrays()
+        design = cs.linear_design(src, dst)
+        assert [model.terms[p].kind for p in cs.lin_pos] == [
+            "sum", "dyad", "lagged_log_flow", "node_out", "node_in"]
+        for k, pos in enumerate(cs.lin_pos):
+            got = global_statistic(model.terms[pos], current, nodes, dyads)
+            assert got == pytest.approx(float(val @ design[:, k]), rel=1e-12)
+
+    def test_unknown_covariate_rejected_when_built(self, linear_case):
+        _model, _theta, current, nodes, dyads = linear_case
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("dyad", "bogus")))
+        with pytest.raises(ValidationError, match="unknown dyad covariate"):
+            ChangeStats(model, current, nodes, dyads)
