@@ -10,6 +10,14 @@ File formats (all CSV, UTF-8, locale-independent numerals):
              immigrant_inflow``
 * distances: ``id_a,id_b,km`` (symmetric; one direction is sufficient)
 
+Loaders stream a file in blocks of a few thousand rows. Each block becomes
+typed columns and is validated before the next is read, so a loader needs
+one block of memory beyond what it returns. A malformed file is rejected
+naming its first offending row in file order. Rows are numbered from 2 for
+the first data row (the header is row 1), and blank lines are skipped
+without being counted, so in a file without blank lines the row number is
+the line number.
+
 Covariate scaling: dissimilarities and percent-derived covariates are
 proportions in [0, 1]; logged covariates of counts use log(1 + x) because
 zeros occur (lagged flows, immigrant inflows). Distances enter as log km.
@@ -18,7 +26,9 @@ zeros occur (lagged flows, immigrant inflows). Distances enter as log km.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -160,27 +170,106 @@ def build_dyad_covariates(nodes, distance, lagged=None, extra=None):
 
 # -- loaders -------------------------------------------------------------------
 
-def _open_rows(path, required):
+# Data rows read, converted and validated at a time.
+_BLOCK_ROWS = 8192
+
+
+def _read_blocks(path, columns):
+    """Stream a CSV file as blocks of text columns.
+
+    Yields ``(first_row, cells)``: ``cells[c]`` lists the block's values in
+    ``columns[c]``, and ``first_row`` is the number messages give the
+    block's first row. As in :class:`csv.DictReader`, blank lines are
+    skipped and not counted, a repeated column name means its last
+    occurrence, and a short row has None in the cells it lacks.
+    """
     # unreadable paths surface as OSError (an I/O failure, not a validation
     # failure); only malformed content raises ValidationError
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValidationError("%s is missing columns: %s"
                                   % (path, ", ".join(missing)))
-        rows = list(reader)
-    return rows
+        position = {name: k for k, name in enumerate(header)}
+        picks = [position[c] for c in columns]
+        rows = filter(None, reader)
+        first_row = 2
+        while True:
+            block = list(itertools.islice(rows, _BLOCK_ROWS))
+            if not block:
+                return
+            try:
+                cells = [list(map(itemgetter(c), block)) for c in picks]
+            except IndexError:
+                cells = [[r[c] if c < len(r) else None for r in block]
+                         for c in picks]
+            del block
+            yield first_row, cells
+            first_row += len(cells[0])
 
 
-def _num(row, col, rownum, path, convert=float):
-    raw = row[col]
+def _parse(cells, convert):
+    """Convert a text column with ``convert`` (int or float).
+
+    Returns the values and a mask of the cells ``convert`` rejects, or None
+    when it rejects none; a rejected cell's value is ``convert(0)``.
+    """
     try:
-        return convert(raw)
+        return list(map(convert, cells)), None
     except (TypeError, ValueError):
-        raise ValidationError("%s row %d: non-numeric %s value %r"
-                              % (path, rownum, col, raw)) from None
+        pass
+    values, bad = [], np.zeros(len(cells), dtype=bool)
+    for r, raw in enumerate(cells):
+        try:
+            values.append(convert(raw))
+        except (TypeError, ValueError):
+            values.append(convert(0))
+            bad[r] = True
+    return values, bad
+
+
+def _repeats(keys, seen, first_row):
+    """Flag the keys of a block that appeared in an earlier row.
+
+    ``seen`` maps each key of earlier blocks to its row. Returns the mask,
+    or None when nothing repeats, and the earlier row of each repeat by
+    block position.
+    """
+    if len(set(keys)) == len(keys) and seen.keys().isdisjoint(keys):
+        return None, {}
+    mask, earlier, here = np.zeros(len(keys), dtype=bool), {}, {}
+    for r, key in enumerate(keys):
+        if key in seen or key in here:
+            mask[r] = True
+            earlier[r] = seen[key] if key in seen else here[key]
+        else:
+            here[key] = first_row + r
+    return mask, earlier
+
+
+def _raise_first(path, first_row, checks):
+    """Raise for the first flagged row of a block, if any.
+
+    ``checks`` lists (mask, message) in the order the checks apply within a
+    row, so a row is named by its first failing check. ``message`` maps a
+    block position to the text after the row number; a None mask flags
+    nothing.
+    """
+    first = None
+    for mask, message in checks:
+        if mask is not None and mask.any():
+            r = int(np.argmax(mask))
+            if first is None or r < first[0]:
+                first = (r, message)
+    if first is not None:
+        r, message = first
+        raise ValidationError("%s row %d: %s" % (path, first_row + r, message(r)))
+
+
+def _non_numeric(col, cells):
+    return lambda r: "non-numeric %s value %r" % (col, cells[r])
 
 
 def load_flows(path):
@@ -189,19 +278,22 @@ def load_flows(path):
     Counts must be non-negative integers; duplicate ordered pairs are
     rejected with their row number.
     """
-    rows = _open_rows(path, ("origin", "destination", "count"))
     records = []
     seen = {}
-    for k, row in enumerate(rows, start=2):
-        count = _num(row, "count", k, path, convert=int)
-        if count < 0:
-            raise ValidationError("%s row %d: negative count %d" % (path, k, count))
-        key = (row["origin"], row["destination"])
-        if key in seen:
-            raise ValidationError("%s row %d: duplicate ordered pair %r "
-                                  "(first at row %d)" % (path, k, key, seen[key]))
-        seen[key] = k
-        records.append((row["origin"], row["destination"], count))
+    for first_row, (origin, destination, raw) in _read_blocks(
+            path, ("origin", "destination", "count")):
+        count, non_numeric = _parse(raw, int)
+        negative = np.array([c < 0 for c in count]) if min(count) < 0 else None
+        keys = list(zip(origin, destination))
+        repeated, earlier = _repeats(keys, seen, first_row)
+        _raise_first(path, first_row, [
+            (non_numeric, _non_numeric("count", raw)),
+            (negative, lambda r: "negative count %d" % count[r]),
+            (repeated, lambda r: "duplicate ordered pair %r (first at row %d)"
+             % (keys[r], earlier[r])),
+        ])
+        seen.update(zip(keys, range(first_row, first_row + len(keys))))
+        records.extend(zip(origin, destination, count))
     return records
 
 
@@ -210,6 +302,7 @@ _NODE_COLUMNS = ("id", "state", "region", "population", "density", "psr",
                  "pct_other", "pct_renter", "pct_highered",
                  "pct_unemployment", "pct_rural", "pct_democrat_2008",
                  "immigrant_inflow")
+_RACIAL_COLUMNS = tuple("pct_" + cat for cat in RACIAL_CATEGORIES)
 
 
 def load_nodes(path):
@@ -218,52 +311,49 @@ def load_nodes(path):
     Racial percentage columns must sum to 100 per node (they become shares
     summing to 1); violations are rejected naming the node.
     """
-    rows = _open_rows(path, _NODE_COLUMNS)
-    if not rows:
-        raise ValidationError("%s contains no data rows" % path)
-    ids, state, region = [], [], []
-    population, density, psr = [], [], []
-    shares = []
-    renter, highered, unemp, rural, democrat, immig = [], [], [], [], [], []
     seen = {}
-    for k, row in enumerate(rows, start=2):
-        node_id = row["id"]
-        if node_id in seen:
-            raise ValidationError("%s row %d: duplicate node id %r (first at row %d)"
-                                  % (path, k, node_id, seen[node_id]))
-        seen[node_id] = k
-        ids.append(node_id)
-        state.append(row["state"])
-        region.append(row["region"])
-        population.append(_num(row, "population", k, path, convert=int))
-        density.append(_num(row, "density", k, path))
-        psr.append(_num(row, "psr", k, path))
-        pct = [_num(row, "pct_" + cat, k, path) for cat in RACIAL_CATEGORIES]
-        if abs(sum(pct) - 100.0) > 1e-7 * 100.0:
-            raise ValidationError(
-                "%s row %d: racial percentages for node %r sum to %.6f, "
-                "expected 100" % (path, k, node_id, sum(pct)))
-        shares.append([p / 100.0 for p in pct])
-        renter.append(_num(row, "pct_renter", k, path))
-        highered.append(_num(row, "pct_highered", k, path))
-        unemp.append(_num(row, "pct_unemployment", k, path))
-        rural.append(_num(row, "pct_rural", k, path))
-        democrat.append(_num(row, "pct_democrat_2008", k, path))
-        immig.append(_num(row, "immigrant_inflow", k, path, convert=int))
-    shares = np.asarray(shares)
+    table = {c: [] for c in _NODE_COLUMNS}
+    for first_row, cells in _read_blocks(path, _NODE_COLUMNS):
+        cells = dict(zip(_NODE_COLUMNS, cells))
+        ids = cells["id"]
+        repeated, earlier = _repeats(ids, seen, first_row)
+        checks = [(repeated, lambda r: "duplicate node id %r (first at row %d)"
+                   % (ids[r], earlier[r]))]
+        for col in _NODE_COLUMNS[3:]:
+            convert = int if col in ("population", "immigrant_inflow") else float
+            raw = cells[col]
+            cells[col], bad = _parse(raw, convert)
+            checks.append((bad, _non_numeric(col, raw)))
+            if col == _RACIAL_COLUMNS[-1]:
+                total = list(map(sum, zip(*(cells[c] for c in _RACIAL_COLUMNS))))
+                off = np.abs(np.array(total) - 100.0) > 1e-7 * 100.0
+                checks.append((off, lambda r: "racial percentages for node %r sum "
+                               "to %.6f, expected 100" % (ids[r], total[r])))
+        _raise_first(path, first_row, checks)
+        seen.update(zip(ids, range(first_row, first_row + len(ids))))
+        for col in _NODE_COLUMNS:
+            table[col].extend(cells[col])
+    if not table["id"]:
+        raise ValidationError("%s contains no data rows" % path)
+    shares = np.column_stack([table[c] for c in _RACIAL_COLUMNS]) / 100.0
     shares = shares / shares.sum(axis=1, keepdims=True)
-    return NodeTable(ids=ids, state=state, region=region, population=population,
-                     density=density, psr=psr, racial_shares=shares,
-                     renter_pct=renter, highered_pct=highered,
-                     unemployment_pct=unemp, rural_pct=rural,
-                     democrat_poll_pct=democrat, immigrant_inflow=immig)
+    return NodeTable(ids=table["id"], state=table["state"], region=table["region"],
+                     population=table["population"], density=table["density"],
+                     psr=table["psr"], racial_shares=shares,
+                     renter_pct=table["pct_renter"],
+                     highered_pct=table["pct_highered"],
+                     unemployment_pct=table["pct_unemployment"],
+                     rural_pct=table["pct_rural"],
+                     democrat_poll_pct=table["pct_democrat_2008"],
+                     immigrant_inflow=table["immigrant_inflow"])
 
 
 def load_distances(path, node_ids):
     """Read pairwise distances into a dense km matrix over the given ids.
 
-    Rows set both directions; conflicting duplicates and unknown ids are
-    rejected. Pairs never mentioned are NaN (completeness is enforced by
+    Rows set both directions. Unknown ids, self-pairs, non-positive,
+    non-finite and conflicting duplicate distances are rejected. Pairs
+    never mentioned are NaN (completeness is enforced by
     :func:`build_dyad_covariates`).
     """
     node_ids = [str(x) for x in node_ids]
@@ -271,27 +361,53 @@ def load_distances(path, node_ids):
     n = len(node_ids)
     km = np.full((n, n), np.nan)
     np.fill_diagonal(km, 0.0)
-    rows = _open_rows(path, ("id_a", "id_b", "km"))
-    for k, row in enumerate(rows, start=2):
-        a, b = row["id_a"], row["id_b"]
-        if a not in index:
-            raise ValidationError("%s row %d: unknown node id %r" % (path, k, a))
-        if b not in index:
-            raise ValidationError("%s row %d: unknown node id %r" % (path, k, b))
-        i, j = index[a], index[b]
-        if i == j:
-            raise ValidationError("%s row %d: distance given for a node to itself (%r)"
-                                  % (path, k, a))
-        d = _num(row, "km", k, path)
-        if d <= 0:
-            raise ValidationError("%s row %d: non-positive distance %r between "
-                                  "distinct nodes" % (path, k, d))
-        for x, yy in ((i, j), (j, i)):
-            if not np.isnan(km[x, yy]) and km[x, yy] != d:
-                raise ValidationError("%s row %d: conflicting distance for (%r, %r)"
-                                      % (path, k, a, b))
-            km[x, yy] = d
+    for first_row, (id_a, id_b, raw) in _read_blocks(path, ("id_a", "id_b", "km")):
+        size = len(raw)
+        i = np.fromiter(map(index.get, id_a, itertools.repeat(-1)), np.intp, size)
+        j = np.fromiter(map(index.get, id_b, itertools.repeat(-1)), np.intp, size)
+        d, non_numeric = _parse(raw, float)
+        d = np.asarray(d, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            non_positive = d <= 0
+        non_finite = ~np.isfinite(d)
+        checks = [
+            (i < 0, lambda r: "unknown node id %r" % (id_a[r],)),
+            (j < 0, lambda r: "unknown node id %r" % (id_b[r],)),
+            (i == j, lambda r: "distance given for a node to itself (%r)" % (id_a[r],)),
+            (non_numeric, _non_numeric("km", raw)),
+            (non_positive, lambda r: "non-positive distance %r between distinct "
+             "nodes" % float(d[r])),
+            (non_finite, lambda r: "non-finite distance %r between distinct "
+             "nodes" % float(d[r])),
+        ]
+        valid = ~np.logical_or.reduce([m for m, _ in checks if m is not None])
+        conflict = _conflicts(km, i, j, d, valid)
+        checks.append((conflict, lambda r: "conflicting distance for (%r, %r)"
+                       % (id_a[r], id_b[r])))
+        _raise_first(path, first_row, checks)
+        km[i, j] = d
+        km[j, i] = d
     return km
+
+
+def _conflicts(km, i, j, d, valid):
+    """Flag valid rows whose distance differs from the pair's earlier one.
+
+    The earlier distance is the one ``km`` holds, or else that of the
+    pair's first valid row in the block.
+    """
+    rows = np.flatnonzero(valid)
+    pair = np.minimum(i[rows], j[rows]) * len(km) + np.maximum(i[rows], j[rows])
+    order = np.argsort(pair, kind="stable")
+    rows, pair = rows[order], pair[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    earlier = d[rows][first][np.cumsum(first) - 1]
+    before = np.take(km, pair)
+    earlier = np.where(np.isnan(before), earlier, before)
+    conflict = np.zeros(len(d), dtype=bool)
+    conflict[rows] = d[rows] != earlier
+    return conflict
 
 
 # -- writers (round-trip partners of the loaders) -------------------------------

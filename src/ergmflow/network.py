@@ -409,6 +409,13 @@ class NodeTable:
             col = getattr(self, name)
             if np.any((col < 0) | (col > 100)):
                 raise ValidationError("%s must lie in [0, 100]" % name)
+        # NaN passes every range check above
+        for name in ("density", "psr", "racial_shares") + _PCT_FIELDS:
+            bad = ~np.isfinite(getattr(self, name))
+            if bad.any():
+                k = int(np.argmax(bad.reshape(n, -1).any(axis=1)))
+                raise ValidationError("%s must be finite; first offending node %r"
+                                      % (name, self.ids[k]))
 
     @property
     def n_nodes(self):

@@ -5,9 +5,13 @@ loops or textbook algorithms, deliberately sharing no code with the package
 paths under test.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from ergmflow.errors import ValidationError
+from ergmflow.network import NodeTable
 
 
 # -- brute-force statistics on dense matrices ---------------------------------
@@ -200,6 +204,132 @@ def exact_two_node_distribution(theta_sum, theta_mutual, grid=60, theta_nonzero=
                         - math.lgamma(a + 1) - math.lgamma(b + 1))
     w = np.exp(lw - lw.max())
     return w / w.sum()
+
+
+# -- row-at-a-time CSV loaders ---------------------------------------------------
+#
+# The loaders as they stood before ``ergmflow.ingest`` streamed blocks: every
+# row is held as a dict, then validated in a Python loop. Rows are numbered
+# by data-row ordinal + 1, blank lines skipped. They differ from the package
+# on purpose in one way only: a NaN or infinite distance loads here.
+# ``rowloop_load_nodes`` returns the package's own NodeTable, so the parity
+# tests compare the loaders alone.
+
+def _rowloop_rows(path, required):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ValidationError("%s is missing columns: %s"
+                                  % (path, ", ".join(missing)))
+        rows = list(reader)
+    return rows
+
+
+def _rowloop_num(row, col, rownum, path, convert=float):
+    raw = row[col]
+    try:
+        return convert(raw)
+    except (TypeError, ValueError):
+        raise ValidationError("%s row %d: non-numeric %s value %r"
+                              % (path, rownum, col, raw)) from None
+
+
+def rowloop_load_flows(path):
+    rows = _rowloop_rows(path, ("origin", "destination", "count"))
+    records = []
+    seen = {}
+    for k, row in enumerate(rows, start=2):
+        count = _rowloop_num(row, "count", k, path, convert=int)
+        if count < 0:
+            raise ValidationError("%s row %d: negative count %d" % (path, k, count))
+        key = (row["origin"], row["destination"])
+        if key in seen:
+            raise ValidationError("%s row %d: duplicate ordered pair %r "
+                                  "(first at row %d)" % (path, k, key, seen[key]))
+        seen[key] = k
+        records.append((row["origin"], row["destination"], count))
+    return records
+
+
+ROWLOOP_NODE_COLUMNS = (
+    "id", "state", "region", "population", "density", "psr", "pct_hispanic",
+    "pct_black", "pct_asian", "pct_white", "pct_other", "pct_renter",
+    "pct_highered", "pct_unemployment", "pct_rural", "pct_democrat_2008",
+    "immigrant_inflow")
+
+
+def rowloop_load_nodes(path):
+    rows = _rowloop_rows(path, ROWLOOP_NODE_COLUMNS)
+    if not rows:
+        raise ValidationError("%s contains no data rows" % path)
+    ids, state, region = [], [], []
+    population, density, psr = [], [], []
+    shares = []
+    renter, highered, unemp, rural, democrat, immig = [], [], [], [], [], []
+    seen = {}
+    for k, row in enumerate(rows, start=2):
+        node_id = row["id"]
+        if node_id in seen:
+            raise ValidationError("%s row %d: duplicate node id %r (first at row %d)"
+                                  % (path, k, node_id, seen[node_id]))
+        seen[node_id] = k
+        ids.append(node_id)
+        state.append(row["state"])
+        region.append(row["region"])
+        population.append(_rowloop_num(row, "population", k, path, convert=int))
+        density.append(_rowloop_num(row, "density", k, path))
+        psr.append(_rowloop_num(row, "psr", k, path))
+        pct = [_rowloop_num(row, "pct_" + cat, k, path)
+               for cat in ("hispanic", "black", "asian", "white", "other")]
+        if abs(sum(pct) - 100.0) > 1e-7 * 100.0:
+            raise ValidationError(
+                "%s row %d: racial percentages for node %r sum to %.6f, "
+                "expected 100" % (path, k, node_id, sum(pct)))
+        shares.append([p / 100.0 for p in pct])
+        renter.append(_rowloop_num(row, "pct_renter", k, path))
+        highered.append(_rowloop_num(row, "pct_highered", k, path))
+        unemp.append(_rowloop_num(row, "pct_unemployment", k, path))
+        rural.append(_rowloop_num(row, "pct_rural", k, path))
+        democrat.append(_rowloop_num(row, "pct_democrat_2008", k, path))
+        immig.append(_rowloop_num(row, "immigrant_inflow", k, path, convert=int))
+    shares = np.asarray(shares)
+    shares = shares / shares.sum(axis=1, keepdims=True)
+    return NodeTable(ids=ids, state=state, region=region, population=population,
+                     density=density, psr=psr, racial_shares=shares,
+                     renter_pct=renter, highered_pct=highered,
+                     unemployment_pct=unemp, rural_pct=rural,
+                     democrat_poll_pct=democrat, immigrant_inflow=immig)
+
+
+def rowloop_load_distances(path, node_ids):
+    node_ids = [str(x) for x in node_ids]
+    index = {x: k for k, x in enumerate(node_ids)}
+    n = len(node_ids)
+    km = np.full((n, n), np.nan)
+    np.fill_diagonal(km, 0.0)
+    rows = _rowloop_rows(path, ("id_a", "id_b", "km"))
+    for k, row in enumerate(rows, start=2):
+        a, b = row["id_a"], row["id_b"]
+        if a not in index:
+            raise ValidationError("%s row %d: unknown node id %r" % (path, k, a))
+        if b not in index:
+            raise ValidationError("%s row %d: unknown node id %r" % (path, k, b))
+        i, j = index[a], index[b]
+        if i == j:
+            raise ValidationError("%s row %d: distance given for a node to itself (%r)"
+                                  % (path, k, a))
+        d = _rowloop_num(row, "km", k, path)
+        if d <= 0:
+            raise ValidationError("%s row %d: non-positive distance %r between "
+                                  "distinct nodes" % (path, k, d))
+        for x, yy in ((i, j), (j, i)):
+            if not np.isnan(km[x, yy]) and km[x, yy] != d:
+                raise ValidationError("%s row %d: conflicting distance for (%r, %r)"
+                                      % (path, k, a, b))
+            km[x, yy] = d
+    return km
 
 
 # -- finite differences ---------------------------------------------------------

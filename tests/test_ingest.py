@@ -1,16 +1,22 @@
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmflow import (ModelSpec, TermSpec,
+from ergmflow import (ModelSpec, NodeTable, TermSpec,
                       ValidationError, build_dyad_covariates, build_network,
-                      group_flow_matrix, load_distances, load_flows,
+                      group_flow_matrix, ingest, load_distances, load_flows,
                       load_nodes, racial_dissimilarity, scalar_dissimilarity,
                       synthetic_generate, write_distances_csv,
                       write_flows_csv, write_nodes_csv)
+from ergmflow.network import REGIONS
+from oracles import (ROWLOOP_NODE_COLUMNS, rowloop_load_distances,
+                     rowloop_load_flows, rowloop_load_nodes)
 
 compositions = st.lists(st.floats(min_value=0.0, max_value=1000.0),
                         min_size=5, max_size=5).filter(lambda x: sum(x) > 1e-6)
@@ -305,3 +311,381 @@ class TestSyntheticGenerate:
         with pytest.raises(ValidationError):
             synthetic_generate(10, model, np.array([0.0]), seed=0,
                                covariate_distributions={"bogus": None})
+
+
+# -- streaming loaders against the row-at-a-time oracle ---------------------------
+
+IDS = ["A", "B", "C", "D"]
+
+
+def _outcome(load, *args):
+    try:
+        return "ok", load(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+def _assert_same_outcome(new, old):
+    assert new[0] == old[0], (new, old)
+    if new[0] == "error":
+        assert new[1] == old[1]
+    return new[1]
+
+
+def _assert_same_nodes(a, b):
+    assert a.ids == b.ids
+    for name in ("state", "region", "population", "density", "psr",
+                 "racial_shares", "renter_pct", "highered_pct",
+                 "unemployment_pct", "rural_pct", "democrat_poll_pct",
+                 "immigrant_inflow"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        if x.dtype.kind == "f":
+            assert np.array_equal(x.view(np.int64), y.view(np.int64)), name
+        else:
+            assert np.array_equal(x, y), name
+
+
+def _long_distances(n):
+    """Header plus every unordered pair of n nodes, one block and more."""
+    ids = ["n%03d" % k for k in range(n)]
+    lines = ["id_a,id_b,km"]
+    lines += ["%s,%s,%d.5" % (ids[a], ids[b], 1 + (a * 7 + b) % 997)
+              for a in range(n) for b in range(a + 1, n)]
+    return ids, lines
+
+
+def _long_flows(n_rows):
+    lines = ["origin,destination,count"]
+    lines += ["o%d,d%d,%d" % (k % 97, k, 1 + k % 13) for k in range(n_rows)]
+    return lines
+
+
+def _node_line(node_id, **change):
+    row = dict(zip(ROWLOOP_NODE_COLUMNS, [
+        node_id, "s1", "West", "1000", "1.5", "4.0", "10.0", "20.0", "5.0",
+        "60.0", "5.0", "30.0", "20.0", "5.0", "50.0", "45.0", "12"]))
+    row.update(change)
+    return ",".join(row[c] for c in ROWLOOP_NODE_COLUMNS)
+
+
+NODE_HEADER = ",".join(ROWLOOP_NODE_COLUMNS)
+
+DISTANCE_CORPUS = {
+    "unknown_a": "id_a,id_b,km\nA,B,5\nX,B,5\n",
+    "unknown_b": "id_a,id_b,km\nA,Y,5\n",
+    "self_pair": "id_a,id_b,km\nA,B,5\nC,C,5\n",
+    "non_numeric": "id_a,id_b,km\nA,B,five\n",
+    "empty_km": "id_a,id_b,km\nA,B,\n",
+    "zero": "id_a,id_b,km\nA,B,0\n",
+    "negative": "id_a,id_b,km\nA,B,-3.5\n",
+    "minus_inf": "id_a,id_b,km\nA,B,-inf\n",
+    "conflict": "id_a,id_b,km\nA,B,5\nC,D,2\nB,A,6\n",
+    "same_value_duplicate": "id_a,id_b,km\nA,B,5\nB,A,5.0\nA,B,5\n",
+    "unknown_then_non_numeric": "id_a,id_b,km\nX,B,5\nA,B,zz\n",
+    "non_numeric_then_unknown": "id_a,id_b,km\nA,B,zz\nX,B,5\n",
+    "self_then_conflict": "id_a,id_b,km\nA,B,5\nC,C,1\nA,B,6\n",
+    "conflict_then_self": "id_a,id_b,km\nA,B,5\nA,B,6\nC,C,1\n",
+    "unknown_and_non_numeric_one_row": "id_a,id_b,km\nA,Z,zz\n",
+    "blank_lines": "id_a,id_b,km\n\nA,B,5\n\n\nC,D,-1\n",
+    "quoted_commas": 'id_a,id_b,km\n"A,1","B,2",5\n"A,1",C,0\n',
+    "reordered_extra_columns": "note,km,id_b,x,id_a\nhi,5,B,1,A\nyo,5,C,2,C\n",
+    "short_row_km": "id_a,id_b,km\nA,B,5\nA,C\n",
+    "short_row_id": "km,id_a,id_b\n5,A,B\n5,A\n",
+    "long_row": "id_a,id_b,km\nA,B,5,9,9\nB,C,x,1\n",
+    "missing_column": "id_a,km\nA,5\n",
+    "empty_file": "",
+    "blank_header": "\nid_a,id_b,km\nA,B,5\n",
+    "repeated_column": "id_a,id_b,km,km\nA,B,5,6\nA,B,6\n",
+}
+DISTANCE_LOADS = {"same_value_duplicate"}
+
+FLOW_CORPUS = {
+    "non_numeric": "origin,destination,count\nA,B,many\n",
+    "fractional": "origin,destination,count\nA,B,2\nA,C,3.0\n",
+    "negative": "origin,destination,count\nA,B,-2\n",
+    "duplicate": "origin,destination,count\nA,B,3\nC,D,1\nA,B,3\n",
+    "negative_then_duplicate": "origin,destination,count\nA,B,-1\nA,B,1\nA,B,1\n",
+    "duplicate_then_negative": "origin,destination,count\nA,B,1\nA,B,1\nC,D,-1\n",
+    "duplicate_and_non_numeric_one_row": "origin,destination,count\nA,B,1\nA,B,x\n",
+    "blank_lines": "origin,destination,count\n\nA,B,1\n\nA,B,2\n",
+    "quoted_commas": 'origin,destination,count\n"A,1","B,2",1\n"A,1","B,2",4\n',
+    "reordered_extra_columns": "count,x,destination,origin\n1,q,B,A\n-4,r,A,B\n",
+    "short_row": "origin,destination,count\nA,B,1\nA,B\n",
+    "short_row_valid": "count,origin,destination\n1,A,B\n2,A\n",
+    "missing_column": "origin,count\nA,3\n",
+    "valid": "origin,destination,count\nA,B,1\nB,A,0\n C , D ,+7\n",
+}
+FLOW_LOADS = {"short_row_valid", "valid"}
+
+NODE_CORPUS = {
+    "duplicate_id": [_node_line("a"), _node_line("b"), _node_line("a")],
+    "non_numeric_population": [_node_line("a", population="1e3")],
+    "non_numeric_pct": [_node_line("a"), _node_line("b", pct_asian="?")],
+    "bad_sum": [_node_line("a", pct_white="58.0")],
+    "bad_sum_before_bad_renter": [_node_line("a", pct_white="58.0", pct_renter="?")],
+    "bad_renter_then_bad_sum": [_node_line("a", pct_renter="?"),
+                                _node_line("b", pct_white="58.0")],
+    "bad_sum_then_duplicate": [_node_line("a", pct_white="58.0"), _node_line("a")],
+    "non_numeric_inflow": [_node_line("a", immigrant_inflow="1.5")],
+    "negative_density": [_node_line("a", density="-1")],
+    "bad_region": [_node_line("a", region="Atlantis")],
+    "short_row": [_node_line("a"), "b,s1,West,10"],
+    "quoted_ids": ['"a,1"' + _node_line("a")[1:], '"b ""2"""' + _node_line("b")[1:]],
+    "blank_lines": ["", _node_line("a"), "", _node_line("a", psr="x")],
+    "no_rows": [],
+}
+NODE_LOADS = {"quoted_ids"}
+
+
+def _write(tmp_path, text, name="in.csv"):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    return p
+
+
+class TestLoaderParity:
+    """The streaming loaders return what the row loop returned, bit for bit,
+    and raise the same message naming the same row."""
+
+    @pytest.mark.parametrize("case", sorted(DISTANCE_CORPUS))
+    def test_distance_corpus(self, tmp_path, case):
+        p = _write(tmp_path, DISTANCE_CORPUS[case])
+        ids = IDS + ["A,1", "B,2"]
+        new = _outcome(load_distances, p, ids)
+        assert new[0] == ("ok" if case in DISTANCE_LOADS else "error")
+        old = _outcome(rowloop_load_distances, p, ids)
+        km = _assert_same_outcome(new, old)
+        if new[0] == "ok":
+            assert np.array_equal(km, old[1], equal_nan=True)
+
+    @pytest.mark.parametrize("case", sorted(FLOW_CORPUS))
+    def test_flow_corpus(self, tmp_path, case):
+        p = _write(tmp_path, FLOW_CORPUS[case])
+        new = _outcome(load_flows, p)
+        assert new[0] == ("ok" if case in FLOW_LOADS else "error")
+        records = _assert_same_outcome(new, _outcome(rowloop_load_flows, p))
+        if new[0] == "ok":
+            assert records == rowloop_load_flows(p)
+            assert [type(r[2]) for r in records] == [int] * len(records)
+
+    @pytest.mark.parametrize("case", sorted(NODE_CORPUS))
+    def test_node_corpus(self, tmp_path, case):
+        p = _write(tmp_path, "\n".join([NODE_HEADER] + NODE_CORPUS[case]) + "\n")
+        new = _outcome(load_nodes, p)
+        assert new[0] == ("ok" if case in NODE_LOADS else "error")
+        table = _assert_same_outcome(new, _outcome(rowloop_load_nodes, p))
+        if new[0] == "ok":
+            _assert_same_nodes(table, rowloop_load_nodes(p))
+
+    def test_valid_files_match(self, tmp_path, small_data):
+        _m, _t, current, lagged, nodes, dyads = small_data
+        fp, lp, np_, dp = (tmp_path / x for x in ("f.csv", "l.csv", "n.csv", "d.csv"))
+        write_flows_csv(fp, current)
+        write_flows_csv(lp, lagged)
+        write_nodes_csv(np_, nodes)
+        km = np.exp(dyads.matrix("log_distance"))
+        write_distances_csv(dp, km, nodes.ids)
+        for path in (fp, lp):
+            assert load_flows(path) == rowloop_load_flows(path)
+        _assert_same_nodes(load_nodes(np_), rowloop_load_nodes(np_))
+        got, want = load_distances(dp, nodes.ids), rowloop_load_distances(dp, nodes.ids)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_multi_block_files_match(self, tmp_path):
+        ids, lines = _long_distances(140)  # 9,730 rows: two blocks
+        assert len(lines) - 1 > ingest._BLOCK_ROWS
+        # both directions, shuffled, so duplicates meet within and across blocks
+        rng = np.random.default_rng(3)
+        rows = lines[1:] + [",".join((b, a, d)) for a, b, d in
+                            (x.split(",") for x in lines[1:])]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        p = _write(tmp_path, "\n".join(["id_a,id_b,km"] + rows) + "\n")
+        got, want = load_distances(p, ids), rowloop_load_distances(p, ids)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        flows = _write(tmp_path, "\n".join(_long_flows(20000)) + "\n", "f.csv")
+        assert load_flows(flows) == rowloop_load_flows(flows)
+
+    @pytest.mark.parametrize("fault", ["non_numeric", "unknown", "self",
+                                       "conflict_in_earlier_block",
+                                       "conflict_in_same_block"])
+    def test_fault_in_second_block(self, tmp_path, fault):
+        ids, lines = _long_distances(140)
+        k = ingest._BLOCK_ROWS + 500  # a row of the second block
+        a, b, _d = lines[k].split(",")
+        if fault == "non_numeric":
+            lines[k] = "%s,%s,n/a" % (a, b)
+        elif fault == "unknown":
+            lines[k] = "%s,zz,3" % a
+        elif fault == "self":
+            lines[k] = "%s,%s,3" % (a, a)
+        elif fault == "conflict_in_earlier_block":
+            a, b, d = lines[3].split(",")
+            lines[k] = "%s,%s,%s" % (b, a, float(d) + 1.0)
+        else:
+            a, b, d = lines[k - 10].split(",")
+            lines[k] = "%s,%s,%s" % (b, a, float(d) + 1.0)
+        p = _write(tmp_path, "\n".join(lines) + "\n")
+        new = _outcome(load_distances, p, ids)
+        assert new[0] == "error" and ("row %d:" % (k + 1)) in new[1]
+        _assert_same_outcome(new, _outcome(rowloop_load_distances, p, ids))
+
+    def test_flow_duplicate_across_blocks(self, tmp_path):
+        lines = _long_flows(ingest._BLOCK_ROWS + 100)
+        lines.append(lines[5])
+        p = _write(tmp_path, "\n".join(lines) + "\n")
+        new = _outcome(load_flows, p)
+        assert new[0] == "error" and "first at row 6" in new[1]
+        _assert_same_outcome(new, _outcome(rowloop_load_flows, p))
+
+    def test_node_duplicate_across_blocks(self, tmp_path):
+        lines = [_node_line("n%05d" % k) for k in range(ingest._BLOCK_ROWS + 50)]
+        lines.append(_node_line("n00007"))
+        p = _write(tmp_path, "\n".join([NODE_HEADER] + lines) + "\n")
+        new = _outcome(load_nodes, p)
+        assert new[0] == "error" and "first at row 9" in new[1]
+        _assert_same_outcome(new, _outcome(rowloop_load_nodes, p))
+
+
+class TestNonFiniteRejected:
+    """Where the streaming loaders part from the row loop on purpose."""
+
+    @pytest.mark.parametrize("text,row,shown,rowloop_km", [
+        ("id_a,id_b,km\nA,C,2\nA,B,nan\nA,B,5\n", 3, "nan", 5.0),
+        ("id_a,id_b,km\nA,B,inf\n", 2, "inf", math.inf),
+        ("id_a,id_b,km\nA,B,Infinity\n", 2, "inf", math.inf),
+        ("id_a,id_b,km\nA,B,1e999\n", 2, "inf", math.inf),
+    ])
+    def test_distance(self, tmp_path, text, row, shown, rowloop_km):
+        p = _write(tmp_path, text)
+        with pytest.raises(ValidationError, match=r"row %d: non-finite distance %s "
+                           "between distinct nodes" % (row, shown)):
+            load_distances(p, IDS)
+        # the row loop took NaN for an unset pair and loaded inf
+        assert rowloop_load_distances(p, IDS)[0, 1] == rowloop_km
+
+    @pytest.mark.parametrize("column,field", [
+        ("density", "density"), ("psr", "psr"),
+        ("pct_unemployment", "unemployment_pct"), ("pct_rural", "rural_pct"),
+        ("pct_renter", "renter_pct")])
+    def test_node_column(self, tmp_path, column, field):
+        lines = [_node_line("a"), _node_line("b", **{column: "nan"}),
+                 _node_line("c", **{column: "nan"})]
+        p = _write(tmp_path, "\n".join([NODE_HEADER] + lines) + "\n")
+        with pytest.raises(ValidationError,
+                           match=r"%s must be finite; first offending node 'b'" % field):
+            load_nodes(p)
+
+    def test_node_table_rejects_nan_and_inf(self):
+        def table(**change):
+            kw = dict(ids=["x", "y"], state=["s", "s"], region=["West"] * 2,
+                      population=[1, 2], density=[1.0, 1.0], psr=[1.0, 1.0],
+                      racial_shares=[[0.2] * 5] * 2, renter_pct=[1.0, 1.0],
+                      highered_pct=[1.0, 1.0], unemployment_pct=[1.0, 1.0],
+                      rural_pct=[1.0, 1.0], democrat_poll_pct=[1.0, 1.0],
+                      immigrant_inflow=[0, 0])
+            kw.update(change)
+            return NodeTable(**kw)
+
+        table()
+        with pytest.raises(ValidationError, match="density must be finite.*'y'"):
+            table(density=[1.0, math.inf])
+        with pytest.raises(ValidationError, match="psr must be finite.*'x'"):
+            table(psr=[math.nan, 1.0])
+        with pytest.raises(ValidationError, match="racial_shares must be finite.*'y'"):
+            table(racial_shares=[[0.2] * 5, [math.nan] * 5])
+        with pytest.raises(ValidationError, match="democrat_poll_pct must be finite"):
+            table(democrat_poll_pct=[1.0, math.nan])
+
+
+def test_distance_loader_memory_is_a_block_not_the_file(tmp_path):
+    n = 400
+    ids = ["n%03d" % k for k in range(n)]
+    rng = np.random.default_rng(0)
+    km = rng.uniform(1.0, 3000.0, (n, n))
+    km = np.triu(km, 1) + np.triu(km, 1).T
+    p = tmp_path / "d.csv"
+    write_distances_csv(p, km, ids)  # 79,800 rows
+    peaks = {}
+    for name, load in (("new", load_distances), ("oracle", rowloop_load_distances)):
+        tracemalloc.start()
+        try:
+            got = load(p, ids)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del got
+    assert peaks["new"] <= 0.5 * peaks["oracle"], peaks
+
+
+# -- writer -> loader round trips --------------------------------------------------
+
+# ids that need CSV quoting: commas, quotes, line breaks, spaces
+_ID_TEXT = st.text(alphabet=st.sampled_from('ab, "\n\r\'xé;'), min_size=1, max_size=6)
+_NODE_IDS = st.lists(st.one_of(_ID_TEXT, st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)),
+    min_size=2, max_size=7, unique=True)
+
+
+def _round_trip(write, written, load, *load_args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "round_trip.csv"
+        write(path, *written)
+        return load(path, *load_args)
+
+
+class TestRoundTrips:
+    @settings(max_examples=60, deadline=None)
+    @given(ids=_NODE_IDS, data=st.data())
+    def test_flows(self, ids, data):
+        n = len(ids)
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        edges = data.draw(st.dictionaries(pairs, st.integers(1, 10**12), max_size=12))
+        net = build_network([(ids[i], ids[j], c) for (i, j), c in edges.items()],
+                            node_ids=ids)
+        records = _round_trip(write_flows_csv, (net,), load_flows)
+        assert records == net.to_edge_records()
+        assert build_network(records, node_ids=ids) == net
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=_NODE_IDS, data=st.data())
+    def test_distances(self, ids, data):
+        n = len(ids)
+        upper = data.draw(st.lists(
+            st.floats(min_value=5e-324, max_value=1e300, allow_nan=False),
+            min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        km = np.zeros((n, n))
+        km[np.triu_indices(n, 1)] = upper
+        km = km + km.T
+        got = _round_trip(write_distances_csv, (km, ids), load_distances, ids)
+        assert np.array_equal(got.view(np.int64), km.view(np.int64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ids=_NODE_IDS, data=st.data())
+    def test_nodes(self, ids, data):
+        n = len(ids)
+
+        def column(elements):
+            return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+        pct = st.floats(min_value=0.0, max_value=100.0)
+        raw_shares = np.array(column(st.lists(
+            st.floats(min_value=0.01, max_value=1.0), min_size=5, max_size=5)))
+        nodes = NodeTable(
+            ids=ids, state=column(_ID_TEXT), region=column(st.sampled_from(REGIONS)),
+            population=column(st.integers(1, 2**62)),
+            density=column(st.floats(min_value=0.0, max_value=1e12)),
+            psr=column(st.floats(min_value=0.0, max_value=1e3)),
+            racial_shares=raw_shares / raw_shares.sum(axis=1, keepdims=True),
+            renter_pct=column(pct), highered_pct=column(pct),
+            unemployment_pct=column(pct), rural_pct=column(pct),
+            democrat_poll_pct=column(pct),
+            immigrant_inflow=column(st.integers(0, 2**62)))
+        got = _round_trip(write_nodes_csv, (nodes,), load_nodes)
+        assert got.ids == nodes.ids
+        for name in ("state", "region", "population", "density", "psr",
+                     "renter_pct", "highered_pct", "unemployment_pct",
+                     "rural_pct", "democrat_poll_pct", "immigrant_inflow"):
+            assert np.array_equal(getattr(got, name), getattr(nodes, name)), name
+        assert np.allclose(got.racial_shares, nodes.racial_shares, rtol=0, atol=1e-15)
