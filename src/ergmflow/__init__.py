@@ -10,14 +10,15 @@ from .network import (RACIAL_CATEGORIES, REGIONS, DyadCovariateSet,
                       in_volume, out_volume, summarize)
 from .stats import (LINEAR_KINDS, NONLINEAR_KINDS, TERM_KINDS, ChangeStats,
                     ModelSpec, TermSpec, conditional_profile,
-                    global_statistic, model_from_dict, model_to_dict,
-                    mutual_min_stat, statistic_vector, waypoint_flow_stat)
+                    dependence_pieces, global_statistic, model_from_dict,
+                    model_to_dict, mutual_min_stat, statistic_vector,
+                    waypoint_flow_stat)
 from .estimator import (DyadSample, FitResult, census_sample,
                         conditional_log_pmf, effect_multiplier, fit_mple,
                         penalized_pseudo_loglik, pseudo_bic,
                         stratified_dyad_sample)
 from .sampler import (AdequacyReport, ChainConfig, ChainRun, KnockoutReport,
-                      ProposalConfig, adequacy_check, expected_total_flow,
+                      adequacy_check, expected_total_flow,
                       knockout_experiment, lag1_autocorrelation,
                       mcmc_simulate)
 from .ingest import (DEFAULT_COVARIATE_DISTRIBUTIONS, GroupFlowMatrix,
@@ -37,11 +38,12 @@ __all__ = [
     "TermSpec", "ModelSpec", "TERM_KINDS", "LINEAR_KINDS", "NONLINEAR_KINDS",
     "ChangeStats", "mutual_min_stat", "waypoint_flow_stat",
     "global_statistic", "statistic_vector", "conditional_profile",
+    "dependence_pieces",
     "model_to_dict", "model_from_dict",
     "DyadSample", "FitResult", "stratified_dyad_sample",
     "census_sample", "conditional_log_pmf", "penalized_pseudo_loglik",
     "fit_mple", "pseudo_bic", "effect_multiplier",
-    "ProposalConfig", "ChainConfig", "ChainRun", "mcmc_simulate",
+    "ChainConfig", "ChainRun", "mcmc_simulate",
     "AdequacyReport", "adequacy_check", "KnockoutReport",
     "knockout_experiment", "expected_total_flow", "lag1_autocorrelation",
     "GroupFlowMatrix", "group_flow_matrix", "racial_dissimilarity",

@@ -16,6 +16,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,8 +29,8 @@ from .ingest import (build_dyad_covariates, dissimilarity_matrices,
                      load_flows, load_nodes, synthetic_generate,
                      write_distances_csv, write_flows_csv, write_nodes_csv)
 from .network import build_network, summarize
-from .sampler import (ChainConfig, ProposalConfig, adequacy_check,
-                      knockout_experiment, mcmc_simulate)
+from .sampler import (ChainConfig, adequacy_check, knockout_experiment,
+                      mcmc_simulate)
 from .stats import model_from_dict, model_to_dict
 
 EXIT_OK = 0
@@ -53,8 +54,7 @@ CONFIG_SCHEMA = {
                   "ridge_lambda": 0.01, "tol": 1e-6, "max_iter": 50,
                   "seed": "optional; derived from root seed when omitted"},
     "chain": {"n_networks": 100, "burn_in": "optional", "thin": "optional",
-              "seed": "optional; derived from root seed when omitted",
-              "proposal": {"p_unit": 0.8, "geom_p": 0.3, "p_nonzero": 0.5}},
+              "seed": "optional; derived from root seed when omitted"},
     "synth": {"n_nodes": 50, "model": "model dict (defaults to a demo roster)",
               "theta_true": "coefficient list matching the model"},
 }
@@ -152,18 +152,52 @@ def _model_from_config(config):
     return model_from_dict(model_dict)
 
 
+def _section(config, key):
+    """A config section as a dict ({} when absent)."""
+    section = config.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ValidationError("config section %r must be a JSON object" % key)
+    return section
+
+
+def _number(section, name, default=None, integer=True, minimum=None):
+    """The config value at dotted ``name`` (its last part is the key in
+    ``section``) as an int, or a float when ``integer`` is false; ``default``
+    when absent or null. Anything else, including a fractional value for an
+    integer key or one below ``minimum``, raises ValidationError naming the
+    key."""
+    value = section.get(name.rsplit(".", 1)[-1])
+    if value is None:
+        return default
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = math.isfinite(value) and (value.is_integer() or not integer)
+    if not ok or (minimum is not None and value < minimum):
+        raise ValidationError("config key %r must be %s%s, got %r"
+                              % (name, "an integer" if integer else "a finite number",
+                                 "" if minimum is None else " >= %r" % minimum, value))
+    return int(value) if integer else float(value)
+
+
+def _root_seed(args, config):
+    return args.seed if args.seed is not None else _number(config, "seed", 0)
+
+
 def _chain_config(config, root_seed):
-    section = dict(config.get("chain") or {})
-    prop = ProposalConfig(**(section.get("proposal") or {}))
-    seed = section.get("seed")
+    section = _section(config, "chain")
+    unknown = sorted(set(section) - {"n_networks", "burn_in", "thin", "seed"})
+    if unknown:
+        raise ValidationError("unknown chain config keys: %s" % ", ".join(unknown))
+    seed = _number(section, "chain.seed", minimum=0)
     if seed is None:
         seed = derive_seed(root_seed, "chain")
     return ChainConfig(
-        n_networks=int(section.get("n_networks", 100)),
-        burn_in=section.get("burn_in"),
-        thin=section.get("thin"),
-        proposal=prop,
-        seed=int(seed),
+        n_networks=_number(section, "chain.n_networks", 100),
+        burn_in=_number(section, "chain.burn_in"),
+        thin=_number(section, "chain.thin"),
+        seed=seed,
     ), seed
 
 
@@ -247,26 +281,24 @@ def cmd_dissim(args, config):
 def cmd_fit(args, config):
     model = _model_from_config(config)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    section = dict(config.get("estimator") or {})
-    est_seed = section.get("seed")
+    root_seed = _root_seed(args, config)
+    section = _section(config, "estimator")
+    est_seed = _number(section, "estimator.seed", minimum=0)
     if est_seed is None:
         est_seed = derive_seed(root_seed, "estimator")
-    sample_size = section.get("sample_size")
-    if sample_size is None:
-        sample_size = network.n_dyads
-    sample = stratified_dyad_sample(network, int(sample_size), seed=int(est_seed))
+    sample_size = _number(section, "estimator.sample_size", network.n_dyads)
+    sample = stratified_dyad_sample(network, sample_size, seed=est_seed)
     fit = fit_mple(
         model, network, nodes, dyads, sample,
-        ridge_lambda=float(section.get("ridge_lambda", 0.01)),
-        tol=float(section.get("tol", 1e-6)),
-        max_iter=int(section.get("max_iter", 50)),
+        ridge_lambda=_number(section, "estimator.ridge_lambda", 0.01, integer=False),
+        tol=_number(section, "estimator.tol", 1e-6, integer=False),
+        max_iter=_number(section, "estimator.max_iter", 50),
     )
     outdir = _outdir(args, config)
     fit.write_json(outdir / "fit.json")
     fit.write_coefficients_csv(outdir / "coefficients.csv")
     _write_manifest(outdir, "fit", config,
-                    {"root": root_seed, "estimator": int(est_seed)},
+                    {"root": root_seed, "estimator": est_seed},
                     ["fit.json", "coefficients.csv"])
     for label, est, se in zip(fit.labels, fit.theta, fit.std_errors):
         print("%-32s %12.6f  (SE %.6f)" % (label, est, se))
@@ -283,7 +315,7 @@ def cmd_fit(args, config):
 def cmd_gof(args, config):
     model, theta = _fit_from_file(args.fit)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    root_seed = _root_seed(args, config)
     chain, chain_seed = _chain_config(config, root_seed)
     report = adequacy_check(model, theta, nodes, dyads, network, chain,
                             n_chains=args.threads, n_jobs=args.threads)
@@ -292,7 +324,7 @@ def cmd_gof(args, config):
     report.write_volume_csv(outdir / "adequacy_out_volume.csv", "out")
     report.write_json(outdir / "adequacy.json")
     _write_manifest(outdir, "gof", config,
-                    {"root": root_seed, "chain": int(chain_seed)},
+                    {"root": root_seed, "chain": chain_seed},
                     ["adequacy_in_volume.csv", "adequacy_out_volume.csv",
                      "adequacy.json"])
     print("in-volume correlation  %.4f" % report.in_correlation)
@@ -303,19 +335,19 @@ def cmd_gof(args, config):
 def cmd_simulate(args, config):
     model, theta = _fit_from_file(args.fit)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    root_seed = _root_seed(args, config)
     chain, chain_seed = _chain_config(config, root_seed)
     run = mcmc_simulate(model, theta, nodes, dyads, network, chain)
     outdir = _outdir(args, config)
     names = []
-    for k, net in enumerate(run):
+    for k, net in enumerate(run.networks):
         name = "sim_%03d.csv" % k
         write_flows_csv(outdir / name, net)
         names.append(name)
     _write_manifest(outdir, "simulate", config,
-                    {"root": root_seed, "chain": int(chain_seed)}, names)
+                    {"root": root_seed, "chain": chain_seed}, names)
     print("wrote %d simulated networks (acceptance rate %.3f)"
-          % (len(run), run.acceptance_rate))
+          % (len(run.networks), run.acceptance_rate))
     return EXIT_OK
 
 
@@ -323,7 +355,7 @@ def cmd_knockout(args, config):
     model, theta = _fit_from_file(args.fit)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
     labels = [x for x in (args.labels or "").split(",") if x]
-    root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    root_seed = _root_seed(args, config)
     chain, chain_seed = _chain_config(config, root_seed)
     report = knockout_experiment(model, theta, nodes, dyads, labels, chain,
                                  init=network, n_chains=args.threads,
@@ -331,7 +363,7 @@ def cmd_knockout(args, config):
     outdir = _outdir(args, config)
     report.write_json(outdir / "knockout.json")
     _write_manifest(outdir, "knockout", config,
-                    {"root": root_seed, "chain": int(chain_seed)},
+                    {"root": root_seed, "chain": chain_seed},
                     ["knockout.json"])
     print("baseline total %.1f, counterfactual %.1f, change %+.2f%%"
           % (report.baseline_mean, report.counterfactual_mean, report.pct_diff))
@@ -360,9 +392,9 @@ _DEFAULT_SYNTH_THETA = [-4.2, 1.0, 0.05, -0.01, -0.8, -0.5, -0.5, -0.35,
 
 
 def cmd_synth(args, config):
-    section = dict(config.get("synth") or {})
-    n_nodes = args.nodes or int(section.get("n_nodes", 50))
-    root_seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    section = _section(config, "synth")
+    n_nodes = args.nodes or _number(section, "synth.n_nodes", 50)
+    root_seed = _root_seed(args, config)
     model = model_from_dict(section.get("model") or _DEFAULT_SYNTH_MODEL)
     theta = np.asarray(section.get("theta_true") or _DEFAULT_SYNTH_THETA,
                        dtype=np.float64)

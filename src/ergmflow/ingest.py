@@ -508,7 +508,7 @@ DEFAULT_COVARIATE_DISTRIBUTIONS = {
 
 
 def synthetic_generate(n_nodes, model, theta_true, seed,
-                       covariate_distributions=None, generation_chain=None):
+                       covariate_distributions=None):
     """Generate a full synthetic dataset from known coefficients.
 
     Draws node covariates from simple documented distributions (override
@@ -516,7 +516,9 @@ def synthetic_generate(n_nodes, model, theta_true, seed,
     ``covariate_distributions``), derives distances from latent planar
     coordinates, simulates a lagged network from ``theta_true`` with any
     lagged-flow term dropped, then simulates the current network from the
-    full model. Everything is determined by ``seed``.
+    full model. Each network is the state of a chain after 40 proposals per
+    dyad, started from the empty network. Everything is determined by
+    ``seed``.
 
     Returns (current, lagged, NodeTable, DyadCovariateSet).
     """
@@ -565,14 +567,11 @@ def synthetic_generate(n_nodes, model, theta_true, seed,
     km[off] = np.maximum(km[off], 1.0)
 
     n_dyads = n_nodes * (n_nodes - 1)
-    if generation_chain is None:
-        generation_chain = ChainConfig(n_networks=1, burn_in=40 * n_dyads, thin=1)
 
     def one_network(m, theta, dyads_, ss):
-        from dataclasses import replace
-        cfg = replace(generation_chain, n_networks=1, seed=ss)
+        cfg = ChainConfig(n_networks=1, burn_in=40 * n_dyads, thin=1, seed=ss)
         init = FlowNetwork.empty(n_nodes, node_ids=ids)
-        return mcmc_simulate(m, theta, nodes, dyads_, init, cfg)[0]
+        return mcmc_simulate(m, theta, nodes, dyads_, init, cfg).networks[0]
 
     lag_terms = tuple(t for t in model.terms if t.kind != "lagged_log_flow")
     lag_theta = np.array([theta_true[k] for k, t in enumerate(model.terms)

@@ -1,14 +1,17 @@
-"""Metropolis-Hastings simulation from a fitted model, plus model-adequacy
-checks and coefficient-knockout counterfactuals.
+"""Markov-chain simulation from a fitted model, plus model-adequacy checks
+and coefficient-knockout counterfactuals.
 
-The chain moves one dyad at a time. A dyad is chosen by a mixture of
-uniform-over-all-dyads and uniform-over-currently-nonzero-dyads selection;
-its value is perturbed by a unit step (reflecting at zero) or a
-geometric-tailed jump. Acceptance uses the exact conditional weight ratio,
-including the 1/v! reference factor, the value-proposal asymmetry at zero,
-and the state-dependent dyad-selection ratio, so detailed balance holds
-exactly. Each chain owns a private dense copy of the network and a private
-random stream; nothing is shared between chains.
+The chain is an independence Metropolis-Hastings sampler on the model's
+Poisson reference. Each proposal picks an ordered dyad (i, j) uniformly and
+draws a fresh value v' ~ Poisson(exp(rate_ij)), where rate_ij is the
+linear part of the log-rate (:meth:`ChangeStats.linear_rate_matrix`). That
+draw cancels the linear terms and the 1/v! reference factor exactly, so v'
+replaces y_ij with probability min(1, exp(sum_k theta_k [g_k(v') - g_k(y_ij)]))
+over the dependence terms alone, each evaluated through
+:func:`ergmflow.stats.dependence_pieces`. Without dependence terms every
+proposal is accepted and is an exact independent draw of its dyad. The chain
+has no tuning knobs. Each chain owns a private dense copy of the network and
+a private random stream; nothing is shared between chains.
 
 Every chain records, per sample, the Sum statistic and the per-node in- and
 out-volume vectors from its running state (:class:`ChainRun`). Only
@@ -30,10 +33,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import FlowNetwork
-from .stats import ChangeStats
+from .stats import ChangeStats, dependence_pieces
 
 __all__ = [
-    "ProposalConfig",
     "ChainConfig",
     "ChainRun",
     "mcmc_simulate",
@@ -46,41 +48,24 @@ __all__ = [
 ]
 
 _RNG_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class ProposalConfig:
-    """Move kernel knobs.
-
-    ``p_unit`` is the probability of a +/-1 step (reflecting at 0), the rest
-    of the mass goes to a geometric jump with success probability
-    ``geom_p``; ``p_nonzero`` is the chance of restricting dyad choice to
-    currently nonzero dyads (falling back to uniform when there are none).
-    """
-
-    p_unit: float = 0.8
-    geom_p: float = 0.3
-    p_nonzero: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_unit <= 1.0):
-            raise ValidationError("p_unit must be in [0, 1]")
-        if not (0.0 < self.geom_p < 1.0):
-            raise ValidationError("geom_p must be in (0, 1)")
-        if not (0.0 <= self.p_nonzero < 1.0):
-            raise ValidationError("p_nonzero must be in [0, 1)")
+# The largest mean numpy's Generator.poisson accepts (int64 max less 10 sd).
+_POISSON_MAX = np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max)
 
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Chain length controls. ``burn_in`` and ``thin`` default to 10 and 2
-    proposals per dyad; check the reported Sum-statistic autocorrelation and
-    raise ``thin`` if it exceeds ~0.1."""
+    """Chain length controls, counted in proposals.
+
+    ``burn_in`` and ``thin`` default to 10 and 2 proposals per dyad. Without
+    dependence terms every proposal is an exact independent draw of its
+    dyad, so a dyad is stationary once it has been proposed; with them,
+    check the reported Sum-statistic autocorrelation and raise ``thin`` if
+    it exceeds ~0.1.
+    """
 
     n_networks: int = 100
     burn_in: int | None = None
     thin: int | None = None
-    proposal: ProposalConfig = field(default_factory=ProposalConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -97,27 +82,30 @@ class ChainConfig:
         return int(burn), int(thin)
 
 
-class ChainRun(list):
-    """Sequence of sampled :class:`FlowNetwork` states (empty for chains that
-    keep none) plus per-sample summaries and chain diagnostics.
+@dataclass
+class ChainRun:
+    """Per-sample summaries of a chain (or of merged chains) and its
+    acceptance counts.
 
     ``in_volumes`` and ``out_volumes`` are (samples, n_nodes) int64 arrays,
-    ``sum_series`` the total flow of each sample.
+    ``sum_series`` the total flow of each sample. ``networks`` holds the
+    sampled :class:`FlowNetwork` states of :func:`mcmc_simulate` and is
+    empty otherwise.
     """
 
-    def __init__(self, networks, in_volumes, out_volumes, sum_series, n_proposals,
-                 n_accepted, n_rejected_invalid, n_nonfinite, burn_in, thin, seed):
-        super().__init__(networks)
-        self.in_volumes = in_volumes
-        self.out_volumes = out_volumes
-        self.sum_series = np.asarray(sum_series, dtype=np.float64)
-        self.n_proposals = n_proposals
-        self.n_accepted = n_accepted
-        self.n_rejected_invalid = n_rejected_invalid
-        self.n_nonfinite = n_nonfinite
-        self.burn_in = burn_in
-        self.thin = thin
-        self.seed = seed
+    in_volumes: np.ndarray
+    out_volumes: np.ndarray
+    sum_series: np.ndarray
+    n_proposals: int
+    n_accepted: int
+    burn_in: int
+    thin: int
+    seed: object
+    networks: list = field(default_factory=list)
+
+    # Every Poisson proposal is a valid count, so none is ever rejected as
+    # invalid; the attribute stays readable for callers that report it.
+    n_rejected_invalid = 0
 
     @property
     def acceptance_rate(self):
@@ -132,25 +120,40 @@ def lag1_autocorrelation(series):
     return float((x[:-1] @ x[1:]) / (x @ x))
 
 
-def mcmc_simulate(model, theta, nodes, dyads, init, config, step_observer=None):
-    """Run one Metropolis-Hastings chain and return sampled networks.
+def mcmc_simulate(model, theta, nodes, dyads, init, config):
+    """Run one chain and return its sampled networks and summaries.
 
-    Returns a :class:`ChainRun`: a list of ``config.n_networks`` networks
-    taken every ``thin`` proposals after ``burn_in`` proposals, carrying the
-    Sum-statistic series, the per-sample node volumes and acceptance
-    diagnostics. Identical (seed,
-    config, theta) always reproduce the identical sequence.
-
-    ``step_observer``, when given, is called as ``observer(step, state)``
-    after every proposal with the current dense value matrix (a nested list;
-    treat it as read-only). Intended for desk-scale diagnostics.
+    Returns a :class:`ChainRun` whose ``networks`` are the
+    ``config.n_networks`` states taken every ``thin`` proposals after
+    ``burn_in`` proposals, with the Sum-statistic series, the per-sample
+    node volumes and the acceptance counts. Identical (seed, config, theta)
+    always reproduce the identical sequence.
     """
-    return _chain(model, theta, nodes, dyads, init, config, step_observer,
-                  keep_networks=True)
+    return _chain(model, theta, nodes, dyads, init, config, keep_networks=True)
 
 
-def _chain(model, theta, nodes, dyads, init, config, step_observer=None,
-           keep_networks=False):
+def _proposal_means(rate, node_ids):
+    """exp(rate) off the diagonal, each checked to be a usable Poisson mean.
+
+    A mean may be at most the largest one numpy's Poisson sampler accepts,
+    divided by the number of dyads, so that the total flow and every volume
+    the chain keeps fit in int64. The diagonal holds no dyad and is skipped.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.exp(rate)
+    np.fill_diagonal(lam, 0.0)
+    n = len(lam)
+    bad = np.argwhere(~(lam <= _POISSON_MAX / (n * (n - 1))))
+    if len(bad):
+        i, j = (int(k) for k in bad[0])
+        name = (i, j) if node_ids is None else (node_ids[i], node_ids[j])
+        raise ValidationError(
+            "dyad %r -> %r has linear log-rate %r, whose exp is not a usable "
+            "Poisson mean; theta is out of range" % (name[0], name[1], rate[i, j]))
+    return lam
+
+
+def _chain(model, theta, nodes, dyads, init, config, keep_networks=False):
     """The chain behind :func:`mcmc_simulate`; it builds the per-sample
     network snapshots only when ``keep_networks`` is set."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -159,138 +162,69 @@ def _chain(model, theta, nodes, dyads, init, config, step_observer=None,
                               % (theta.shape, model.n_terms))
     if not np.all(np.isfinite(theta)):
         raise ValidationError("theta contains non-finite entries")
-    cs = ChangeStats(model, init, nodes, dyads)
     n = init.n_nodes
+    if n < 2:
+        raise ValidationError("a chain needs a network of at least 2 nodes, got %d" % n)
+    cs = ChangeStats(model, init, nodes, dyads)
     n_dyads = n * (n - 1)
     burn_in, thin = config.resolved(n_dyads)
-    prop = config.proposal
+    lam = _proposal_means(cs.linear_rate_matrix(theta), init.node_ids)
+    dependence = [(float(theta[pos]), kind) for pos, kind in cs.nonlin if theta[pos] != 0.0]
     rng = np.random.default_rng(config.seed)
 
-    rate = cs.linear_rate_matrix(theta)
-    th_nz = th_mm = th_wp = 0.0
-    for pos, kind in cs.nonlin:
-        if kind == "nonzero":
-            th_nz = float(theta[pos])
-        elif kind == "mutual_min":
-            th_mm = float(theta[pos])
-        else:
-            th_wp = float(theta[pos])
-
-    y = [row.tolist() for row in cs.values]
+    y = cs.values.tolist()
     out_vol = init.out_volumes().tolist()
     in_vol = init.in_volumes().tolist()
     total = init.total_flow
-    src, dst, _ = init.edge_arrays()
-    nz_list = (src * n + dst).tolist()
-    nz_pos = {code: k for k, code in enumerate(nz_list)}
-
-    rate_rows = [row.tolist() for row in rate]
-    p_unit = prop.p_unit
-    p_nonzero = prop.p_nonzero
-    geo_unit = (1.0 - p_unit) * 0.5 * prop.geom_p  # mixture mass of a 1-jump
-    lgamma = math.lgamma
-    log = math.log
-    uniform_sel = 1.0 / n_dyads
-    half_uniform = (1.0 - p_nonzero) / n_dyads
-
-    total_steps = burn_in + thin * config.n_networks
+    m = config.n_networks
     networks = []
-    ins = []
-    outs = []
-    sums = []
-    n_accepted = 0
-    n_invalid = 0
-    n_nonfinite = 0
+    ins = np.empty((m, n), dtype=np.int64)
+    outs = np.empty((m, n), dtype=np.int64)
+    sums = np.empty(m, dtype=np.float64)
+
+    total_steps = burn_in + thin * m
+    record_at = burn_in + thin
+    k = 0
+    n_rejected = 0
     step = 0
     while step < total_steps:
         block = min(_RNG_BLOCK, total_steps - step)
-        u = rng.random((block, 5))
-        geo = rng.geometric(prop.geom_p, block)
-        u0 = u[:, 0].tolist()
-        u1 = u[:, 1].tolist()
-        u2 = u[:, 2].tolist()
-        u3 = u[:, 3].tolist()
-        u4 = u[:, 4].tolist()
-        geo_l = geo.tolist()
-        for s in range(block):
+        code = rng.integers(0, n_dyads, block)
+        src = code // (n - 1)
+        r = code - src * (n - 1)
+        dst = r + (r >= src)
+        proposed = rng.poisson(lam[src, dst]).tolist()
+        expo = rng.standard_exponential(block).tolist()
+        for i, j, vp, e in zip(src.tolist(), dst.tolist(), proposed, expo):
             step += 1
-            nzc = len(nz_list)
-            if nzc > 0 and u0[s] < p_nonzero:
-                code = nz_list[int(u1[s] * nzc)]
-                i = code // n
-                j = code - i * n
-            else:
-                k = int(u1[s] * n_dyads)
-                i = k // (n - 1)
-                r = k - i * (n - 1)
-                j = r + (r >= i)
             row = y[i]
             v = row[j]
-            if u2[s] < p_unit:
-                vp = v + 1 if (v == 0 or u3[s] < 0.5) else v - 1
-            else:
-                g = geo_l[s]
-                vp = v + g if u3[s] < 0.5 else v - g
-            if vp < 0:
-                n_invalid += 1
-            else:
-                d = vp - v
-                dlp = rate_rows[i][j] * d - (lgamma(vp + 1) - lgamma(v + 1))
-                if th_nz != 0.0:
-                    dlp += th_nz * ((vp > 0) - (v > 0))
-                if th_mm != 0.0:
-                    yji = y[j][i]
-                    dlp += th_mm * (min(vp, yji) - min(v, yji))
-                if th_wp != 0.0:
-                    oi = out_vol[i]
-                    ini = in_vol[i]
-                    oj = out_vol[j]
-                    inj = in_vol[j]
-                    dlp += th_wp * (min(oi + d, ini) - min(oi, ini)
-                                    + min(inj + d, oj) - min(inj, oj))
-
-                nzp = nzc + (vp > 0) - (v > 0)
-                sel_f = (half_uniform + (p_nonzero / nzc if v > 0 else 0.0)) \
-                    if nzc > 0 else uniform_sel
-                sel_r = (half_uniform + (p_nonzero / nzp if vp > 0 else 0.0)) \
-                    if nzp > 0 else uniform_sel
-                if d == 1 or d == -1:
-                    qf = geo_unit + p_unit * (1.0 if v == 0 else 0.5)
-                    qr = geo_unit + p_unit * (1.0 if vp == 0 else 0.5)
+            if vp != v:
+                dlp = 0.0
+                for th, kind in dependence:
+                    for p, q in dependence_pieces(kind, v, y[j][i], out_vol[i],
+                                                  in_vol[i], out_vol[j], in_vol[j]):
+                        dlp += th * (min(p + vp, q) - min(p + v, q))
+                if e < -dlp:  # accepted with probability min(1, exp(dlp))
+                    n_rejected += 1
                 else:
-                    qf = qr = 1.0  # geometric mass at |d| is shared and cancels
-                log_alpha = dlp + log(qr * sel_r) - log(qf * sel_f)
-                if not math.isfinite(log_alpha):
-                    n_nonfinite += 1
-                elif log_alpha >= 0.0 or log(u4[s]) < log_alpha:
-                    n_accepted += 1
+                    d = vp - v
                     row[j] = vp
                     out_vol[i] += d
                     in_vol[j] += d
                     total += d
-                    code = i * n + j
-                    if v == 0:
-                        nz_pos[code] = len(nz_list)
-                        nz_list.append(code)
-                    elif vp == 0:
-                        at = nz_pos.pop(code)
-                        last = nz_list.pop()
-                        if last != code:
-                            nz_list[at] = last
-                            nz_pos[last] = at
-            if step_observer is not None:
-                step_observer(step, y)
-            if step > burn_in and (step - burn_in) % thin == 0:
+            if step == record_at:
                 if keep_networks:
                     networks.append(FlowNetwork.from_dense(
                         np.asarray(y, dtype=np.int64), node_ids=init.node_ids))
-                ins.append(in_vol[:])
-                outs.append(out_vol[:])
-                sums.append(total)
+                ins[k] = in_vol
+                outs[k] = out_vol
+                sums[k] = total
+                k += 1
+                record_at += thin
 
-    return ChainRun(networks, np.array(ins, dtype=np.int64),
-                    np.array(outs, dtype=np.int64), sums, total_steps, n_accepted,
-                    n_invalid, n_nonfinite, burn_in, thin, config.seed)
+    return ChainRun(ins, outs, sums, total_steps, total_steps - n_rejected,
+                    burn_in, thin, config.seed, networks)
 
 
 # -- multi-chain orchestration ------------------------------------------------
@@ -319,13 +253,11 @@ def _simulate_many(model, theta, nodes, dyads, init, config, n_chains=1, n_jobs=
             runs = list(pool.map(chain, configs))
     else:
         runs = [chain(c) for c in configs]
-    return ChainRun([], np.concatenate([r.in_volumes for r in runs]),
+    return ChainRun(np.concatenate([r.in_volumes for r in runs]),
                     np.concatenate([r.out_volumes for r in runs]),
                     np.concatenate([r.sum_series for r in runs]),
                     sum(r.n_proposals for r in runs), sum(r.n_accepted for r in runs),
-                    sum(r.n_rejected_invalid for r in runs),
-                    sum(r.n_nonfinite for r in runs), runs[0].burn_in, runs[0].thin,
-                    config.seed)
+                    runs[0].burn_in, runs[0].thin, config.seed)
 
 
 # -- adequacy ------------------------------------------------------------------
@@ -436,8 +368,6 @@ def adequacy_check(model, theta, nodes, dyads, observed, config, init=None,
     degenerate = bool(sim_in.std(axis=0).max() == 0 and sim_out.std(axis=0).max() == 0)
     if degenerate:
         warnings.append("degenerate chain: all simulated volumes identical")
-    if run.n_nonfinite:
-        warnings.append("%d proposals had non-finite acceptance ratios" % run.n_nonfinite)
     autocorr = lag1_autocorrelation(run.sum_series)
     if autocorr > 0.1:
         warnings.append("Sum-statistic lag-1 autocorrelation %.3f exceeds 0.1; "
@@ -507,9 +437,8 @@ def expected_total_flow(model, theta, nodes, dyads, config, init=None,
 class KnockoutReport:
     """Expected totals with selected coefficients zeroed versus as fitted.
 
-    Both scenarios run with the same chain configuration and seed (common
-    random numbers), so knocking out an empty label set reproduces the
-    baseline exactly.
+    Both scenarios run with the same chain configuration and seed, so
+    knocking out an empty label set reproduces the baseline exactly.
     """
 
     zeroed_labels: tuple

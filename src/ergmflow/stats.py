@@ -23,6 +23,9 @@ on theta only through a per-dyad linear rate plus the nonlinear profiles.
 :func:`linear_unit_change` is the one definition of each linear term; the
 global statistics, :meth:`ChangeStats.linear_design` and the sampler's
 :meth:`ChangeStats.linear_rate_matrix` all read from it.
+:func:`dependence_pieces` is the one definition of each nonlinear term's
+single-dyad change; :meth:`ChangeStats.nonlinear_segments` and the sampler's
+acceptance ratio both read from it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "mutual_min_stat",
     "waypoint_flow_stat",
     "linear_unit_change",
+    "dependence_pieces",
     "global_statistic",
     "statistic_vector",
     "conditional_profile",
@@ -220,6 +224,26 @@ def statistic_vector(model, network, nodes=None, dyads=None):
 
 # -- change statistics -----------------------------------------------------
 
+def dependence_pieces(kind, y_ij, y_ji, out_i, in_i, out_j, in_j):
+    """A nonlinear term as a function of one dyad value v = y_ij.
+
+    With every other dyad held fixed, the term's statistic is a constant
+    plus the sum over the returned pieces (p, q) of min(p + v, q). The
+    arguments describe the current state around the dyad and may be plain
+    numbers or equal-shape arrays: y_ij, y_ji, and the out- and in-volumes
+    of i and j, which include y_ij. This is the one definition of each
+    nonlinear term's change statistic; the global statistics are its
+    reference.
+    """
+    if kind == "nonzero":  # 1[v > 0] is min(v, 1) on the integers
+        return ((0, 1),)
+    if kind == "mutual_min":
+        return ((0, y_ji),)
+    if kind == "waypoint_flow":  # out_i and in_j move with v, in_i and out_j do not
+        return ((out_i - y_ij, in_i), (in_j - y_ij, out_j))
+    raise ValidationError("term kind %r is not a dependence term" % kind)
+
+
 class ChangeStats:
     """Vectorized single-dyad change statistics over a fixed network.
 
@@ -228,7 +252,8 @@ class ChangeStats:
     is set to v while the rest of the network stays at its observed values.
     Linear terms contribute x_ij * v with the per-dyad unit change x_ij of
     :func:`linear_unit_change`; the nonlinear terms contribute the
-    piecewise-linear profiles of :meth:`nonlinear_segments`.
+    piecewise-linear profiles of :meth:`nonlinear_segments`, built from
+    :func:`dependence_pieces`.
 
     Shared by the pseudo-likelihood estimator, the sampler and
     :func:`conditional_profile`; instances are read-only once built.
@@ -279,16 +304,13 @@ class ChangeStats:
         are at most 5 segments, one more than the breakpoints.
         """
         y = self.values[ii, jj].astype(np.float64)
-        zero, one = np.zeros_like(y), np.ones_like(y)
-        pieces = []  # (k, p, q): term k gains min(p + v, q)
-        for k, (_pos, kind) in enumerate(self.nonlin):
-            if kind == "nonzero":  # 1[v > 0] is min(v, 1) on the integers
-                pieces.append((k, zero, one))
-            elif kind == "mutual_min":
-                pieces.append((k, zero, self.values[jj, ii].astype(np.float64)))
-            else:  # waypoint_flow: out_i and in_j move with v, in_i and out_j do not
-                pieces.append((k, self.out_vol[ii] - y, self.in_vol[ii]))
-                pieces.append((k, self.in_vol[jj] - y, self.out_vol[jj]))
+        y_ji = self.values[jj, ii].astype(np.float64)
+        zero = np.zeros_like(y)
+        pieces = [(k, zero + p, zero + q)  # (k, p, q): term k gains min(p + v, q)
+                  for k, (_pos, kind) in enumerate(self.nonlin)
+                  for p, q in dependence_pieces(kind, y, y_ji, self.out_vol[ii],
+                                                self.in_vol[ii], self.out_vol[jj],
+                                                self.in_vol[jj])]
         b = np.column_stack([zero - 1.0] + [q - p for _k, p, q in pieces])
         b = np.maximum(np.sort(b, axis=1), -1.0)
         lo = b + 1.0

@@ -14,6 +14,7 @@ from ergmflow import (ChainConfig, DyadCovariateSet, FlowNetwork, ModelSpec,
                       knockout_experiment, mutual_min_stat,
                       penalized_pseudo_loglik, stratified_dyad_sample,
                       waypoint_flow_stat)
+from ergmflow.sampler import _simulate_many
 
 from oracles import (brute_mutual_min, brute_waypoint, central_gradient,
                      central_hessian, exact_two_node_distribution,
@@ -151,21 +152,15 @@ def test_c06_sampler_exactness():
                       "variation 0.02 at 1e6 proposals", 120):
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("mutual_min")))
         theta = np.array([math.log(0.9), 0.35])
-        counts = np.zeros((7, 7))
         burn = 10_000
-
-        def observer(step, state):
-            if step > burn:
-                a, b = state[0][1], state[1][0]
-                if a <= 6 and b <= 6:
-                    counts[a, b] += 1
-
         steps = 1_000_000
-        cfg = ChainConfig(n_networks=1, burn_in=burn + steps - 1, thin=1,
-                          seed=123)
-        mcmc = __import__("ergmflow").mcmc_simulate
-        mcmc(model, theta, None, None, FlowNetwork.empty(2), cfg,
-             step_observer=observer)
+        # every state after burn-in; on 2 nodes the out-volumes are the state
+        cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=123)
+        run = _simulate_many(model, theta, None, None, FlowNetwork.empty(2), cfg)
+        a, b = run.out_volumes.T
+        keep = (a <= 6) & (b <= 6)
+        counts = np.zeros((7, 7))
+        np.add.at(counts, (a[keep], b[keep]), 1)
         exact = exact_two_node_distribution(theta[0], theta[1])
         box = exact[:7, :7]
         tv = 0.5 * np.abs(counts / counts.sum() - box / box.sum()).sum()

@@ -221,3 +221,46 @@ class TestSummarizeAndDissim:
 
     def test_summarize_missing_file_exits_4(self, tmp_path):
         assert main(["summarize", "--flows", str(tmp_path / "none.csv")]) == 4
+
+
+_CHAIN = {"n_networks": 10, "burn_in": 4000, "thin": 1000}
+
+
+@pytest.mark.parametrize("command, section, value, key", [
+    ("gof", "chain", dict(_CHAIN, burn_in="abc"), "chain.burn_in"),
+    ("gof", "chain", dict(_CHAIN, n_networks="x"), "chain.n_networks"),
+    ("gof", "chain", dict(_CHAIN, thin=2.5), "chain.thin"),
+    ("gof", "chain", dict(_CHAIN, seed=True), "chain.seed"),
+    ("gof", "chain", dict(_CHAIN, seed=-1), "chain.seed"),
+    ("gof", "chain", [1, 2], "'chain'"),
+    ("gof", "chain", dict(_CHAIN, proposal={"p_unit": 0.8}), "proposal"),
+    ("fit", "estimator", {"ridge_lambda": "a"}, "estimator.ridge_lambda"),
+    ("fit", "estimator", {"max_iter": "x"}, "estimator.max_iter"),
+    ("fit", "estimator", {"sample_size": "big"}, "estimator.sample_size"),
+    ("fit", "estimator", {"sample_size": 2.7}, "estimator.sample_size"),
+    ("fit", "estimator", {"tol": float("nan")}, "estimator.tol"),
+    ("fit", "estimator", {"seed": -1}, "estimator.seed"),
+])
+def test_malformed_config_value_exits_2_naming_it(fitted, tmp_path, capsys,
+                                                  command, section, value, key):
+    cfg_path, fit_path = fitted
+    config = json.loads(cfg_path.read_text())
+    config[section] = value
+    config["out"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    if command == "gof":
+        argv += ["--fit", str(fit_path)]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_integral_float_config_value_accepted(fitted, tmp_path):
+    cfg_path, fit_path = fitted
+    config = json.loads(cfg_path.read_text())
+    config["chain"] = dict(_CHAIN, n_networks=10.0)
+    config["out"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["gof", "--config", str(path), "--fit", str(fit_path)]) == 0

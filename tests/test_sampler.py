@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import ergmflow.sampler as sampler_mod
-from ergmflow import (ChainConfig, FlowNetwork, ModelSpec, ProposalConfig,
-                      TermSpec, ValidationError, adequacy_check,
-                      expected_total_flow, knockout_experiment,
-                      lag1_autocorrelation, mcmc_simulate, statistic_vector)
+from ergmflow import (ChainConfig, ChangeStats, FlowNetwork, ModelSpec, TermSpec,
+                      ValidationError, adequacy_check, expected_total_flow,
+                      knockout_experiment, lag1_autocorrelation,
+                      mcmc_simulate, statistic_vector)
 
 from oracles import exact_two_node_distribution
 
@@ -20,7 +20,7 @@ class TestChainBasics:
         theta = np.array([math.log(1.5)])
         a = mcmc_simulate(SUM_ONLY, theta, None, None, FlowNetwork.empty(6), cfg)
         b = mcmc_simulate(SUM_ONLY, theta, None, None, FlowNetwork.empty(6), cfg)
-        assert list(a) == list(b)
+        assert a.networks == b.networks
         assert np.array_equal(a.sum_series, b.sum_series)
 
     def test_different_seeds_differ(self):
@@ -29,20 +29,20 @@ class TestChainBasics:
                           ChainConfig(n_networks=5, burn_in=500, thin=100, seed=1))
         b = mcmc_simulate(SUM_ONLY, theta, None, None, FlowNetwork.empty(6),
                           ChainConfig(n_networks=5, burn_in=500, thin=100, seed=2))
-        assert list(a) != list(b)
+        assert a.networks != b.networks
 
     def test_sum_series_matches_networks(self):
         cfg = ChainConfig(n_networks=8, burn_in=300, thin=50, seed=3)
         theta = np.array([math.log(2.0)])
         run = mcmc_simulate(SUM_ONLY, theta, None, None, FlowNetwork.empty(5), cfg)
-        assert [net.total_flow for net in run] == run.sum_series.tolist()
+        assert [net.total_flow for net in run.networks] == run.sum_series.tolist()
 
     def test_recorded_volumes_match_networks(self, small_data):
         model, theta, current, _lag, nodes, dyads = small_data
         cfg = ChainConfig(n_networks=4, burn_in=2000, thin=500, seed=8)
         run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
         assert run.in_volumes.shape == run.out_volumes.shape == (4, current.n_nodes)
-        for k, net in enumerate(run):
+        for k, net in enumerate(run.networks):
             assert np.array_equal(run.in_volumes[k], net.in_volumes())
             assert np.array_equal(run.out_volumes[k], net.out_volumes())
 
@@ -50,7 +50,7 @@ class TestChainBasics:
         model, theta, current, _lag, nodes, dyads = small_data
         cfg = ChainConfig(n_networks=3, burn_in=2000, thin=500, seed=11)
         run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
-        for net in run:
+        for net in run.networks:
             g = statistic_vector(model, net, nodes, dyads)
             assert g[0] == net.total_flow
 
@@ -64,14 +64,43 @@ class TestChainBasics:
             ChainConfig(n_networks=0)
         with pytest.raises(ValidationError):
             ChainConfig(n_networks=1, burn_in=0)
-        with pytest.raises(ValidationError):
-            ProposalConfig(geom_p=0.0)
+
+    def test_single_node_rejected_by_every_entry_point(self):
+        one = FlowNetwork.empty(1)
+        cfg = ChainConfig(n_networks=2, burn_in=10, thin=5)
+        theta = np.array([0.0])
+        for run in (lambda: mcmc_simulate(SUM_ONLY, theta, None, None, one, cfg),
+                    lambda: adequacy_check(SUM_ONLY, theta, None, None, one, cfg),
+                    lambda: expected_total_flow(SUM_ONLY, theta, None, None, cfg,
+                                                init=one),
+                    lambda: knockout_experiment(SUM_ONLY, theta, None, None,
+                                                {"sum"}, cfg, init=one)):
+            with pytest.raises(ValidationError, match="at least 2 nodes"):
+                run()
+
+    def test_unusable_poisson_mean_names_the_dyad(self):
+        cfg = ChainConfig(n_networks=1, burn_in=10, thin=1)
+        init = FlowNetwork.empty(3, node_ids=("a", "b", "c"))
+        # exp(800) overflows; exp(44) is too large for numpy's Poisson draw;
+        # exp(43) is not, but six such dyads would overflow the int64 totals
+        for log_rate in (800.0, 44.0, 43.0):
+            with pytest.raises(ValidationError, match="dyad 'a' -> 'b'"):
+                mcmc_simulate(SUM_ONLY, np.array([log_rate]), None, None, init, cfg)
+
+    def test_poisson_mean_check_skips_the_diagonal(self):
+        rate = np.zeros((3, 3))
+        np.fill_diagonal(rate, 1000.0)
+        lam = sampler_mod._proposal_means(rate, None)
+        assert np.array_equal(lam, 1.0 - np.eye(3))
+        rate[1, 2] = 1000.0
+        with pytest.raises(ValidationError, match="dyad 1 -> 2"):
+            sampler_mod._proposal_means(rate, None)
 
     def test_node_ids_carried_through(self):
         init = FlowNetwork.empty(3, node_ids=("a", "b", "c"))
         run = mcmc_simulate(SUM_ONLY, np.array([0.0]), None, None, init,
                             ChainConfig(n_networks=2, burn_in=50, thin=20, seed=0))
-        assert run[0].node_ids == ("a", "b", "c")
+        assert run.networks[0].node_ids == ("a", "b", "c")
 
 
 class TestPoissonTarget:
@@ -93,8 +122,23 @@ class TestPoissonTarget:
         run = mcmc_simulate(SUM_ONLY, np.array([math.log(1.5)]), None, None,
                             FlowNetwork.empty(n), cfg)
         values = np.concatenate([net.dense_matrix()[~np.eye(n, dtype=bool)]
-                                 for net in run]).astype(float)
+                                 for net in run.networks]).astype(float)
         assert values.var() == pytest.approx(values.mean(), rel=0.1)
+
+    def test_mean_sum_is_exact_without_dependence(self, knockout_data):
+        # with linear terms only every proposal is an exact Poisson draw, so
+        # E[Sum] = sum over i != j of exp(rate_ij)
+        _model, theta, current, _lag, nodes, dyads = knockout_data
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("dyad", "political_dissim"),
+                                 TermSpec("node_out", "log_population"),
+                                 TermSpec("node_in", "log_population")))
+        theta = np.delete(theta, 1)  # the knockout model's nonzero term
+        rate = ChangeStats(model, current, nodes, dyads).linear_rate_matrix(theta)
+        exact = np.exp(rate)[~np.eye(current.n_nodes, dtype=bool)].sum()
+        mean, se = expected_total_flow(model, theta, nodes, dyads,
+                                       ChainConfig(n_networks=200, seed=13),
+                                       init=current)
+        assert abs(mean - exact) <= 4 * se
 
     def test_three_node_waypoint_chain_matches_enumeration(self):
         # validates the chain's waypoint deltas and volume bookkeeping
@@ -117,20 +161,13 @@ class TestPoissonTarget:
 
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("waypoint_flow")))
         burn = 20_000
-        wps, tots = [], []
-
-        def observer(step, y):
-            if step > burn and step % 10 == 0:
-                o0, i0 = y[0][1] + y[0][2], y[1][0] + y[2][0]
-                o1, i1 = y[1][0] + y[1][2], y[0][1] + y[2][1]
-                o2, i2 = y[2][0] + y[2][1], y[0][2] + y[1][2]
-                wps.append(min(o0, i0) + min(o1, i1) + min(o2, i2))
-                tots.append(o0 + o1 + o2)
-
         steps = 500_000
-        cfg = ChainConfig(n_networks=1, burn_in=burn + steps - 1, thin=1, seed=77)
-        mcmc_simulate(model, np.array([th_s, th_w]), None, None,
-                      FlowNetwork.empty(3), cfg, step_observer=observer)
+        # every 10th state after burn-in, read from the recorded volumes
+        cfg = ChainConfig(n_networks=steps // 10, burn_in=burn, thin=10, seed=77)
+        run = sampler_mod._simulate_many(model, np.array([th_s, th_w]), None, None,
+                                         FlowNetwork.empty(3), cfg)
+        wps = np.minimum(run.out_volumes, run.in_volumes).sum(axis=1)
+        tots = run.out_volumes.sum(axis=1)
 
         def batch_se(x):
             x = np.asarray(x, float)
@@ -145,19 +182,16 @@ class TestPoissonTarget:
         # short version of the acceptance run: 200k proposals, once without
         # and once with a nonzero term, whose delta is otherwise unchecked
         def two_node_tv(model, theta, exact):
-            counts = np.zeros((7, 7))
+            # every state after burn-in; on 2 nodes the out-volumes are the state
             burn = 5000
-
-            def observer(step, state):
-                if step > burn:
-                    a, b = state[0][1], state[1][0]
-                    if a <= 6 and b <= 6:
-                        counts[a, b] += 1
-
             steps = 200_000
-            cfg = ChainConfig(n_networks=1, burn_in=burn + steps - 1, thin=1, seed=5)
-            mcmc_simulate(model, theta, None, None, FlowNetwork.empty(2), cfg,
-                          step_observer=observer)
+            cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=5)
+            run = sampler_mod._simulate_many(model, theta, None, None,
+                                             FlowNetwork.empty(2), cfg)
+            a, b = run.out_volumes.T
+            keep = (a <= 6) & (b <= 6)
+            counts = np.zeros((7, 7))
+            np.add.at(counts, (a[keep], b[keep]), 1)
             box = exact[:7, :7]
             return 0.5 * np.abs(counts / counts.sum() - box / box.sum()).sum()
 
@@ -191,7 +225,7 @@ class TestMultiChain:
         cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5)
         merged = sampler_mod._simulate_many(model, theta, nodes, dyads, current, cfg)
         run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
-        assert len(merged) == 0
+        assert merged.networks == []
         assert np.array_equal(merged.sum_series, run.sum_series)
         assert np.array_equal(merged.in_volumes, run.in_volumes)
         assert np.array_equal(merged.out_volumes, run.out_volumes)
@@ -222,9 +256,9 @@ class TestAdequacy:
 
         def fake_simulate(*args, **kwargs):
             return sampler_mod.ChainRun(
-                [], np.tile(current.in_volumes(), (20, 1)),
+                np.tile(current.in_volumes(), (20, 1)),
                 np.tile(current.out_volumes(), (20, 1)),
-                np.full(20, float(current.total_flow)), 0, 0, 0, 0, 0, 1, 0)
+                np.full(20, float(current.total_flow)), 0, 0, 0, 1, 0)
 
         monkeypatch.setattr(sampler_mod, "_simulate_many", fake_simulate)
         report = adequacy_check(model, theta, nodes, dyads, current,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ergmflow import (ChangeStats, DyadCovariateSet, FlowNetwork, ModelSpec, TermSpec,
-                      ValidationError, build_network, conditional_profile,
+from ergmflow import (NONLINEAR_KINDS, ChangeStats, DyadCovariateSet, FlowNetwork,
+                      ModelSpec, TermSpec, ValidationError, build_network,
+                      conditional_profile, dependence_pieces,
                       global_statistic, model_from_dict, model_to_dict,
                       mutual_min_stat, statistic_vector, waypoint_flow_stat)
 
@@ -171,6 +172,36 @@ class TestGlobalStatistic:
             got = statistic_vector(model, net, Nodes(), dyads)
             want = brute_stat_vector(payloads, mat)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+class TestDependencePieces:
+    def test_scalar_changes_match_global_statistics(self):
+        # the chain's scalar call: every dyad of random networks, set to
+        # values around and past its reciprocal and volumes
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            mat = rng.poisson(1.5, (5, 5))
+            np.fill_diagonal(mat, 0)
+            out_v, in_v = mat.sum(axis=1), mat.sum(axis=0)
+            base = FlowNetwork.from_dense(mat)
+            for i, j in zip(*np.nonzero(~np.eye(5, dtype=bool))):
+                for vp in range(8):
+                    alt = mat.copy()
+                    alt[i, j] = vp
+                    net = FlowNetwork.from_dense(alt)
+                    for kind in NONLINEAR_KINDS:
+                        term = TermSpec(kind)
+                        want = global_statistic(term, net) - global_statistic(term, base)
+                        got = sum(min(p + vp, q) - min(p + mat[i, j], q)
+                                  for p, q in dependence_pieces(
+                                      kind, int(mat[i, j]), int(mat[j, i]),
+                                      int(out_v[i]), int(in_v[i]),
+                                      int(out_v[j]), int(in_v[j])))
+                        assert got == want, (kind, i, j, vp)
+
+    def test_linear_kind_rejected(self):
+        with pytest.raises(ValidationError):
+            dependence_pieces("sum", 0, 0, 0, 0, 0, 0)
 
 
 class TestConditionalProfile:
