@@ -38,28 +38,6 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
 
-CONFIG_SCHEMA = {
-    "seed": "int root seed (flag --seed overrides)",
-    "out": "output directory (flag --out overrides)",
-    "flows": "path to flow CSV (origin,destination,count)",
-    "lagged_flows": "optional path to previous-period flow CSV",
-    "nodes": "path to node covariate CSV",
-    "distances": "path to distance CSV (id_a,id_b,km)",
-    "model": {"terms": [{"kind": "sum|nonzero|mutual_min|waypoint_flow|"
-                                 "node_out|node_in|dyad|lagged_log_flow",
-                         "covariate": "name (node_out/node_in/dyad only)",
-                         "label": "optional unique label"}],
-              "lag_depth": 1},
-    "estimator": {"sample_size": "dyads to sample (omit for census)",
-                  "ridge_lambda": 0.01, "tol": 1e-6, "max_iter": 50,
-                  "seed": "optional; derived from root seed when omitted"},
-    "chain": {"n_networks": 100, "burn_in": "optional", "thin": "optional",
-              "seed": "optional; derived from root seed when omitted"},
-    "synth": {"n_nodes": 50, "model": "model dict (defaults to a demo roster)",
-              "theta_true": "coefficient list matching the model"},
-}
-
-
 def derive_seed(root_seed, name):
     digest = hashlib.sha256(("%s:%s" % (root_seed, name)).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % (2 ** 63)
@@ -181,8 +159,18 @@ def _number(section, name, default=None, integer=True, minimum=None):
     return int(value) if integer else float(value)
 
 
-def _root_seed(args, config):
-    return args.seed if args.seed is not None else _number(config, "seed", 0)
+def _flag_or_number(flag, value, section, name, default, minimum=None):
+    """``value`` of command-line ``flag`` when given, else :func:`_number` of
+    config key ``name``; either one below ``minimum`` raises ValidationError."""
+    if value is None:
+        return _number(section, name, default, minimum=minimum)
+    if minimum is not None and value < minimum:
+        raise ValidationError("%s must be >= %d, got %d" % (flag, minimum, value))
+    return value
+
+
+def _root_seed(args, config, minimum=None):
+    return _flag_or_number("--seed", args.seed, config, "seed", 0, minimum)
 
 
 def _chain_config(config, root_seed):
@@ -211,12 +199,9 @@ def _fit_from_file(path):
         raise ValidationError("fit file %s is not valid JSON: %s" % (path, exc)) from exc
     try:
         model = model_from_dict(payload["model"])
-        theta = np.asarray(payload["theta"], dtype=np.float64)
+        return model, model.check_theta(payload["theta"])
     except KeyError as exc:
         raise ValidationError("fit file %s lacks field %s" % (path, exc)) from exc
-    if theta.shape != (model.n_terms,):
-        raise ValidationError("fit file %s: theta length does not match model" % path)
-    return model, theta
 
 
 # -- commands -----------------------------------------------------------------
@@ -385,7 +370,6 @@ _DEFAULT_SYNTH_MODEL = {
         {"kind": "node_in", "covariate": "log_population"},
         {"kind": "lagged_log_flow"},
     ],
-    "lag_depth": 1,
 }
 _DEFAULT_SYNTH_THETA = [-4.2, 1.0, 0.05, -0.01, -0.8, -0.5, -0.5, -0.35,
                         0.4, 0.25, 0.25, 0.25]
@@ -393,8 +377,9 @@ _DEFAULT_SYNTH_THETA = [-4.2, 1.0, 0.05, -0.01, -0.8, -0.5, -0.5, -0.35,
 
 def cmd_synth(args, config):
     section = _section(config, "synth")
-    n_nodes = args.nodes or _number(section, "synth.n_nodes", 50)
-    root_seed = _root_seed(args, config)
+    n_nodes = _flag_or_number("--nodes", args.nodes, section, "synth.n_nodes", 50, 2)
+    # the generator seeds numpy directly, which takes no negative seed
+    root_seed = _root_seed(args, config, minimum=0)
     model = model_from_dict(section.get("model") or _DEFAULT_SYNTH_MODEL)
     theta = np.asarray(section.get("theta_true") or _DEFAULT_SYNTH_THETA,
                        dtype=np.float64)

@@ -239,16 +239,6 @@ def _segment_moments(a, lam, log_p, lo, hi):
     return mean, var
 
 
-def _check_theta(model, theta):
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (model.n_terms,):
-        raise ValidationError(
-            "theta has shape %r, model has %d terms" % (theta.shape, model.n_terms))
-    if not np.all(np.isfinite(theta)):
-        raise ValidationError("theta contains non-finite entries")
-    return theta
-
-
 class _Chunk:
     """A block of dyads with all of their data that does not depend on theta."""
 
@@ -290,7 +280,7 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
     whole support 0, 1, 2, ... For models whose terms are all affine in
     y_ij this reduces to a Poisson log-pmf with rate exp(theta . unit-change).
     """
-    theta = _check_theta(model, theta)
+    theta = model.check_theta(theta)
     if v < 0 or int(v) != v:
         raise ValidationError("v must be a non-negative integer, got %r" % (v,))
     i, j = dyad
@@ -387,7 +377,7 @@ def penalized_pseudo_loglik(model, theta, network, nodes, dyads, sample,
     """
     if ridge_lambda < 0:
         raise ValidationError("ridge_lambda must be >= 0")
-    theta = _check_theta(model, theta)
+    theta = model.check_theta(theta)
     chunks = _chunks(model, network, nodes, dyads, sample)
     value, state = _value(chunks, theta, ridge_lambda)
     if not math.isfinite(value):
@@ -465,7 +455,7 @@ class FitResult:
 
 
 def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
-             tol=1e-6, max_iter=50, theta0=None):
+             tol=1e-6, max_iter=50):
     """Fit theta by damped Newton ascent on the penalized pseudo-likelihood.
 
     Iterates until the gradient max-norm drops below ``tol`` or ``max_iter``
@@ -480,7 +470,7 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
         raise ValidationError("ridge_lambda must be >= 0")
     chunks = _chunks(model, network, nodes, dyads, sample)
     n_terms = model.n_terms
-    theta = np.zeros(n_terms) if theta0 is None else _check_theta(model, np.asarray(theta0, float))
+    theta = np.zeros(n_terms)
 
     notes = []
     value, state = _value(chunks, theta, ridge_lambda)

@@ -114,7 +114,7 @@ def dissimilarity_matrices(nodes):
             "racial_dissim": racial}
 
 
-def build_dyad_covariates(nodes, distance, lagged=None, extra=None):
+def build_dyad_covariates(nodes, distance, lagged=None):
     """Assemble the standard dyad covariates for a node table.
 
     ``distance`` is either a path to a distance CSV or a dense (n, n)
@@ -162,9 +162,6 @@ def build_dyad_covariates(nodes, distance, lagged=None, extra=None):
             raise ValidationError("lagged network has %d nodes, table has %d"
                                   % (lagged.n_nodes, n))
         matrices["lagged_log_flow"] = np.log1p(lagged.dense_matrix(dtype=np.float64))
-    if extra:
-        for name, m in extra.items():
-            matrices[name] = m
     return DyadCovariateSet(n, matrices)
 
 
@@ -525,10 +522,7 @@ def synthetic_generate(n_nodes, model, theta_true, seed,
     n_nodes = int(n_nodes)
     if n_nodes < 2:
         raise ValidationError("n_nodes must be >= 2")
-    theta_true = np.asarray(theta_true, dtype=np.float64)
-    if theta_true.shape != (model.n_terms,):
-        raise ValidationError("theta_true has shape %r for a %d-term model"
-                              % (theta_true.shape, model.n_terms))
+    theta_true = model.check_theta(theta_true)
     dists = dict(DEFAULT_COVARIATE_DISTRIBUTIONS)
     if covariate_distributions:
         unknown = set(covariate_distributions) - set(dists)

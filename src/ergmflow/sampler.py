@@ -10,8 +10,12 @@ replaces y_ij with probability min(1, exp(sum_k theta_k [g_k(v') - g_k(y_ij)]))
 over the dependence terms alone, each evaluated through
 :func:`ergmflow.stats.dependence_pieces`. Without dependence terms every
 proposal is accepted and is an exact independent draw of its dyad. The chain
-has no tuning knobs. Each chain owns a private dense copy of the network and
-a private random stream; nothing is shared between chains.
+has no tuning knobs.
+
+Each simulation is resolved once, however many chains it runs, into the
+Poisson means and the active (theta_k, kind) dependence terms; a chain reads
+only those and its start network, and keeps a private dense state and random
+stream. Pool workers receive the resolved inputs once, at start-up.
 
 Every chain records, per sample, the Sum statistic and the per-node in- and
 out-volume vectors from its running state (:class:`ChainRun`). Only
@@ -25,9 +29,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -98,9 +102,6 @@ class ChainRun:
     sum_series: np.ndarray
     n_proposals: int
     n_accepted: int
-    burn_in: int
-    thin: int
-    seed: object
     networks: list = field(default_factory=list)
 
     # Every Poisson proposal is a valid count, so none is ever rejected as
@@ -129,7 +130,8 @@ def mcmc_simulate(model, theta, nodes, dyads, init, config):
     node volumes and the acceptance counts. Identical (seed, config, theta)
     always reproduce the identical sequence.
     """
-    return _chain(model, theta, nodes, dyads, init, config, keep_networks=True)
+    return _chain(*_resolve(model, theta, nodes, dyads, init), config,
+                  keep_networks=True)
 
 
 def _proposal_means(rate, node_ids):
@@ -153,26 +155,28 @@ def _proposal_means(rate, node_ids):
     return lam
 
 
-def _chain(model, theta, nodes, dyads, init, config, keep_networks=False):
-    """The chain behind :func:`mcmc_simulate`; it builds the per-sample
-    network snapshots only when ``keep_networks`` is set."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (model.n_terms,):
-        raise ValidationError("theta has shape %r for a %d-term model"
-                              % (theta.shape, model.n_terms))
-    if not np.all(np.isfinite(theta)):
-        raise ValidationError("theta contains non-finite entries")
-    n = init.n_nodes
-    if n < 2:
-        raise ValidationError("a chain needs a network of at least 2 nodes, got %d" % n)
+def _resolve(model, theta, nodes, dyads, init):
+    """Check theta and ``init``; return (Poisson means, [(theta_k, kind)] of
+    the nonzero dependence terms, init), all that a chain reads."""
+    theta = model.check_theta(theta)
+    if init.n_nodes < 2:
+        raise ValidationError("a chain needs a network of at least 2 nodes, got %d"
+                              % init.n_nodes)
     cs = ChangeStats(model, init, nodes, dyads)
-    n_dyads = n * (n - 1)
-    burn_in, thin = config.resolved(n_dyads)
     lam = _proposal_means(cs.linear_rate_matrix(theta), init.node_ids)
     dependence = [(float(theta[pos]), kind) for pos, kind in cs.nonlin if theta[pos] != 0.0]
+    return lam, dependence, init
+
+
+def _chain(lam, dependence, init, config, keep_networks=False):
+    """One chain over :func:`_resolve`'s inputs; it builds the per-sample
+    network snapshots only when ``keep_networks`` is set."""
+    n = init.n_nodes
+    n_dyads = n * (n - 1)
+    burn_in, thin = config.resolved(n_dyads)
     rng = np.random.default_rng(config.seed)
 
-    y = cs.values.tolist()
+    y = init.dense_matrix(dtype=np.int64).tolist()
     out_vol = init.out_volumes().tolist()
     in_vol = init.in_volumes().tolist()
     total = init.total_flow
@@ -223,41 +227,62 @@ def _chain(model, theta, nodes, dyads, init, config, keep_networks=False):
                 k += 1
                 record_at += thin
 
-    return ChainRun(ins, outs, sums, total_steps, total_steps - n_rejected,
-                    burn_in, thin, config.seed, networks)
+    return ChainRun(ins, outs, sums, total_steps, total_steps - n_rejected, networks)
 
 
 # -- multi-chain orchestration ------------------------------------------------
+
+# A pool worker's resolved inputs, set once by _start_worker.
+_worker_inputs = None
+
+
+def _start_worker(*resolved):
+    global _worker_inputs
+    _worker_inputs = resolved
+
+
+def _worker_chain(config):
+    return _chain(*_worker_inputs, config)
+
+
+def _available_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
 
 def _simulate_many(model, theta, nodes, dyads, init, config, n_chains=1, n_jobs=1):
     """Split config.n_networks over chains and merge their summaries.
 
     A single chain runs at ``config.seed``; several get seeds derived from
     it. The chain partition depends only on ``n_chains``, so results are
-    reproducible for any worker count. Returns one :class:`ChainRun` that
-    holds no networks: the chains' volumes and Sum series in chain order,
-    and their summed counters.
+    reproducible for any worker count. The chains run in a pool of at most
+    min(n_jobs, chains, available CPUs) workers, which receive the resolved
+    inputs once at start-up, and run serially when that is 1. Returns one
+    :class:`ChainRun` that holds no networks: the chains' volumes and Sum
+    series in chain order, and their summed counters.
     """
     if n_chains < 1:
         raise ValidationError("n_chains must be >= 1")
-    per = [config.n_networks // n_chains] * n_chains
-    for k in range(config.n_networks % n_chains):
-        per[k] += 1
+    resolved = _resolve(model, theta, nodes, dyads, init)
+    q, r = divmod(config.n_networks, n_chains)
+    per = [q + (k < r) for k in range(n_chains)]
     seeds = [config.seed] if n_chains == 1 else \
         np.random.SeedSequence(config.seed).spawn(n_chains)
     configs = [replace(config, n_networks=m, seed=seed)
                for m, seed in zip(per, seeds) if m > 0]
-    chain = partial(_chain, model, theta, nodes, dyads, init)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            runs = list(pool.map(chain, configs))
+    workers = min(n_jobs, len(configs), _available_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=resolved) as pool:
+            runs = list(pool.map(_worker_chain, configs))
     else:
-        runs = [chain(c) for c in configs]
+        runs = [_chain(*resolved, c) for c in configs]
     return ChainRun(np.concatenate([r.in_volumes for r in runs]),
                     np.concatenate([r.out_volumes for r in runs]),
                     np.concatenate([r.sum_series for r in runs]),
-                    sum(r.n_proposals for r in runs), sum(r.n_accepted for r in runs),
-                    runs[0].burn_in, runs[0].thin, config.seed)
+                    sum(r.n_proposals for r in runs), sum(r.n_accepted for r in runs))
 
 
 # -- adequacy ------------------------------------------------------------------
@@ -348,17 +373,15 @@ def _pearson(a, b):
     return float(a @ b) / denom
 
 
-def adequacy_check(model, theta, nodes, dyads, observed, config, init=None,
+def adequacy_check(model, theta, nodes, dyads, observed, config,
                    n_chains=1, n_jobs=1):
     """Simulate from the model and compare per-node volumes with ``observed``.
 
-    Chains start at the observed network unless ``init`` is given. Returns
-    an :class:`AdequacyReport` with per-node envelopes, outside-envelope
-    flags, and the two observed-versus-simulated-median correlations.
+    Chains start at the observed network. Returns an :class:`AdequacyReport`
+    with per-node envelopes, outside-envelope flags, and the two
+    observed-versus-simulated-median correlations.
     """
-    if init is None:
-        init = observed
-    run = _simulate_many(model, theta, nodes, dyads, init, config,
+    run = _simulate_many(model, theta, nodes, dyads, observed, config,
                          n_chains=n_chains, n_jobs=n_jobs)
     n = observed.n_nodes
     sim_in = run.in_volumes.astype(np.float64)
@@ -414,20 +437,19 @@ def _batch_means_se(series):
     return float(batches.std(ddof=1) / math.sqrt(b))
 
 
-def _resolve_init(init, nodes, n_nodes):
+def _resolve_init(init, nodes):
     if init is not None:
         return init
-    if n_nodes is not None:
-        return FlowNetwork.empty(int(n_nodes))
     if nodes is not None:
         return FlowNetwork.empty(nodes.n_nodes)
-    raise ValidationError("need an init network, a node table, or n_nodes")
+    raise ValidationError("need an init network or a node table")
 
 
 def expected_total_flow(model, theta, nodes, dyads, config, init=None,
-                        n_nodes=None, n_chains=1, n_jobs=1):
-    """Monte-Carlo mean of total flow under the model, with batch-means SE."""
-    init = _resolve_init(init, nodes, n_nodes)
+                        n_chains=1, n_jobs=1):
+    """Monte-Carlo mean of total flow under the model, with batch-means SE.
+    Chains start at ``init``, else at the empty network on ``nodes``."""
+    init = _resolve_init(init, nodes)
     sums = _simulate_many(model, theta, nodes, dyads, init, config,
                           n_chains=n_chains, n_jobs=n_jobs).sum_series
     return float(sums.mean()), _batch_means_se(sums)
@@ -467,7 +489,7 @@ class KnockoutReport:
 
 
 def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
-                        init=None, n_nodes=None, n_chains=1, n_jobs=1):
+                        init=None, n_chains=1, n_jobs=1):
     """Zero the named coefficients and compare expected total flow.
 
     The lagged-flow covariate (when present) stays at its observed values;
@@ -484,7 +506,7 @@ def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
     for lab in labels:
         theta_cf[model.index_of(lab)] = 0.0
 
-    init = _resolve_init(init, nodes, n_nodes)
+    init = _resolve_init(init, nodes)
     base_mean, base_se = expected_total_flow(
         model, theta_fitted, nodes, dyads, config, init=init,
         n_chains=n_chains, n_jobs=n_jobs)

@@ -92,14 +92,11 @@ class ModelSpec:
     """Ordered term list defining the sufficient statistic vector."""
 
     terms: tuple[TermSpec, ...]
-    lag_depth: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValidationError("a model needs at least one term")
-        if self.lag_depth != 1:
-            raise ValidationError("only lag_depth=1 is supported")
         labels = [t.label for t in self.terms]
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate term labels: %r" % (labels,))
@@ -125,26 +122,37 @@ class ModelSpec:
                 return k
         raise ValidationError("no term labelled %r in model" % label)
 
+    def check_theta(self, theta):
+        """``theta`` as a float64 vector, one finite entry per term."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.n_terms,):
+            raise ValidationError(
+                "theta has shape %r, model has %d terms" % (theta.shape, self.n_terms))
+        if not np.all(np.isfinite(theta)):
+            raise ValidationError("theta contains non-finite entries")
+        return theta
+
 
 def model_to_dict(model):
-    return {
-        "terms": [
-            {"kind": t.kind, "covariate": t.covariate, "label": t.label}
-            for t in model.terms
-        ],
-        "lag_depth": model.lag_depth,
-    }
+    return {"terms": [{"kind": t.kind, "covariate": t.covariate, "label": t.label}
+                      for t in model.terms]}
 
 
 def model_from_dict(d):
+    """The :class:`ModelSpec` of a model dict; a ``lag_depth`` key, left in
+    older configs and fit files, must be 1 (the one previous period)."""
     try:
         terms = tuple(
             TermSpec(kind=t["kind"], covariate=t.get("covariate"), label=t.get("label") or "")
             for t in d["terms"]
         )
-        return ModelSpec(terms=terms, lag_depth=int(d.get("lag_depth", 1)))
+        lag_depth = d.get("lag_depth", 1)
     except (KeyError, TypeError) as exc:
         raise ValidationError("malformed model spec: %s" % exc) from exc
+    if isinstance(lag_depth, bool) or lag_depth != 1:
+        raise ValidationError("model key 'lag_depth' must be 1 (one previous period), "
+                              "got %r" % (lag_depth,))
+    return ModelSpec(terms=terms)
 
 
 # -- global statistics -----------------------------------------------------
@@ -262,7 +270,6 @@ class ChangeStats:
     """
 
     def __init__(self, model, network, nodes=None, dyads=None):
-        self.model = model
         self.n_nodes = network.n_nodes
         self.values = network.dense_matrix(dtype=np.int64)
         self.out_vol = network.out_volumes().astype(np.float64)

@@ -39,6 +39,24 @@ class TestSynth:
         meta = json.loads((synth_dir / "meta.json").read_text())
         assert meta["n_nodes"] == 50
         assert meta["edges"] > 0
+        assert "lag_depth" not in meta["model"]
+
+
+@pytest.mark.parametrize("argv, config, name", [
+    (["--seed", "-3"], None, "--seed"),
+    (["--nodes", "0"], None, "--nodes"),
+    (["--nodes", "1"], None, "--nodes"),
+    ([], {"seed": -3}, "'seed'"),
+    ([], {"synth": {"n_nodes": 0}}, "synth.n_nodes"),
+])
+def test_synth_bad_seed_or_size_exits_2_naming_it(tmp_path, capsys, argv, config, name):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(["synth", "--out", str(tmp_path / "out")] + argv) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "flows.csv").exists()
 
 
 class TestFit:
@@ -116,6 +134,16 @@ class TestGof:
         header = (tmp_path / "gof" / "adequacy_in_volume.csv").read_text().splitlines()[0]
         assert header == "node_id,observed,median,min,max,q2.5,q97.5"
         assert (tmp_path / "gof" / "adequacy_out_volume.csv").exists()
+
+    def test_threaded_run_is_byte_identical(self, fitted, tmp_path):
+        cfg, fit_path = fitted
+        for sub in ("t1", "t2"):
+            assert main(["gof", "--config", str(cfg), "--fit", str(fit_path),
+                         "--threads", "2", "--out", str(tmp_path / sub)]) == 0
+        for name in ("adequacy_in_volume.csv", "adequacy_out_volume.csv",
+                     "adequacy.json", "manifest.json"):
+            assert (tmp_path / "t1" / name).read_bytes() == \
+                (tmp_path / "t2" / name).read_bytes()
 
     def test_missing_fit_file_exits_4(self, fitted, tmp_path):
         cfg, _fit_path = fitted
@@ -240,6 +268,7 @@ _CHAIN = {"n_networks": 10, "burn_in": 4000, "thin": 1000}
     ("fit", "estimator", {"sample_size": 2.7}, "estimator.sample_size"),
     ("fit", "estimator", {"tol": float("nan")}, "estimator.tol"),
     ("fit", "estimator", {"seed": -1}, "estimator.seed"),
+    ("fit", "model", {"terms": [{"kind": "sum"}], "lag_depth": 2}, "lag_depth"),
 ])
 def test_malformed_config_value_exits_2_naming_it(fitted, tmp_path, capsys,
                                                   command, section, value, key):

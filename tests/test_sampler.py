@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -231,6 +232,72 @@ class TestMultiChain:
         assert np.array_equal(merged.out_volumes, run.out_volumes)
         assert merged.n_accepted == run.n_accepted
 
+    def test_change_stats_built_once_per_simulation(self, knockout_data, monkeypatch):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return ChangeStats(*args)
+
+        monkeypatch.setattr(sampler_mod, "ChangeStats", counting)
+        cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5)
+        sampler_mod._simulate_many(model, theta, nodes, dyads, current, cfg, n_chains=3)
+        assert len(calls) == 1
+
+    def test_pool_gets_resolved_inputs_once_and_small_jobs(self, adequacy_data,
+                                                          monkeypatch):
+        # a stand-in pool that runs every job inline, so no process starts; on
+        # 100 nodes the covariates pickle to ~700 KB and lambda alone to 80 KB
+        model, theta, current, _lag, nodes, dyads = adequacy_data
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                self.max_workers = max_workers
+                self.job_bytes = []
+                pools.append(self)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    self.job_bytes.append(len(pickle.dumps((fn, args))))
+                    yield fn(*args)
+
+        monkeypatch.setattr(sampler_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sampler_mod, "_worker_inputs", None)  # restored after
+        cfg = ChainConfig(n_networks=10, burn_in=2000, thin=200, seed=5)
+
+        def run(n_chains, n_jobs):
+            return sampler_mod._simulate_many(model, theta, nodes, dyads, current, cfg,
+                                              n_chains=n_chains, n_jobs=n_jobs)
+
+        serial = run(3, 1)
+        assert pools == []
+        # workers: min(n_jobs, chains with networks to draw, CPUs available)
+        for cpus, n_chains, n_jobs, workers in ((4, 3, 64, 3), (4, 3, 2, 2),
+                                                (2, 3, 3, 2), (8, 12, 64, 8)):
+            monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: cpus)
+            pooled = run(n_chains, n_jobs)
+            pool = pools.pop()
+            assert pool.max_workers == workers
+            assert len(pool.job_bytes) == min(n_chains, cfg.n_networks)
+            assert max(pool.job_bytes) < 64 * 1024
+            if n_chains == 3:
+                assert np.array_equal(pooled.sum_series, serial.sum_series)
+                assert np.array_equal(pooled.in_volumes, serial.in_volumes)
+                assert np.array_equal(pooled.out_volumes, serial.out_volumes)
+                assert pooled.n_accepted == serial.n_accepted
+        monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: 1)
+        run(3, 64)
+        assert pools == []  # one CPU runs the chains serially
+
     def test_adequacy_and_knockout_build_no_networks(self, knockout_data, monkeypatch):
         model, theta, current, _lag, nodes, dyads = knockout_data
         calls = []
@@ -258,7 +325,7 @@ class TestAdequacy:
             return sampler_mod.ChainRun(
                 np.tile(current.in_volumes(), (20, 1)),
                 np.tile(current.out_volumes(), (20, 1)),
-                np.full(20, float(current.total_flow)), 0, 0, 0, 1, 0)
+                np.full(20, float(current.total_flow)), 0, 0)
 
         monkeypatch.setattr(sampler_mod, "_simulate_many", fake_simulate)
         report = adequacy_check(model, theta, nodes, dyads, current,
@@ -315,7 +382,7 @@ class TestExpectedTotalFlow:
         d = n * (n - 1)
         cfg = ChainConfig(n_networks=40, burn_in=40 * d, thin=2 * d, seed=3)
         mean, se = expected_total_flow(SUM_ONLY, np.array([math.log(3.0)]),
-                                       None, None, cfg, n_nodes=n)
+                                       None, None, cfg, init=FlowNetwork.empty(n))
         assert abs(mean - 3 * d) <= 3 * se
 
     def test_se_shrinks_with_doubling(self):
@@ -325,11 +392,11 @@ class TestExpectedTotalFlow:
         _, se1 = expected_total_flow(
             SUM_ONLY, theta, None, None,
             ChainConfig(n_networks=200, burn_in=30 * d, thin=2 * d, seed=5),
-            n_nodes=n)
+            init=FlowNetwork.empty(n))
         _, se2 = expected_total_flow(
             SUM_ONLY, theta, None, None,
             ChainConfig(n_networks=400, burn_in=30 * d, thin=2 * d, seed=5),
-            n_nodes=n)
+            init=FlowNetwork.empty(n))
         ratio = se1 / se2
         assert 0.7 * math.sqrt(2) <= ratio <= 1.3 * math.sqrt(2)
 
@@ -338,7 +405,7 @@ class TestExpectedTotalFlow:
         d = n * (n - 1)
         cfg = ChainConfig(n_networks=10, burn_in=10 * d, thin=d, seed=3)
         mean, _ = expected_total_flow(SUM_ONLY, np.array([-50.0]), None, None,
-                                      cfg, n_nodes=n)
+                                      cfg, init=FlowNetwork.empty(n))
         assert mean == 0.0
 
 

@@ -46,6 +46,23 @@ class TestModelSpec:
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("dyad", "z")))
         assert model_from_dict(model_to_dict(model)) == model
 
+    def test_lag_depth_accepted_only_as_one(self):
+        model = ModelSpec(terms=(TermSpec("sum"),))
+        assert "lag_depth" not in model_to_dict(model)
+        assert model_from_dict({"terms": [{"kind": "sum"}], "lag_depth": 1}) == model
+        for bad in (2, 0, "1", True, None):
+            with pytest.raises(ValidationError, match="'lag_depth'"):
+                model_from_dict({"terms": [{"kind": "sum"}], "lag_depth": bad})
+
+    def test_check_theta(self):
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero")))
+        theta = model.check_theta([1, -2])
+        assert theta.dtype == np.float64 and theta.tolist() == [1.0, -2.0]
+        with pytest.raises(ValidationError, match="shape"):
+            model.check_theta([1.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            model.check_theta([1.0, np.nan])
+
 
 class TestMutualMin:
     def test_hand_cases(self):
