@@ -288,8 +288,8 @@ def cmd_fit(args, config):
     for label, est, se in zip(fit.labels, fit.theta, fit.std_errors):
         print("%-32s %12.6f  (SE %.6f)" % (label, est, se))
     bic = "%.1f" % fit.pseudo_bic if np.isfinite(fit.pseudo_bic) else "n/a"
-    print("converged: %s after %d iterations; pseudo-BIC %s"
-          % (fit.converged, fit.iterations, bic))
+    print("converged: %s after %d iterations (%d from the Poisson start); pseudo-BIC %s"
+          % (fit.converged, fit.iterations, fit.diagnostics["start_iterations"], bic))
     if not fit.converged:
         print("warning: fit did not converge; report written anyway",
               file=sys.stderr)
@@ -381,8 +381,8 @@ def cmd_synth(args, config):
     # the generator seeds numpy directly, which takes no negative seed
     root_seed = _root_seed(args, config, minimum=0)
     model = model_from_dict(section.get("model") or _DEFAULT_SYNTH_MODEL)
-    theta = np.asarray(section.get("theta_true") or _DEFAULT_SYNTH_THETA,
-                       dtype=np.float64)
+    theta = model.check_theta(section.get("theta_true") or _DEFAULT_SYNTH_THETA,
+                              "synth.theta_true")
     current, lagged, nodes, dyads = synthetic_generate(
         n_nodes, model, theta, seed=root_seed)
     outdir = _outdir(args, config)

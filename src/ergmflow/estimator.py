@@ -454,29 +454,32 @@ class FitResult:
                                  "" if not math.isfinite(se) else repr(float(se))])
 
 
-def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
-             tol=1e-6, max_iter=50):
-    """Fit theta by damped Newton ascent on the penalized pseudo-likelihood.
+def _poisson(chunks, theta_lin, ridge_lambda):
+    """:func:`_value` with every dependence term at 0, where each conditional
+    is Poisson(e^eta), eta = x . theta_lin: the sum of w (y eta - e^eta)
+    less the ridge (log y! dropped), and its (gradient, Hessian)."""
+    value = -ridge_lambda * float(theta_lin @ theta_lin)
+    grad = -2.0 * ridge_lambda * theta_lin
+    hess = -2.0 * ridge_lambda * np.eye(len(theta_lin))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ch in chunks:
+            eta = ch.x @ theta_lin
+            lam = np.exp(eta)
+            value += float(ch.w @ (ch.y * eta - lam))
+            grad += ch.x.T @ (ch.w * (ch.y - lam))
+            hess -= ch.x.T @ (ch.x * (ch.w * lam)[:, None])
+    return value, (grad, hess)
 
-    Iterates until the gradient max-norm drops below ``tol`` or ``max_iter``
-    is hit; falls back to scaled gradient steps when the Hessian is not
-    negative definite, and halves the step until the objective improves.
-    Step candidates are scored by value alone; the gradient and Hessian are
-    computed only at an accepted step. Standard errors come from the inverse
-    penalized Hessian at the optimum; a singular Hessian yields NaN standard
-    errors and a non-converged flag rather than fabricated values.
-    """
-    if ridge_lambda < 0:
-        raise ValidationError("ridge_lambda must be >= 0")
-    chunks = _chunks(model, network, nodes, dyads, sample)
-    n_terms = model.n_terms
-    theta = np.zeros(n_terms)
 
-    notes = []
-    value, state = _value(chunks, theta, ridge_lambda)
+def _newton(value_fn, derivatives_fn, theta, tol, max_iter, notes, stage=""):
+    """Damped Newton ascent from ``theta`` until the gradient max-norm is
+    below ``tol`` or after ``max_iter`` steps. Takes a scaled gradient step
+    where the Hessian is not negative definite and halves each step until the
+    value improves. Returns (theta, value, gradient, Hessian, steps)."""
+    value, state = value_fn(theta)
     if not math.isfinite(value):
         raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
-    grad, hess = _derivatives(chunks, theta, state, ridge_lambda)
+    grad, hess = derivatives_fn(theta, state)
     iterations = 0
     while iterations < max_iter and float(np.abs(grad).max()) >= tol:
         iterations += 1
@@ -486,25 +489,58 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
         except LinAlgError:
             scale = max(1.0, float(np.abs(np.diag(hess)).max()))
             step = grad / scale
-            notes.append("indefinite Hessian at iteration %d; gradient step" % iterations)
+            notes.append("%sindefinite Hessian at iteration %d; gradient step" % (stage, iterations))
         slope = float(grad @ step)
         t = 1.0
         for _ in range(40):
             cand = theta + t * step
-            cand_value, cand_state = _value(chunks, cand, ridge_lambda)
+            cand_value, cand_state = value_fn(cand)
             if cand_value >= value + 1e-4 * t * slope - 1e-12 * (1.0 + abs(value)):
                 break
             t *= 0.5
         else:
-            notes.append("step halving stalled at iteration %d" % iterations)
+            notes.append("%sstep halving stalled at iteration %d" % (stage, iterations))
             break
         theta, value = cand, cand_value
-        grad, hess = _derivatives(chunks, theta, cand_state, ridge_lambda)
+        grad, hess = derivatives_fn(theta, cand_state)
         if float(np.linalg.norm(theta)) > _THETA_NORM_GUARD:
             raise EstimationError(
-                "theta norm exceeded %g after iteration %d; the model is "
+                "theta norm exceeded %g after %siteration %d; the model is "
                 "diverging (check covariate scaling or increase ridge_lambda)"
-                % (_THETA_NORM_GUARD, iterations))
+                % (_THETA_NORM_GUARD, stage, iterations))
+    return theta, value, grad, hess, iterations
+
+
+def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
+             tol=1e-6, max_iter=50):
+    """Fit theta by damped Newton ascent on the penalized pseudo-likelihood.
+
+    Newton first fits the linear terms on the Poisson reference (the
+    pseudo-likelihood with every dependence term at 0), then every term on
+    the full one from there. ``max_iter`` bounds each stage; ``iterations``
+    counts the full stage's steps. Standard errors come from the inverse
+    penalized Hessian at the optimum; a singular Hessian yields NaN
+    standard errors and a non-converged flag, not fabricated values.
+    """
+    if ridge_lambda < 0:
+        raise ValidationError("ridge_lambda must be >= 0")
+    chunks = _chunks(model, network, nodes, dyads, sample)
+    n_terms = model.n_terms
+    theta = np.zeros(n_terms)
+    lin = chunks[0].lin
+
+    notes = []
+    start_iterations = 0
+    if len(lin):
+        theta[lin], _, grad, _, start_iterations = _newton(
+            lambda t: _poisson(chunks, t, ridge_lambda), lambda t, derivatives: derivatives,
+            theta[lin], tol, max_iter, notes, "Poisson start ")
+        if float(np.abs(grad).max()) >= tol:
+            notes.append("Poisson start not converged; the full fit continues from it")
+    theta, value, grad, hess, iterations = _newton(
+        lambda t: _value(chunks, t, ridge_lambda),
+        lambda t, state: _derivatives(chunks, t, state, ridge_lambda),
+        theta, tol, max_iter, notes)
     gmax = float(np.abs(grad).max())
     converged = gmax < tol
 
@@ -535,6 +571,7 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
         sample_meta=sample.summary(),
         model=model,
         diagnostics={
+            "start_iterations": start_iterations,
             "gradient_max_norm": gmax,
             "hessian_condition": cond,
             "notes": notes,

@@ -122,14 +122,17 @@ class ModelSpec:
                 return k
         raise ValidationError("no term labelled %r in model" % label)
 
-    def check_theta(self, theta):
-        """``theta`` as a float64 vector, one finite entry per term."""
-        theta = np.asarray(theta, dtype=np.float64)
+    def check_theta(self, theta, name="theta"):
+        """``theta`` as a float64 vector, one finite entry per term; errors name it ``name``."""
+        try:
+            theta = np.asarray(theta, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("%s must hold numbers only: %s" % (name, exc)) from exc
         if theta.shape != (self.n_terms,):
             raise ValidationError(
-                "theta has shape %r, model has %d terms" % (theta.shape, self.n_terms))
+                "%s has shape %r, model has %d terms" % (name, theta.shape, self.n_terms))
         if not np.all(np.isfinite(theta)):
-            raise ValidationError("theta contains non-finite entries")
+            raise ValidationError("%s contains non-finite entries" % name)
         return theta
 
 

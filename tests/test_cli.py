@@ -48,6 +48,7 @@ class TestSynth:
     (["--nodes", "1"], None, "--nodes"),
     ([], {"seed": -3}, "'seed'"),
     ([], {"synth": {"n_nodes": 0}}, "synth.n_nodes"),
+    ([], {"synth": {"theta_true": ["x"] + [0.0] * 11}}, "synth.theta_true"),
 ])
 def test_synth_bad_seed_or_size_exits_2_naming_it(tmp_path, capsys, argv, config, name):
     if config is not None:
@@ -180,6 +181,19 @@ class TestUnknownCovariateInFit:
                      "--labels", "dyad:bogus", "--out", str(tmp_path / "ko")])
         assert code == 2
         assert not (tmp_path / "ko" / "knockout.json").exists()
+
+
+def test_non_numeric_theta_in_fit_file_exits_2_naming_it(fitted, tmp_path, capsys):
+    cfg, fit_path = fitted
+    payload = json.loads(fit_path.read_text())
+    payload["theta"][0] = "x"
+    bad = tmp_path / "fit_bad.json"
+    bad.write_text(json.dumps(payload))
+    code = main(["gof", "--config", str(cfg), "--fit", str(bad),
+                 "--out", str(tmp_path / "gof")])
+    assert code == 2
+    assert "theta must hold numbers" in capsys.readouterr().err
+    assert not (tmp_path / "gof" / "adequacy.json").exists()
 
 
 class TestSimulate:

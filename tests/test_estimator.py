@@ -298,6 +298,33 @@ class TestFitMple:
             mat[off])
         assert fit.converged
         assert np.abs(fit.theta - oracle).max() < 1e-6
+        # the Poisson start is the optimum of a model without dependence terms
+        assert fit.iterations == 0
+        assert fit.diagnostics["start_iterations"] > 0
+
+    def test_full_stage_finishes_from_the_poisson_start(self, adequacy_data):
+        # nonzero and mutual_min are far from 0 here, so the full stage has
+        # work left after the Poisson start
+        model, _theta, net, _lag, nodes, dyads = adequacy_data
+        sample = census_sample(net)
+        fit = fit_mple(model, net, nodes, dyads, sample, tol=1e-6)
+        _value, grad = penalized_pseudo_loglik(model, fit.theta, net, nodes, dyads, sample,
+                                               ridge_lambda=0.01, gradient=True)
+        assert fit.converged
+        assert np.abs(grad).max() < 1e-6
+        assert fit.iterations <= 4
+        short = fit_mple(model, net, nodes, dyads, sample, max_iter=1)
+        assert short.diagnostics["start_iterations"] == 1
+        assert short.iterations == 1
+        assert any(n.startswith("Poisson start not converged")
+                   for n in short.diagnostics["notes"])
+
+    def test_model_without_linear_terms_starts_at_zero(self, small_data):
+        model = ModelSpec(terms=(TermSpec("nonzero"), TermSpec("mutual_min")))
+        _model, _theta, net, _lag, nodes, dyads = small_data
+        fit = fit_mple(model, net, nodes, dyads, census_sample(net))
+        assert fit.converged
+        assert fit.diagnostics["start_iterations"] == 0
 
     def test_ridge_shrinkage_monotone(self, small_data):
         model, _theta, net, _lag, nodes, dyads = small_data

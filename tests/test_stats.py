@@ -62,6 +62,10 @@ class TestModelSpec:
             model.check_theta([1.0])
         with pytest.raises(ValidationError, match="non-finite"):
             model.check_theta([1.0, np.nan])
+        with pytest.raises(ValidationError, match="theta_true must hold numbers"):
+            model.check_theta([1.0, "x"], "theta_true")
+        with pytest.raises(ValidationError, match="theta must hold numbers"):
+            model.check_theta([1.0, {}])
 
 
 class TestMutualMin:
