@@ -22,11 +22,10 @@ from .sampler import (AdequacyReport, ChainConfig, ChainRun, KnockoutReport,
                       knockout_experiment, lag1_autocorrelation,
                       mcmc_simulate)
 from .ingest import (DEFAULT_COVARIATE_DISTRIBUTIONS, GroupFlowMatrix,
-                     build_dyad_covariates, dissimilarity_matrices,
-                     group_flow_matrix, load_distances, load_flows,
-                     load_nodes, racial_dissimilarity, scalar_dissimilarity,
-                     synthetic_generate, write_distances_csv,
-                     write_flows_csv, write_nodes_csv)
+                     build_dyad_covariates, group_flow_matrix, load_distances,
+                     load_flows, load_nodes, racial_dissimilarity,
+                     scalar_dissimilarity, synthetic_generate,
+                     write_distances_csv, write_flows_csv, write_nodes_csv)
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,7 @@ __all__ = [
     "AdequacyReport", "adequacy_check", "KnockoutReport",
     "knockout_experiment", "expected_total_flow", "lag1_autocorrelation",
     "GroupFlowMatrix", "group_flow_matrix", "racial_dissimilarity",
-    "scalar_dissimilarity", "dissimilarity_matrices",
+    "scalar_dissimilarity",
     "build_dyad_covariates", "load_flows", "load_nodes", "load_distances",
     "write_flows_csv", "write_nodes_csv", "write_distances_csv",
     "synthetic_generate", "DEFAULT_COVARIATE_DISTRIBUTIONS",

@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__
 from .errors import EstimationError, ValidationError
 from .estimator import fit_mple, stratified_dyad_sample
-from .ingest import (build_dyad_covariates, dissimilarity_matrices,
-                     load_flows, load_nodes, synthetic_generate,
-                     write_distances_csv, write_flows_csv, write_nodes_csv)
-from .network import build_network, summarize
+from .ingest import (build_dyad_covariates, load_flows, load_nodes,
+                     synthetic_generate, write_distances_csv, write_flows_csv,
+                     write_nodes_csv)
+from .network import DyadCovariateSet, build_network, summarize
 from .sampler import (ChainConfig, adequacy_check, knockout_experiment,
                       mcmc_simulate)
 from .stats import model_from_dict, model_to_dict
@@ -243,20 +243,18 @@ def cmd_dissim(args, config):
     if not nodes_path:
         raise ValidationError("dissim needs --nodes or a config with 'nodes'")
     nodes = load_nodes(nodes_path)
-    mats = dissimilarity_matrices(nodes)
+    names = ("political_dissim", "rural_dissim", "racial_dissim")
+    dyads = DyadCovariateSet._of_nodes(nodes, {})
     outdir = _outdir(args, config)
     out = outdir / "dissimilarity.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id_a", "id_b", "political_dissim", "rural_dissim",
-                         "racial_dissim"])
-        n = nodes.n_nodes
-        for i in range(n):
-            for j in range(i + 1, n):
-                writer.writerow([nodes.ids[i], nodes.ids[j],
-                                 repr(float(mats["political_dissim"][i, j])),
-                                 repr(float(mats["rural_dissim"][i, j])),
-                                 repr(float(mats["racial_dissim"][i, j]))])
+        writer.writerow(["id_a", "id_b", *names])
+        for i in range(nodes.n_nodes):  # one origin's pairs at a time
+            later = np.arange(i + 1, nodes.n_nodes)
+            columns = [dyads.values_at(name, i, later).tolist() for name in names]
+            for j, *scores in zip(later.tolist(), *columns):
+                writer.writerow([nodes.ids[i], nodes.ids[j], *map(repr, scores)])
     _write_manifest(outdir, "dissim", {"nodes": str(nodes_path)},
                     {"root": None}, ["dissimilarity.csv"])
     print("wrote %s" % out)
@@ -272,12 +270,14 @@ def cmd_fit(args, config):
     if est_seed is None:
         est_seed = derive_seed(root_seed, "estimator")
     sample_size = _number(section, "estimator.sample_size", network.n_dyads)
+    tol = _number(section, "estimator.tol", 1e-6, integer=False)
+    if tol <= 0:
+        raise ValidationError("config key 'estimator.tol' must be > 0, got %r" % tol)
     sample = stratified_dyad_sample(network, sample_size, seed=est_seed)
     fit = fit_mple(
         model, network, nodes, dyads, sample,
         ridge_lambda=_number(section, "estimator.ridge_lambda", 0.01, integer=False),
-        tol=_number(section, "estimator.tol", 1e-6, integer=False),
-        max_iter=_number(section, "estimator.max_iter", 50),
+        tol=tol, max_iter=_number(section, "estimator.max_iter", 50, minimum=1),
     )
     outdir = _outdir(args, config)
     fit.write_json(outdir / "fit.json")

@@ -29,6 +29,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import gammainc, gammaincc, gammaln
 
 from .errors import EstimationError, ValidationError
+from .network import dyad_codes, dyads_of_codes
 from .stats import ChangeStats, ModelSpec, model_to_dict
 
 __all__ = [
@@ -47,20 +48,7 @@ _CHUNK_DYADS = 16384
 _THETA_NORM_GUARD = 1e4
 
 
-# -- dyad indexing and sampling ---------------------------------------------
-
-def _dyad_codes(src, dst, n):
-    # linear index over ordered off-diagonal pairs, row-major with the
-    # diagonal removed
-    return src * (n - 1) + dst - (dst > src)
-
-
-def _codes_to_dyads(codes, n):
-    ii = codes // (n - 1)
-    rr = codes - ii * (n - 1)
-    jj = rr + (rr >= ii)
-    return ii.astype(np.intp), jj.astype(np.intp)
-
+# -- dyad sampling ----------------------------------------------------------
 
 @dataclass
 class DyadSample:
@@ -118,14 +106,14 @@ def stratified_dyad_sample(network, n_total, seed):
     n = network.n_nodes
     total = n * (n - 1)
     src, dst, _ = network.edge_arrays()
-    nz_codes = np.sort(_dyad_codes(src, dst, n))
+    nz_codes = np.sort(dyad_codes(src, dst, n))
     n1_total = len(nz_codes)
     n0_total = total - n1_total
     rng = np.random.default_rng(seed)
 
     if n_total >= total:
         codes = np.arange(total, dtype=np.int64)
-        ii, jj = _codes_to_dyads(codes, n)
+        ii, jj = dyads_of_codes(codes, n)
         return DyadSample(ii, jj, np.ones(total), (n1_total, n0_total, n1_total, n0_total),
                           seed=seed)
 
@@ -147,7 +135,7 @@ def stratified_dyad_sample(network, n_total, seed):
         np.full(n1, n1_total / n1 if n1 else 1.0),
         np.full(n0, n0_total / n0 if n0 else 1.0),
     ])
-    ii, jj = _codes_to_dyads(codes, n)
+    ii, jj = dyads_of_codes(codes, n)
     return DyadSample(ii, jj, weights, (n1_total, n0_total, int(n1), int(n0)), seed=seed)
 
 
@@ -244,7 +232,7 @@ class _Chunk:
 
     def __init__(self, cs, ii, jj, w):
         self.lin, self.nl = cs.lin_pos, cs.nonlin_pos
-        self.y = cs.values[ii, jj].astype(np.float64)
+        self.y = cs.network.values_at(ii, jj).astype(np.float64)
         self.w = w
         self.x = cs.linear_design(ii, jj)
         self.lo, self.hi, self.c, d = cs.nonlinear_segments(ii, jj)
@@ -524,6 +512,10 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
     """
     if ridge_lambda < 0:
         raise ValidationError("ridge_lambda must be >= 0")
+    if not tol > 0:
+        raise ValidationError("tol must be > 0, got %r" % (tol,))
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1, got %r" % (max_iter,))
     chunks = _chunks(model, network, nodes, dyads, sample)
     n_terms = model.n_terms
     theta = np.zeros(n_terms)

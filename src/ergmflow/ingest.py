@@ -41,7 +41,6 @@ from .stats import ModelSpec
 __all__ = [
     "racial_dissimilarity",
     "scalar_dissimilarity",
-    "dissimilarity_matrices",
     "build_dyad_covariates",
     "load_flows",
     "load_nodes",
@@ -90,38 +89,15 @@ def scalar_dissimilarity(x_a, x_b):
     return abs(x_a - x_b) / 100.0
 
 
-def dissimilarity_matrices(nodes):
-    """The three pairwise dissimilarity matrices for a node table.
-
-    Returns a dict with ``political_dissim``, ``rural_dissim`` and
-    ``racial_dissim``, each symmetric with zero diagonal.
-    """
-    dem = nodes.democrat_poll_pct / 100.0
-    rural = nodes.rural_pct / 100.0
-    political = np.abs(dem[:, None] - dem[None, :])
-    rural_m = np.abs(rural[:, None] - rural[None, :])
-    n = nodes.n_nodes
-    racial = np.empty((n, n))
-    shares = nodes.racial_shares
-    block = max(1, (1 << 22) // max(1, n * shares.shape[1]))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        racial[start:stop] = 0.5 * np.abs(
-            shares[start:stop, None, :] - shares[None, :, :]).sum(axis=2)
-    for m in (political, rural_m, racial):
-        np.fill_diagonal(m, 0.0)
-    return {"political_dissim": political, "rural_dissim": rural_m,
-            "racial_dissim": racial}
-
-
 def build_dyad_covariates(nodes, distance, lagged=None):
     """Assemble the standard dyad covariates for a node table.
 
     ``distance`` is either a path to a distance CSV or a dense (n, n)
-    kilometre matrix. Produces log_distance, same_state, the three
-    dissimilarity scores, unemp_diff (destination minus origin, proportion
-    scale), and lagged_log_flow when a lagged network is supplied. Every
-    off-diagonal pair needs a positive distance.
+    kilometre matrix; every off-diagonal pair needs a positive distance.
+    Stores log_distance as a matrix and evaluates the others on the dyads
+    asked for: same_state, the three dissimilarity scores, unemp_diff
+    (destination minus origin, proportion scale), and lagged_log_flow when
+    a lagged network is supplied.
     """
     n = nodes.n_nodes
     if isinstance(distance, (str, bytes)) or hasattr(distance, "__fspath__"):
@@ -132,37 +108,21 @@ def build_dyad_covariates(nodes, distance, lagged=None):
             raise ValidationError("distance matrix has shape %r, expected (%d, %d)"
                                   % (km.shape, n, n))
     off = ~np.eye(n, dtype=bool)
-    missing = np.argwhere(off & ~np.isfinite(km))
-    if len(missing):
-        pairs = ", ".join("(%s, %s)" % (nodes.ids[i], nodes.ids[j])
-                          for i, j in missing[:10])
-        raise ValidationError("missing distance for %d pairs, e.g. %s"
-                              % (len(missing), pairs))
-    nonpos = np.argwhere(off & (km <= 0))
-    if len(nonpos):
-        pairs = ", ".join("(%s, %s)" % (nodes.ids[i], nodes.ids[j])
-                          for i, j in nonpos[:10])
-        raise ValidationError("distance must be positive between distinct "
-                              "nodes; offending pairs: %s" % pairs)
+    for bad, problem in ((~np.isfinite(km), "missing"), (km <= 0, "non-positive")):
+        pairs = np.argwhere(off & bad)
+        if len(pairs):
+            raise ValidationError("%s distance for %d pairs, e.g. %s" % (
+                problem, len(pairs), ", ".join("(%s, %s)" % (nodes.ids[i], nodes.ids[j])
+                                               for i, j in pairs[:10])))
 
-    log_distance = np.zeros((n, n))
-    log_distance[off] = np.log(km[off])
-    same_state = (nodes.state[:, None] == nodes.state[None, :]).astype(np.float64)
-    unemp = nodes.unemployment_pct / 100.0
-    unemp_diff = unemp[None, :] - unemp[:, None]
-
-    matrices = dissimilarity_matrices(nodes)
-    matrices.update({
-        "log_distance": log_distance,
-        "same_state": same_state,
-        "unemp_diff": unemp_diff,
-    })
-    if lagged is not None:
-        if lagged.n_nodes != n:
-            raise ValidationError("lagged network has %d nodes, table has %d"
-                                  % (lagged.n_nodes, n))
-        matrices["lagged_log_flow"] = np.log1p(lagged.dense_matrix(dtype=np.float64))
-    return DyadCovariateSet(n, matrices)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_distance = np.log(km)  # the diagonal holds no dyad
+    del km, off  # a loaded matrix is freed before the set copies the log
+    np.fill_diagonal(log_distance, 0.0)
+    if lagged is not None and lagged.n_nodes != n:
+        raise ValidationError("lagged network has %d nodes, table has %d"
+                              % (lagged.n_nodes, n))
+    return DyadCovariateSet._of_nodes(nodes, {"log_distance": log_distance}, lagged)
 
 
 # -- loaders -------------------------------------------------------------------

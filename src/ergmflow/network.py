@@ -37,6 +37,18 @@ REGIONS = ("Northeast", "South", "West", "Midwest")
 RACIAL_CATEGORIES = ("hispanic", "black", "asian", "white", "other")
 
 
+def dyad_codes(src, dst, n):
+    """Index of each ordered dyad (src, dst) among the n (n - 1) pairs of
+    distinct nodes, row-major with the diagonal removed."""
+    return src * (n - 1) + dst - (dst > src)
+
+
+def dyads_of_codes(codes, n):
+    """The (origin, destination) index arrays of :func:`dyad_codes`."""
+    ii, rr = np.divmod(codes, n - 1)
+    return ii.astype(np.intp), (rr + (rr >= ii)).astype(np.intp)
+
+
 class FlowNetwork:
     """Directed valued network without self-loops.
 
@@ -55,7 +67,7 @@ class FlowNetwork:
     """
 
     __slots__ = ("n_nodes", "period_label", "node_ids",
-                 "_src", "_dst", "_val", "_in_vol", "_out_vol")
+                 "_src", "_dst", "_val", "_codes", "_in_vol", "_out_vol")
 
     def __init__(self, n_nodes, edges, period_label="", node_ids=None):
         edges = dict(edges)
@@ -109,11 +121,12 @@ class FlowNetwork:
         self._src = src[order]
         self._dst = dst[order]
         self._val = val[order].astype(np.int64)
+        self._codes = codes  # src * n + dst, sorted
         self._in_vol = np.bincount(self._dst, weights=self._val,
                                    minlength=n_nodes).astype(np.int64)
         self._out_vol = np.bincount(self._src, weights=self._val,
                                     minlength=n_nodes).astype(np.int64)
-        for arr in (self._src, self._dst, self._val, self._in_vol, self._out_vol):
+        for arr in (self._src, self._dst, self._val, self._codes, self._in_vol, self._out_vol):
             arr.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
@@ -167,9 +180,16 @@ class FlowNetwork:
         """Flow on the ordered dyad (i, j); absent entries are 0."""
         self._check_node(i)
         self._check_node(j)
-        lo, hi = np.searchsorted(self._src, (int(i), int(i) + 1))
-        k = lo + int(np.searchsorted(self._dst[lo:hi], int(j)))
-        return int(self._val[k]) if k < hi and self._dst[k] == int(j) else 0
+        return int(self.values_at(int(i), int(j)))
+
+    def values_at(self, ii, jj):
+        """Flows on the ordered dyads (ii, jj), index arrays that broadcast
+        together, as int64; absent pairs are 0. Indices are not checked."""
+        codes = np.asarray(ii, dtype=np.int64) * self.n_nodes + np.asarray(jj, dtype=np.int64)
+        if not self.n_edges:
+            return np.zeros(codes.shape, dtype=np.int64)
+        k = np.minimum(np.searchsorted(self._codes, codes), self.n_edges - 1)
+        return np.where(self._codes[k] == codes, self._val[k], 0)
 
     def in_volume(self, node):
         self._check_node(node)
@@ -477,26 +497,25 @@ _ANTISYMMETRIC_DYAD = ("unemp_diff",)
 
 
 class DyadCovariateSet:
-    """Named (n, n) matrices of ordered-pair covariates.
+    """Named covariates of ordered pairs, evaluated on the dyads asked for.
 
     Entry (i, j) describes the dyad from origin i to destination j; the
-    diagonal is ignored. Recognized names are validated on construction:
-    the three dissimilarity scores must be symmetric and lie in [0, 1],
-    ``unemp_diff`` must be antisymmetric, ``same_state`` binary,
-    ``lagged_log_flow`` non-negative.
+    diagonal holds no dyad. The constructor stores (n, n) matrices and
+    validates recognized names: the three dissimilarity scores must be
+    symmetric and lie in [0, 1], ``unemp_diff`` must be antisymmetric,
+    ``same_state`` binary, ``lagged_log_flow`` non-negative.
     """
 
     def __init__(self, n_nodes, matrices):
         self.n_nodes = int(n_nodes)
-        self._matrices = {}
+        self._covariates = {}  # name -> (rule, data), evaluated by values_at
         for name, m in dict(matrices).items():
-            m = np.asarray(m, dtype=np.float64)
+            m = np.array(m, dtype=np.float64)  # a copy
             if m.shape != (self.n_nodes, self.n_nodes):
                 raise ValidationError("matrix %r has shape %r, expected (%d, %d)"
                                       % (name, m.shape, self.n_nodes, self.n_nodes))
             if not np.all(np.isfinite(m)):
                 raise ValidationError("matrix %r contains non-finite entries" % name)
-            m = m.copy()
             np.fill_diagonal(m, 0.0)
             if name in _SYMMETRIC_DYAD and not np.array_equal(m, m.T):
                 raise ValidationError("matrix %r must be symmetric" % name)
@@ -509,22 +528,61 @@ class DyadCovariateSet:
             if name == "lagged_log_flow" and m.min() < 0:
                 raise ValidationError("lagged_log_flow must be non-negative")
             m.flags.writeable = False
-            self._matrices[name] = m
+            self._covariates[name] = ("matrix", m)
+
+    @classmethod
+    def _of_nodes(cls, nodes, matrices, lagged=None):
+        """The set of ``matrices`` plus the covariates defined on the validated
+        columns of a :class:`NodeTable` and on a lagged network, as rules."""
+        dyads = cls(nodes.n_nodes, matrices)
+        dyads._covariates.update({
+            "political_dissim": ("abs_diff", nodes.democrat_poll_pct / 100.0),
+            "rural_dissim": ("abs_diff", nodes.rural_pct / 100.0),
+            "racial_dissim": ("half_l1", nodes.racial_shares),
+            "same_state": ("same", np.unique(nodes.state, return_inverse=True)[1]),
+            "unemp_diff": ("diff", nodes.unemployment_pct / 100.0),
+        })
+        if lagged is not None:
+            dyads._covariates["lagged_log_flow"] = ("log1p_flow", lagged)
+        return dyads
 
     @property
     def names(self):
-        return tuple(sorted(self._matrices))
+        return tuple(sorted(self._covariates))
 
     def has(self, name):
-        return name in self._matrices
+        return name in self._covariates
 
-    def matrix(self, name):
-        try:
-            return self._matrices[name]
-        except KeyError:
+    def values_at(self, name, ii, jj):
+        """Covariate ``name`` on the ordered dyads (ii, jj), index arrays that
+        broadcast together; defined off the diagonal only."""
+        if name not in self._covariates:
             raise ValidationError(
                 "unknown dyad covariate %r; available: %s"
-                % (name, ", ".join(self.names) or "(none)")) from None
+                % (name, ", ".join(self.names) or "(none)"))
+        rule, data = self._covariates[name]
+        if rule == "matrix":
+            return data[ii, jj]
+        if rule == "abs_diff":
+            return np.abs(data[ii] - data[jj])
+        if rule == "diff":
+            return data[jj] - data[ii]
+        if rule == "half_l1":  # summed a column at a time: no (..., c) temporary
+            a, b = data[ii], data[jj]
+            total = np.abs(a[..., 0] - b[..., 0])
+            for c in range(1, data.shape[1]):
+                total += np.abs(a[..., c] - b[..., c])
+            return 0.5 * total
+        if rule == "same":
+            return (data[ii] == data[jj]).astype(np.float64)
+        return np.log1p(data.values_at(ii, jj).astype(np.float64))  # log1p_flow
+
+    def matrix(self, name):
+        """Covariate ``name`` over every pair, with a zero diagonal."""
+        m = self.values_at(name, *np.ogrid[:self.n_nodes, :self.n_nodes])
+        np.fill_diagonal(m, 0.0)
+        return m
 
     def value(self, name, i, j):
-        return float(self.matrix(name)[i, j])
+        v = self.values_at(name, i, j)
+        return 0.0 if i == j else float(v)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .network import FlowNetwork
+from .network import FlowNetwork, dyads_of_codes
 from .stats import ChangeStats, dependence_pieces
 
 __all__ = [
@@ -193,10 +193,7 @@ def _chain(lam, dependence, init, config, keep_networks=False):
     step = 0
     while step < total_steps:
         block = min(_RNG_BLOCK, total_steps - step)
-        code = rng.integers(0, n_dyads, block)
-        src = code // (n - 1)
-        r = code - src * (n - 1)
-        dst = r + (r >= src)
+        src, dst = dyads_of_codes(rng.integers(0, n_dyads, block), n)
         proposed = rng.poisson(lam[src, dst]).tolist()
         expo = rng.standard_exponential(block).tolist()
         for i, j, vp, e in zip(src.tolist(), dst.tolist(), proposed, expo):
@@ -346,12 +343,9 @@ class AdequacyReport:
         """Per-node envelope CSV for one direction ("in" or "out")."""
         if direction not in ("in", "out"):
             raise ValidationError("direction must be 'in' or 'out'")
-        obs = self.observed_in if direction == "in" else self.observed_out
-        med = self.in_median if direction == "in" else self.out_median
-        vmin = self.in_min if direction == "in" else self.out_min
-        vmax = self.in_max if direction == "in" else self.out_max
-        q025 = self.in_q025 if direction == "in" else self.out_q025
-        q975 = self.in_q975 if direction == "in" else self.out_q975
+        obs = getattr(self, "observed_" + direction)
+        med, vmin, vmax, q025, q975 = (getattr(self, "%s_%s" % (direction, stat))
+                                       for stat in _ENVELOPE)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["node_id", "observed", "median", "min", "max",
@@ -360,6 +354,17 @@ class AdequacyReport:
                 writer.writerow([node, int(obs[k]), repr(float(med[k])),
                                  int(vmin[k]), int(vmax[k]),
                                  repr(float(q025[k])), repr(float(q975[k]))])
+
+
+# The per-node envelope statistics, in AdequacyReport's field order.
+_ENVELOPE = ("median", "min", "max", "q025", "q975")
+
+
+def _envelope(direction, sim):
+    """AdequacyReport's envelope fields of one direction from its simulated volumes."""
+    values = (np.median(sim, axis=0), sim.min(axis=0), sim.max(axis=0),
+              np.quantile(sim, 0.025, axis=0), np.quantile(sim, 0.975, axis=0))
+    return {"%s_%s" % (direction, stat): v for stat, v in zip(_ENVELOPE, values)}
 
 
 def _pearson(a, b):
@@ -397,24 +402,14 @@ def adequacy_check(model, theta, nodes, dyads, observed, config,
                         "consider a larger thin" % autocorr)
 
     node_ids = observed.node_ids if observed.node_ids is not None else tuple(range(n))
-    in_med = np.median(sim_in, axis=0)
-    out_med = np.median(sim_out, axis=0)
+    envelopes = {**_envelope("in", sim_in), **_envelope("out", sim_out)}
     return AdequacyReport(
         node_ids=tuple(node_ids),
         observed_in=observed.in_volumes().astype(np.float64),
         observed_out=observed.out_volumes().astype(np.float64),
-        in_median=in_med,
-        in_min=sim_in.min(axis=0),
-        in_max=sim_in.max(axis=0),
-        in_q025=np.quantile(sim_in, 0.025, axis=0),
-        in_q975=np.quantile(sim_in, 0.975, axis=0),
-        out_median=out_med,
-        out_min=sim_out.min(axis=0),
-        out_max=sim_out.max(axis=0),
-        out_q025=np.quantile(sim_out, 0.025, axis=0),
-        out_q975=np.quantile(sim_out, 0.975, axis=0),
-        in_correlation=_pearson(observed.in_volumes(), in_med),
-        out_correlation=_pearson(observed.out_volumes(), out_med),
+        **envelopes,
+        in_correlation=_pearson(observed.in_volumes(), envelopes["in_median"]),
+        out_correlation=_pearson(observed.out_volumes(), envelopes["out_median"]),
         n_networks=len(run.sum_series),
         sum_lag1_autocorr=autocorr,
         degenerate=degenerate,

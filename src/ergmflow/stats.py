@@ -22,7 +22,7 @@ estimator and sampler exploit: one dyad's conditional distribution depends
 on theta only through a per-dyad linear rate plus the nonlinear profiles.
 :func:`linear_unit_change` is the one definition of each linear term; the
 global statistics, :meth:`ChangeStats.linear_design` and the sampler's
-:meth:`ChangeStats.linear_rate_matrix` all read from it.
+:meth:`ChangeStats.linear_rate_matrix` all evaluate it on the dyads they need.
 :func:`dependence_pieces` is the one definition of each nonlinear term's
 single-dyad change; :meth:`ChangeStats.nonlinear_segments` and the sampler's
 acceptance ratio both read from it.
@@ -167,12 +167,8 @@ def mutual_min_stat(network):
     flow in only one direction contributes 0.
     """
     src, dst, val = network.edge_arrays()
-    n = network.n_nodes
     up = src < dst
-    # code both directions of a pair by its (smaller, larger) endpoints
-    _, a, b = np.intersect1d((src * n + dst)[up], (dst * n + src)[~up],
-                             assume_unique=True, return_indices=True)
-    return int(np.minimum(val[up][a], val[~up][b]).sum())
+    return int(np.minimum(val[up], network.values_at(dst[up], src[up])).sum())
 
 
 def waypoint_flow_stat(network):
@@ -184,13 +180,15 @@ def waypoint_flow_stat(network):
     return int(np.minimum(network.in_volumes(), network.out_volumes()).sum())
 
 
-def linear_unit_change(term, nodes=None, dyads=None):
-    """How much a linear term's statistic moves per unit of one dyad value.
+def linear_unit_change(term, ii, jj, nodes=None, dyads=None):
+    """How much a linear term's statistic moves per unit of the values of
+    the dyads (ii, jj), whose index arrays broadcast together: (D,) and (D,)
+    for a batch, (n, 1) and (1, n) for every pair.
 
     The one place a linear term is resolved to its covariate. Returns an
-    array that broadcasts to (n, n): a scalar for ``sum``, ``c[:, None]``
-    for ``node_out``, ``c[None, :]`` for ``node_in``, and the covariate
-    matrix for ``dyad`` and ``lagged_log_flow``. Unknown or unsupplied
+    array that broadcasts to the dyads' shape: 1.0 for ``sum``, ``c[ii]``
+    for ``node_out``, ``c[jj]`` for ``node_in``, and the covariate on each
+    dyad for ``dyad`` and ``lagged_log_flow``. Unknown or unsupplied
     covariates raise :class:`ValidationError`.
     """
     kind = term.kind
@@ -201,13 +199,13 @@ def linear_unit_change(term, nodes=None, dyads=None):
             raise ValidationError("node covariate %r requested but no node table supplied"
                                   % term.covariate)
         c = np.asarray(nodes.covariate(term.covariate), dtype=np.float64)
-        return c[:, None] if kind == "node_out" else c[None, :]
+        return c[ii] if kind == "node_out" else c[jj]
     if kind in ("dyad", "lagged_log_flow"):
         name = term.covariate if kind == "dyad" else "lagged_log_flow"
         if dyads is None:
             raise ValidationError("dyad covariate %r requested but no dyad covariates supplied"
                                   % name)
-        return np.asarray(dyads.matrix(name), dtype=np.float64)
+        return np.asarray(dyads.values_at(name, ii, jj), dtype=np.float64)
     raise ValidationError("term kind %r is not linear in the dyad values" % kind)
 
 
@@ -222,8 +220,8 @@ def global_statistic(term, network, nodes=None, dyads=None):
         return float(mutual_min_stat(network))
     if kind == "waypoint_flow":
         return float(waypoint_flow_stat(network))
-    n = network.n_nodes
-    return float(v @ np.broadcast_to(linear_unit_change(term, nodes, dyads), (n, n))[src, dst])
+    return float(v @ np.broadcast_to(linear_unit_change(term, src, dst, nodes, dyads),
+                                     v.shape))
 
 
 def statistic_vector(model, network, nodes=None, dyads=None):
@@ -258,13 +256,13 @@ def dependence_pieces(kind, y_ij, y_ji, out_i, in_i, out_j, in_j):
 class ChangeStats:
     """Vectorized single-dyad change statistics over a fixed network.
 
-    Precomputes everything needed to evaluate, for batches of dyads (i, j)
-    and candidate values v, the statistic contributions that move when y_ij
-    is set to v while the rest of the network stays at its observed values.
-    Linear terms contribute x_ij * v with the per-dyad unit change x_ij of
+    Evaluates, for batches of dyads (i, j) and candidate values v, the
+    statistic contributions that move when y_ij is set to v while the rest
+    of the network stays at its observed values. Linear terms contribute
+    x_ij * v with the per-dyad unit change x_ij of
     :func:`linear_unit_change`; the nonlinear terms contribute the
     piecewise-linear profiles of :meth:`nonlinear_segments`, built from
-    :func:`dependence_pieces`.
+    :func:`dependence_pieces` at the observed values, looked up in the network.
 
     Shared by the pseudo-likelihood estimator, the sampler and
     :func:`conditional_profile`; instances are read-only once built.
@@ -273,36 +271,34 @@ class ChangeStats:
     """
 
     def __init__(self, model, network, nodes=None, dyads=None):
+        self.network = network
         self.n_nodes = network.n_nodes
-        self.values = network.dense_matrix(dtype=np.int64)
+        self.nodes = nodes
+        self.dyads = dyads
         self.out_vol = network.out_volumes().astype(np.float64)
         self.in_vol = network.in_volumes().astype(np.float64)
-        self.lin_pos = []
-        self.lin_units = []
-        self.nonlin = []  # (position, kind)
-        for pos, term in enumerate(model.terms):
-            if term.kind in NONLINEAR_KINDS:
-                self.nonlin.append((pos, term.kind))
-            else:
-                self.lin_pos.append(pos)
-                self.lin_units.append(linear_unit_change(term, nodes, dyads))
-        self.lin_pos = np.array(self.lin_pos, dtype=np.intp)
-        self.nonlin_pos = np.array([p for p, _ in self.nonlin], dtype=np.intp)
+        linear = [t.kind not in NONLINEAR_KINDS for t in model.terms]
+        self.lin_pos = np.flatnonzero(linear)
+        self.lin_terms = [model.terms[pos] for pos in self.lin_pos]
+        self.nonlin_pos = np.flatnonzero(~np.array(linear, dtype=bool))
+        self.nonlin = [(pos, model.terms[pos].kind) for pos in self.nonlin_pos]
+        none = np.empty(0, dtype=np.intp)
+        self.linear_design(none, none)  # resolves every covariate name
 
     def linear_design(self, ii, jj):
         """Per-unit change of each linear term on the given dyads: (D, L)."""
-        shape = (self.n_nodes, self.n_nodes)
-        out = np.empty((len(ii), len(self.lin_units)), dtype=np.float64)
-        for k, unit in enumerate(self.lin_units):
-            out[:, k] = np.broadcast_to(unit, shape)[ii, jj]
+        out = np.empty((len(ii), len(self.lin_terms)), dtype=np.float64)
+        for k, term in enumerate(self.lin_terms):
+            out[:, k] = linear_unit_change(term, ii, jj, self.nodes, self.dyads)
         return out
 
     def linear_rate_matrix(self, theta):
         """Dense (n, n) linear log-rate sum_k theta_k x_ij,k over the linear
         terms; the diagonal holds no dyad and is meaningless."""
+        every_pair = np.ogrid[:self.n_nodes, :self.n_nodes]  # (n, 1) and (1, n)
         rate = np.zeros((self.n_nodes, self.n_nodes))
-        for pos, unit in zip(self.lin_pos, self.lin_units):
-            rate += float(theta[pos]) * unit
+        for pos, term in zip(self.lin_pos, self.lin_terms):
+            rate += float(theta[pos]) * linear_unit_change(term, *every_pair, self.nodes, self.dyads)
         return rate
 
     def nonlinear_segments(self, ii, jj):
@@ -313,8 +309,8 @@ class ChangeStats:
         ``nonlin_pos[k]`` contributes c[n, s, k] + d[n, s, k] * y_ij. There
         are at most 5 segments, one more than the breakpoints.
         """
-        y = self.values[ii, jj].astype(np.float64)
-        y_ji = self.values[jj, ii].astype(np.float64)
+        y = self.network.values_at(ii, jj).astype(np.float64)
+        y_ji = self.network.values_at(jj, ii).astype(np.float64)
         zero = np.zeros_like(y)
         pieces = [(k, zero + p, zero + q)  # (k, p, q): term k gains min(p + v, q)
                   for k, (_pos, kind) in enumerate(self.nonlin)
@@ -350,14 +346,12 @@ def conditional_profile(model, network, nodes, dyads, dyad, v_max):
         raise ValidationError("conditional profile needs an off-diagonal dyad, got (%r, %r)" % (i, j))
     if v_max < 0:
         raise ValidationError("v_max must be >= 0, got %r" % (v_max,))
-    network._check_node(i)
-    network._check_node(j)
+    y_obs = float(network.value(i, j))  # checks both nodes
     base = statistic_vector(model, network, nodes, dyads)
     cs = ChangeStats(model, network, nodes, dyads)
     ii = np.array([i], dtype=np.intp)
     jj = np.array([j], dtype=np.intp)
     vgrid = np.arange(v_max + 1, dtype=np.int64)
-    y_obs = float(cs.values[i, j])
 
     prof = np.tile(base, (v_max + 1, 1))
     x = cs.linear_design(ii, jj)[0]

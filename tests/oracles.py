@@ -332,6 +332,39 @@ def rowloop_load_distances(path, node_ids):
     return km
 
 
+# -- dense dyad covariates -------------------------------------------------------
+#
+# The covariates as whole (n, n) matrices, built the way the package built
+# them before it evaluated them on the dyads asked for.
+
+def dense_dyad_covariates(nodes, lagged=None):
+    """The node-derived dyad covariates (and lagged_log_flow when ``lagged``
+    is given) as dense matrices with a zero diagonal."""
+    dem = nodes.democrat_poll_pct / 100.0
+    rural = nodes.rural_pct / 100.0
+    n = nodes.n_nodes
+    racial = np.empty((n, n))
+    shares = nodes.racial_shares
+    block = max(1, (1 << 22) // max(1, n * shares.shape[1]))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        racial[start:stop] = 0.5 * np.abs(
+            shares[start:stop, None, :] - shares[None, :, :]).sum(axis=2)
+    unemp = nodes.unemployment_pct / 100.0
+    mats = {
+        "political_dissim": np.abs(dem[:, None] - dem[None, :]),
+        "rural_dissim": np.abs(rural[:, None] - rural[None, :]),
+        "racial_dissim": racial,
+        "same_state": (nodes.state[:, None] == nodes.state[None, :]).astype(np.float64),
+        "unemp_diff": unemp[None, :] - unemp[:, None],
+    }
+    if lagged is not None:
+        mats["lagged_log_flow"] = np.log1p(lagged.dense_matrix(dtype=np.float64))
+    for m in mats.values():
+        np.fill_diagonal(m, 0.0)
+    return mats
+
+
 # -- finite differences ---------------------------------------------------------
 
 def central_gradient(f, x, h=1e-5):

@@ -283,6 +283,10 @@ _CHAIN = {"n_networks": 10, "burn_in": 4000, "thin": 1000}
     ("fit", "estimator", {"tol": float("nan")}, "estimator.tol"),
     ("fit", "estimator", {"seed": -1}, "estimator.seed"),
     ("fit", "model", {"terms": [{"kind": "sum"}], "lag_depth": 2}, "lag_depth"),
+    ("fit", "estimator", {"tol": 0}, "estimator.tol"),
+    ("fit", "estimator", {"tol": -1.0}, "estimator.tol"),
+    ("fit", "estimator", {"max_iter": 0}, "estimator.max_iter"),
+    ("fit", "estimator", {"max_iter": -3}, "estimator.max_iter"),
 ])
 def test_malformed_config_value_exits_2_naming_it(fitted, tmp_path, capsys,
                                                   command, section, value, key):

@@ -319,6 +319,16 @@ class TestFitMple:
         assert any(n.startswith("Poisson start not converged")
                    for n in short.diagnostics["notes"])
 
+    @pytest.mark.parametrize("option, match", [
+        ({"tol": 0}, "tol must be > 0"), ({"tol": -1.0}, "tol must be > 0"),
+        ({"tol": math.nan}, "tol must be > 0"),
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -3}, "max_iter must be >= 1")])
+    def test_tol_and_max_iter_out_of_range_rejected(self, small_data, option, match):
+        model, _theta, net, _lag, nodes, dyads = small_data
+        with pytest.raises(ValidationError, match=match):
+            fit_mple(model, net, nodes, dyads, census_sample(net), **option)
+
     def test_model_without_linear_terms_starts_at_zero(self, small_data):
         model = ModelSpec(terms=(TermSpec("nonzero"), TermSpec("mutual_min")))
         _model, _theta, net, _lag, nodes, dyads = small_data

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,9 +15,10 @@ from ergmflow import (ModelSpec, NodeTable, TermSpec,
                       load_nodes, racial_dissimilarity, scalar_dissimilarity,
                       synthetic_generate, write_distances_csv,
                       write_flows_csv, write_nodes_csv)
-from ergmflow.network import REGIONS
-from oracles import (ROWLOOP_NODE_COLUMNS, rowloop_load_distances,
-                     rowloop_load_flows, rowloop_load_nodes)
+from ergmflow.network import REGIONS, FlowNetwork, dyads_of_codes
+from oracles import (ROWLOOP_NODE_COLUMNS, dense_dyad_covariates,
+                     rowloop_load_distances, rowloop_load_flows,
+                     rowloop_load_nodes)
 
 compositions = st.lists(st.floats(min_value=0.0, max_value=1000.0),
                         min_size=5, max_size=5).filter(lambda x: sum(x) > 1e-6)
@@ -127,6 +129,71 @@ class TestBuildDyadCovariates:
         km[0, 1] = km[1, 0] = 0.0
         with pytest.raises(ValidationError, match="positive"):
             build_dyad_covariates(nodes, km)
+
+
+def _random_inputs(n, seed):
+    """A random node table on n nodes with shared states, a symmetric km
+    matrix and a sparse lagged network."""
+    rng = np.random.default_rng(seed)
+    draw = ingest.DEFAULT_COVARIATE_DISTRIBUTIONS
+    fields = ("population", "density", "psr", "racial_shares", "renter_pct",
+              "highered_pct", "unemployment_pct", "rural_pct",
+              "democrat_poll_pct", "immigrant_inflow")
+    nodes = NodeTable(ids=["n%04d" % k for k in range(n)],
+                      state=["s%02d" % s for s in rng.integers(0, max(2, n // 8), n)],
+                      region=[REGIONS[k % 4] for k in range(n)],
+                      **{f: draw[f](rng, n) for f in fields})
+    km = np.triu(rng.uniform(1.0, 3000.0, (n, n)), 1)
+    flows = rng.poisson(0.03, (n, n)) * rng.integers(1, 50, (n, n))
+    np.fill_diagonal(flows, 0)
+    return nodes, km + km.T, FlowNetwork.from_dense(flows)
+
+
+class TestOnDemandCovariates:
+    """Covariates evaluated on the dyads asked for, against the dense
+    matrices the package used to store."""
+
+    def test_bit_equal_to_dense_construction(self):
+        n = 150
+        nodes, km, lagged = _random_inputs(n, seed=5)
+        dyads = build_dyad_covariates(nodes, km, lagged=lagged)
+        want = dense_dyad_covariates(nodes, lagged)
+        want["log_distance"] = np.log(km + np.eye(n))
+        assert dyads.names == tuple(sorted(want))
+        off = ~np.eye(n, dtype=bool)
+        every = np.arange(n)
+        ii, jj = dyads_of_codes(np.random.default_rng(6).integers(0, n * (n - 1), 5000), n)
+        for name, m in want.items():
+            bits = m.view(np.int64)
+            full = dyads.matrix(name)
+            assert np.array_equal(full.view(np.int64)[off], bits[off]), name
+            assert not np.diagonal(full).any(), name
+            grid = dyads.values_at(name, every[:, None], every[None, :])
+            assert np.array_equal(grid.view(np.int64)[off], bits[off]), name
+            batch = dyads.values_at(name, ii, jj)
+            assert np.array_equal(batch.view(np.int64), bits[ii, jj]), name
+            assert dyads.value(name, 3, 7) == m[3, 7] and dyads.value(name, 4, 4) == 0.0
+
+    def test_build_stores_only_the_distance_matrix(self):
+        n = 600
+        nodes, km, lagged = _random_inputs(n, seed=8)
+        square = 8 * n * n  # bytes of one (n, n) float64 matrix
+        tracemalloc.start()
+        try:
+            dyads = build_dyad_covariates(nodes, km, lagged=lagged)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dyads.has("lagged_log_flow")
+        assert kept <= 1.1 * square, kept / square  # log_distance alone
+        assert peak <= 3 * square, peak / square
+
+    def test_pickled_set_evaluates_the_same(self, small_data):
+        dyads = small_data[-1]
+        back = pickle.loads(pickle.dumps(dyads))
+        assert back.names == dyads.names
+        for name in dyads.names:
+            assert np.array_equal(back.matrix(name), dyads.matrix(name)), name
 
 
 def _tiny_nodes(states):

@@ -346,6 +346,13 @@ class TestLinearTerms:
             got = global_statistic(model.terms[pos], current, nodes, dyads)
             assert got == pytest.approx(float(val @ design[:, k]), rel=1e-12)
 
+    def test_holds_no_square_array(self, linear_case):
+        model, _theta, current, nodes, dyads = linear_case
+        cs = ChangeStats(model, current, nodes, dyads)
+        n = current.n_nodes
+        assert all(np.size(v) < n * n for v in vars(cs).values()
+                   if isinstance(v, np.ndarray))
+
     def test_unknown_covariate_rejected_when_built(self, linear_case):
         _model, _theta, current, nodes, dyads = linear_case
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("dyad", "bogus")))
