@@ -1,16 +1,27 @@
 """Markov-chain simulation from a fitted model, plus model-adequacy checks
 and coefficient-knockout counterfactuals.
 
-The chain is an independence Metropolis-Hastings sampler on the model's
-Poisson reference. Each proposal picks an ordered dyad (i, j) uniformly and
-draws a fresh value v' ~ Poisson(exp(rate_ij)), where rate_ij is the
-linear part of the log-rate (:meth:`ChangeStats.linear_rate_matrix`). That
-draw cancels the linear terms and the 1/v! reference factor exactly, so v'
-replaces y_ij with probability min(1, exp(sum_k theta_k [g_k(v') - g_k(y_ij)]))
-over the dependence terms alone, each evaluated through
-:func:`ergmflow.stats.dependence_pieces`. Without dependence terms every
-proposal is accepted and is an exact independent draw of its dyad. The chain
-has no tuning knobs.
+The chain is a Metropolis-Hastings sampler on the model's Poisson reference.
+Each proposal for an ordered dyad (i, j) draws a fresh value
+v' ~ Poisson(exp(rate_ij)), where rate_ij is the linear part of the log-rate
+(:meth:`ChangeStats.linear_rate_matrix`). That draw cancels the linear terms
+and the 1/v! reference factor exactly, so v' replaces y_ij with probability
+min(1, exp(sum_k theta_k [g_k(v') - g_k(y_ij)])) over the dependence terms
+alone, each evaluated through :func:`ergmflow.stats.dependence_pieces`.
+Without dependence terms every proposal is accepted and is an exact
+independent draw of its dyad. The chain has no tuning knobs.
+
+The dyads are proposed in sweeps that visit every ordered dyad once. A
+sweep is the circle-method round robin (n - 1 rounds, n for odd n) under a
+fresh random relabelling of the nodes, each round once per direction, so it
+is a sequence of blocks of n // 2 dyads that share no node. A dyad's
+acceptance reads only y_ij, y_ji and the in- and out-volumes of i and j,
+none of which another dyad of its block changes, so each block is updated
+in one vectorized step with exactly the result of updating its dyads one by
+one (Besag's coding sets). Chain lengths stay counted in proposals; a block
+is cut short where a sample is recorded. The random draws are made per chunk
+of about ``_RNG_BLOCK`` proposals, so the chain's temporaries do not grow
+with the network.
 
 Each simulation is resolved once, however many chains it runs, into the
 Poisson means and the active (theta_k, kind) dependence terms; a chain reads
@@ -36,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .network import FlowNetwork, dyads_of_codes
+from .network import FlowNetwork
 from .stats import ChangeStats, dependence_pieces
 
 __all__ = [
@@ -60,9 +71,10 @@ _POISSON_MAX = np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max)
 class ChainConfig:
     """Chain length controls, counted in proposals.
 
-    ``burn_in`` and ``thin`` default to 10 and 2 proposals per dyad. Without
-    dependence terms every proposal is an exact independent draw of its
-    dyad, so a dyad is stationary once it has been proposed; with them,
+    ``burn_in`` and ``thin`` default to 10 and 2 proposals per dyad, which
+    are exactly 10 and 2 sweeps over every dyad. Without dependence terms
+    every proposal is an exact independent draw of its dyad, so a dyad is
+    stationary once it has been proposed; with them,
     check the reported Sum-statistic autocorrelation and raise ``thin`` if
     it exceeds ~0.1.
     """
@@ -155,76 +167,172 @@ def _proposal_means(rate, node_ids):
     return lam
 
 
-def _resolve(model, theta, nodes, dyads, init):
-    """Check theta and ``init``; return (Poisson means, [(theta_k, kind)] of
-    the nonzero dependence terms, init), all that a chain reads."""
-    theta = model.check_theta(theta)
+def _change_stats(model, init, nodes, dyads):
+    """The :class:`ChangeStats` a simulation from ``init`` is resolved with;
+    a chain needs at least 2 nodes."""
     if init.n_nodes < 2:
         raise ValidationError("a chain needs a network of at least 2 nodes, got %d"
                               % init.n_nodes)
-    cs = ChangeStats(model, init, nodes, dyads)
-    lam = _proposal_means(cs.linear_rate_matrix(theta), init.node_ids)
+    return ChangeStats(model, init, nodes, dyads)
+
+
+def _inputs(cs, theta, rate, init):
+    """(Poisson means of the linear log-rate ``rate``, [(theta_k, kind)] of
+    the nonzero dependence terms, init), all that a chain reads."""
     dependence = [(float(theta[pos]), kind) for pos, kind in cs.nonlin if theta[pos] != 0.0]
-    return lam, dependence, init
+    return _proposal_means(rate, init.node_ids), dependence, init
+
+
+def _resolve(model, theta, nodes, dyads, init):
+    """Check theta and ``init`` and return a chain's :func:`_inputs`."""
+    theta = model.check_theta(theta)
+    cs = _change_stats(model, init, nodes, dyads)
+    return _inputs(cs, theta, cs.linear_rate_matrix(theta), init)
+
+
+def _rounds(n, rounds, perms):
+    """(src, dst) of the given rounds of the circle-method round robin on n
+    nodes, in order, each under its sweep's node relabelling (row
+    ``rounds // per_sweep`` of ``perms``) and once per direction.
+
+    Over the per_sweep = n - 1 rounds of a sweep (n for odd n, where each
+    node sits one round out) every unordered pair of nodes meets exactly
+    once, and no node appears twice in a round, so every run of n // 2 dyads
+    is node-disjoint.
+    """
+    m = n + n % 2  # odd n gets a dummy node m - 1, and its partner sits out
+    r = (rounds % (m - 1))[:, None]
+    k = np.arange(1, m // 2)
+    a = (r + k) % (m - 1)
+    b = (r - k) % (m - 1)
+    if m == n:  # node n - 1 meets node r in round r
+        a = np.column_stack([a, np.full_like(r, n - 1)])
+        b = np.column_stack([b, r])
+    perm = perms[rounds // (m - 1)]
+    a = np.take_along_axis(perm, a, axis=1)
+    b = np.take_along_axis(perm, b, axis=1)
+    return np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
+
+
+def _schedule(n, n_steps, rng):
+    """The chain's first ``n_steps`` proposal dyads, as chunks of (src, dst)
+    arrays of about ``_RNG_BLOCK`` dyads each.
+
+    A sweep visits every ordered dyad once: the round robin under a fresh
+    random relabelling of the nodes, one ``rng.permuted`` row per sweep, each
+    round once per direction. A chunk holds whole rounds, so its consecutive
+    runs of n // 2 dyads are node-disjoint blocks. It holds several whole
+    sweeps when a sweep is shorter than ``_RNG_BLOCK``, and at most one sweep
+    otherwise, so its size does not grow with n.
+    """
+    per_sweep = n - 1 + n % 2
+    rounds_per_chunk = max(1, _RNG_BLOCK // (2 * (n // 2)))
+    if rounds_per_chunk >= per_sweep:
+        rounds_per_chunk -= rounds_per_chunk % per_sweep
+    first = 0  # round of the current sweep that the next chunk starts at
+    while n_steps > 0:
+        count = min(rounds_per_chunk, per_sweep - first) if first else rounds_per_chunk
+        if first == 0:
+            perms = rng.permuted(np.tile(np.arange(n), (-(-count // per_sweep), 1)),
+                                 axis=1)
+        src, dst = _rounds(n, np.arange(first, first + count), perms)
+        yield src[:n_steps], dst[:n_steps]
+        n_steps -= len(src)
+        first = (first + count) % per_sweep
+
+
+def _run_blocks(state, n, dependence, src, dst, proposed, expo, cuts, record):
+    """Propose value ``proposed[t]`` for dyad (src[t], dst[t]), t in order,
+    and accept it with probability min(1, exp(dlp)) as ``expo[t]`` >= -dlp,
+    where dlp sums theta_k [g_k(v') - g_k(y_ij)] over ``dependence``.
+
+    ``state`` is the buffer of :func:`_dense_state`. Runs of n // 2
+    dyads from the start, cut after every position in ``cuts``, must be
+    node-disjoint: each run is updated at once, which is exact because a
+    dyad's acceptance reads only y_ij, y_ji and the volumes of i and j.
+    ``record()`` is called after each cut. Returns the number of rejected
+    proposals.
+    """
+    nn = n * n
+    size = len(src)
+    # y_ij, out_i and in_j, which an accepted change moves, then y_ji, in_i, out_j
+    at = np.empty((6, size), dtype=np.intp)
+    at[0], at[3] = src * n + dst, dst * n + src
+    at[1], at[4] = src + nn, src + (nn + n)
+    at[2], at[5] = dst + (nn + n), dst + nn
+    stops = np.union1d(np.append(np.arange(n // 2, size, n // 2), size), cuts).tolist()
+    cuts = set(cuts.tolist())
+    neg_e = -expo
+    rejected = np.empty(size, dtype=bool)
+    start = 0
+    for stop in stops:
+        s = state.take(at[:, start:stop])
+        v, out_i, in_j, y_ji, in_i, out_j = s
+        vp = proposed[start:stop]
+        dlp = 0.0
+        for th, kind in dependence:
+            for p, q in dependence_pieces(kind, v, y_ji, out_i, in_i, out_j, in_j):
+                c = q - p  # min(p + x, q) is p + min(x, q - p)
+                dlp = dlp + th * (np.minimum(vp, c) - np.minimum(v, c))
+        rej = np.less(dlp, neg_e[start:stop], out=rejected[start:stop])
+        state.put(at[:3, start:stop], s[:3] + np.where(rej, 0, vp - v))
+        if stop in cuts:
+            record()
+        start = stop
+    return int(np.count_nonzero(rejected))
+
+
+def _dense_state(network):
+    """A chain's state: y row-major, then the out- and in-volumes, in one
+    int64 buffer, so that one gather reads all a block's acceptance needs."""
+    n = network.n_nodes
+    nn = n * n
+    state = np.zeros(nn + 2 * n, dtype=np.int64)
+    src, dst, val = network.edge_arrays()
+    state[src * n + dst] = val
+    state[nn:nn + n] = network.out_volumes()
+    state[nn + n:] = network.in_volumes()
+    return state
 
 
 def _chain(lam, dependence, init, config, keep_networks=False):
     """One chain over :func:`_resolve`'s inputs; it builds the per-sample
     network snapshots only when ``keep_networks`` is set."""
     n = init.n_nodes
-    n_dyads = n * (n - 1)
-    burn_in, thin = config.resolved(n_dyads)
+    nn = n * n
+    burn_in, thin = config.resolved(n * (n - 1))
     rng = np.random.default_rng(config.seed)
 
-    y = init.dense_matrix(dtype=np.int64).tolist()
-    out_vol = init.out_volumes().tolist()
-    in_vol = init.in_volumes().tolist()
-    total = init.total_flow
+    state = _dense_state(init)
+
     m = config.n_networks
     networks = []
-    ins = np.empty((m, n), dtype=np.int64)
-    outs = np.empty((m, n), dtype=np.int64)
-    sums = np.empty(m, dtype=np.float64)
+    volumes = np.empty((m, 2 * n), dtype=np.int64)  # out-volumes, then in-volumes
+    k = 0
+
+    def record():
+        nonlocal k
+        if keep_networks:
+            networks.append(FlowNetwork.from_dense(state[:nn].reshape(n, n),
+                                                   node_ids=init.node_ids))
+        volumes[k] = state[nn:]
+        k += 1
 
     total_steps = burn_in + thin * m
-    record_at = burn_in + thin
-    k = 0
+    record_at = np.arange(burn_in + thin, total_steps + 1, thin)
     n_rejected = 0
     step = 0
-    while step < total_steps:
-        block = min(_RNG_BLOCK, total_steps - step)
-        src, dst = dyads_of_codes(rng.integers(0, n_dyads, block), n)
-        proposed = rng.poisson(lam[src, dst]).tolist()
-        expo = rng.standard_exponential(block).tolist()
-        for i, j, vp, e in zip(src.tolist(), dst.tolist(), proposed, expo):
-            step += 1
-            row = y[i]
-            v = row[j]
-            if vp != v:
-                dlp = 0.0
-                for th, kind in dependence:
-                    for p, q in dependence_pieces(kind, v, y[j][i], out_vol[i],
-                                                  in_vol[i], out_vol[j], in_vol[j]):
-                        dlp += th * (min(p + vp, q) - min(p + v, q))
-                if e < -dlp:  # accepted with probability min(1, exp(dlp))
-                    n_rejected += 1
-                else:
-                    d = vp - v
-                    row[j] = vp
-                    out_vol[i] += d
-                    in_vol[j] += d
-                    total += d
-            if step == record_at:
-                if keep_networks:
-                    networks.append(FlowNetwork.from_dense(
-                        np.asarray(y, dtype=np.int64), node_ids=init.node_ids))
-                ins[k] = in_vol
-                outs[k] = out_vol
-                sums[k] = total
-                k += 1
-                record_at += thin
+    for src, dst in _schedule(n, total_steps, rng):
+        proposed = rng.poisson(lam[src, dst])
+        expo = rng.standard_exponential(len(src))
+        lo, hi = np.searchsorted(record_at, (step, step + len(src)), side="right")
+        n_rejected += _run_blocks(state, n, dependence, src, dst, proposed, expo,
+                                  record_at[lo:hi] - step, record)
+        step += len(src)
 
-    return ChainRun(ins, outs, sums, total_steps, total_steps - n_rejected, networks)
+    outs = volumes[:, :n].copy()
+    return ChainRun(volumes[:, n:].copy(), outs, outs.sum(axis=1).astype(np.float64),
+                    total_steps, total_steps - n_rejected, networks)
 
 
 # -- multi-chain orchestration ------------------------------------------------
@@ -260,9 +368,14 @@ def _simulate_many(model, theta, nodes, dyads, init, config, n_chains=1, n_jobs=
     :class:`ChainRun` that holds no networks: the chains' volumes and Sum
     series in chain order, and their summed counters.
     """
+    return _run_chains(_resolve(model, theta, nodes, dyads, init), config,
+                       n_chains, n_jobs)
+
+
+def _run_chains(resolved, config, n_chains, n_jobs):
+    """:func:`_simulate_many` over one simulation's :func:`_inputs`."""
     if n_chains < 1:
         raise ValidationError("n_chains must be >= 1")
-    resolved = _resolve(model, theta, nodes, dyads, init)
     q, r = divmod(config.n_networks, n_chains)
     per = [q + (k < r) for k in range(n_chains)]
     seeds = [config.seed] if n_chains == 1 else \
@@ -445,8 +558,12 @@ def expected_total_flow(model, theta, nodes, dyads, config, init=None,
     """Monte-Carlo mean of total flow under the model, with batch-means SE.
     Chains start at ``init``, else at the empty network on ``nodes``."""
     init = _resolve_init(init, nodes)
-    sums = _simulate_many(model, theta, nodes, dyads, init, config,
-                          n_chains=n_chains, n_jobs=n_jobs).sum_series
+    return _mean_and_se(_simulate_many(model, theta, nodes, dyads, init, config,
+                                       n_chains=n_chains, n_jobs=n_jobs))
+
+
+def _mean_and_se(run):
+    sums = run.sum_series
     return float(sums.mean()), _batch_means_se(sums)
 
 
@@ -490,24 +607,29 @@ def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
     The lagged-flow covariate (when present) stays at its observed values;
     this is a single-period counterfactual, not a re-simulated history.
     """
-    theta_fitted = np.asarray(theta_fitted, dtype=np.float64)
+    theta_fitted = model.check_theta(theta_fitted)
     labels = set(zero_labels)
     known = set(model.labels)
     unknown = labels - known
     if unknown:
         raise ValidationError("unknown term labels for knockout: %s"
                               % ", ".join(sorted(unknown)))
-    theta_cf = theta_fitted.copy()
+    zeroed = np.zeros_like(theta_fitted)  # the fitted values of the zeroed terms
     for lab in labels:
-        theta_cf[model.index_of(lab)] = 0.0
+        pos = model.index_of(lab)
+        zeroed[pos] = theta_fitted[pos]
+    theta_cf = theta_fitted - zeroed
 
     init = _resolve_init(init, nodes)
-    base_mean, base_se = expected_total_flow(
-        model, theta_fitted, nodes, dyads, config, init=init,
-        n_chains=n_chains, n_jobs=n_jobs)
-    cf_mean, cf_se = expected_total_flow(
-        model, theta_cf, nodes, dyads, config, init=init,
-        n_chains=n_chains, n_jobs=n_jobs)
+    cs = _change_stats(model, init, nodes, dyads)
+    rate = cs.linear_rate_matrix(theta_fitted)
+    base_mean, base_se = _mean_and_se(_run_chains(
+        _inputs(cs, theta_fitted, rate, init), config, n_chains, n_jobs))
+    # the counterfactual rate lacks only the zeroed linear terms' share, and
+    # equals the baseline's when no linear term is zeroed
+    rate -= cs.linear_rate_matrix(zeroed)
+    cf_mean, cf_se = _mean_and_se(_run_chains(
+        _inputs(cs, theta_cf, rate, init), config, n_chains, n_jobs))
     diff = cf_mean - base_mean
     pct = 100.0 * diff / base_mean if base_mean != 0 else float("nan")
     return KnockoutReport(

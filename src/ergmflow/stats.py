@@ -294,11 +294,14 @@ class ChangeStats:
 
     def linear_rate_matrix(self, theta):
         """Dense (n, n) linear log-rate sum_k theta_k x_ij,k over the linear
-        terms; the diagonal holds no dyad and is meaningless."""
+        terms whose theta_k is nonzero; the diagonal holds no dyad and is
+        meaningless."""
         every_pair = np.ogrid[:self.n_nodes, :self.n_nodes]  # (n, 1) and (1, n)
         rate = np.zeros((self.n_nodes, self.n_nodes))
         for pos, term in zip(self.lin_pos, self.lin_terms):
-            rate += float(theta[pos]) * linear_unit_change(term, *every_pair, self.nodes, self.dyads)
+            if theta[pos] != 0.0:
+                rate += float(theta[pos]) * linear_unit_change(term, *every_pair,
+                                                               self.nodes, self.dyads)
         return rate
 
     def nonlinear_segments(self, ii, jj):

@@ -206,6 +206,60 @@ def exact_two_node_distribution(theta_sum, theta_mutual, grid=60, theta_nonzero=
     return w / w.sum()
 
 
+# -- the per-proposal Metropolis-Hastings loop -----------------------------------
+
+def _dependence_changes(kind, v, vp, y_ji, out_i, in_i, out_j, in_j):
+    """How each piece of a dependence term's statistic moves when y_ij goes
+    from v to vp, from the term's definition; waypoint_flow has one piece per
+    node whose minimum can move (i's outflow and j's inflow move with y_ij)."""
+    if kind == "nonzero":
+        return ((vp > 0) - (v > 0),)
+    if kind == "mutual_min":
+        return (min(vp, y_ji) - min(v, y_ji),)
+    if kind == "waypoint_flow":
+        return (min(out_i - v + vp, in_i) - min(out_i, in_i),
+                min(out_j, in_j - v + vp) - min(out_j, in_j))
+    raise ValueError(kind)
+
+
+def scalar_chain(dense, dependence, src, dst, proposed, expo, record_at):
+    """The chain's update as a plain loop, one proposal at a time.
+
+    Proposal t sets y[src[t]][dst[t]] to proposed[t] unless
+    expo[t] < -dlp, where dlp = sum of theta * (piece change) over the
+    [(theta, kind)] ``dependence`` terms, accumulated term by term and piece
+    by piece. After each 1-based step in ``record_at`` it records (total
+    flow, in-volumes, out-volumes). Returns (dense, out-volumes, in-volumes,
+    records, number rejected).
+    """
+    y = [list(row) for row in dense]
+    n = len(y)
+    out_vol = [sum(row) for row in y]
+    in_vol = [sum(y[i][j] for i in range(n)) for j in range(n)]
+    total = sum(out_vol)
+    record_at = set(record_at)
+    records = []
+    n_rejected = 0
+    for step, (i, j, vp, e) in enumerate(zip(src, dst, proposed, expo), 1):
+        v = y[i][j]
+        if vp != v:
+            dlp = 0.0
+            for th, kind in dependence:
+                for change in _dependence_changes(kind, v, vp, y[j][i], out_vol[i],
+                                                  in_vol[i], out_vol[j], in_vol[j]):
+                    dlp += th * change
+            if e < -dlp:  # accepted with probability min(1, exp(dlp))
+                n_rejected += 1
+            else:
+                y[i][j] = vp
+                out_vol[i] += vp - v
+                in_vol[j] += vp - v
+                total += vp - v
+        if step in record_at:
+            records.append((total, list(in_vol), list(out_vol)))
+    return y, out_vol, in_vol, records, n_rejected
+
+
 # -- row-at-a-time CSV loaders ---------------------------------------------------
 #
 # The loaders as they stood before ``ergmflow.ingest`` streamed blocks: every

@@ -1,16 +1,18 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ergmflow.sampler as sampler_mod
+import ergmflow.stats as stats_mod
 from ergmflow import (ChainConfig, ChangeStats, FlowNetwork, ModelSpec, TermSpec,
                       ValidationError, adequacy_check, expected_total_flow,
                       knockout_experiment, lag1_autocorrelation,
                       mcmc_simulate, statistic_vector)
 
-from oracles import exact_two_node_distribution
+from oracles import exact_two_node_distribution, scalar_chain
 
 SUM_ONLY = ModelSpec(terms=(TermSpec("sum"),))
 
@@ -208,6 +210,81 @@ class TestPoissonTarget:
         assert two_node_tv(model, theta, exact) < 0.04
 
 
+class TestBlockKernel:
+    DEPENDENCE = {"nonzero": -0.9, "mutual_min": 0.45, "waypoint_flow": -0.2}
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 40])
+    @pytest.mark.parametrize("kinds", [("nonzero",), ("mutual_min",), ("waypoint_flow",),
+                                       ("nonzero", "mutual_min", "waypoint_flow")])
+    def test_block_kernel_matches_scalar_loop(self, n, kinds):
+        # the same (dyad, v', e) sequence in schedule order through both; it
+        # ends mid-block, and records fall every 7 steps, mostly mid-block
+        rng = np.random.default_rng(100 + n)
+        dense = rng.poisson(1.5, (n, n))
+        np.fill_diagonal(dense, 0)
+        dependence = [(self.DEPENDENCE[kind], kind) for kind in kinds]
+        n_steps = max(3 * n * (n - 1), 500) + n // 2 + 1
+        src, dst = (np.concatenate(a) for a in zip(*sampler_mod._schedule(n, n_steps, rng)))
+        proposed = rng.poisson(1.5, n_steps)
+        expo = rng.standard_exponential(n_steps)
+        record_at = np.append(np.arange(3, n_steps, 7), n_steps)
+
+        state = sampler_mod._dense_state(FlowNetwork.from_dense(dense))
+        nn = n * n
+        records = []
+
+        def record():
+            out_vol = state[nn:nn + n]
+            records.append((int(out_vol.sum()), state[nn + n:].tolist(), out_vol.tolist()))
+
+        n_rejected = sampler_mod._run_blocks(state, n, dependence, src, dst, proposed,
+                                             expo, record_at, record)
+        y, out_vol, in_vol, want_records, want_rejected = scalar_chain(
+            dense.tolist(), dependence, src.tolist(), dst.tolist(), proposed.tolist(),
+            expo.tolist(), record_at.tolist())
+        assert state[:nn].reshape(n, n).tolist() == y
+        assert state[nn:nn + n].tolist() == out_vol
+        assert state[nn + n:].tolist() == in_vol
+        assert records == want_records
+        assert n_rejected == want_rejected
+        assert 0 < n_rejected < n_steps
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 200])
+    def test_sweeps_visit_every_dyad_once_in_node_disjoint_blocks(self, n):
+        sweep = n * (n - 1)
+        chunks = list(sampler_mod._schedule(n, 2 * sweep, np.random.default_rng(n)))
+        codes = np.concatenate([src * n + dst for src, dst in chunks])
+        every_dyad = np.flatnonzero(~np.eye(n, dtype=bool))
+        for visits in (codes[:sweep], codes[sweep:]):
+            assert np.array_equal(np.sort(visits), every_dyad)
+        if n >= 6:  # each sweep has its own relabelling
+            assert not np.array_equal(codes[:sweep], codes[sweep:])
+        size = n // 2
+        for src, dst in chunks:
+            assert len(src) % size == 0
+            nodes = np.sort(np.hstack([src.reshape(-1, size), dst.reshape(-1, size)]), axis=1)
+            assert np.all(np.diff(nodes, axis=1) > 0)
+
+    def test_chain_memory_is_bounded_by_a_chunk_not_a_sweep(self):
+        n = 400
+        sweep = n * (n - 1)  # 159,600 dyads, about 2.4 chunks
+        assert sweep > 2 * sampler_mod._RNG_BLOCK
+        lam = np.full((n, n), 0.5)
+        dependence = [(-0.5, "nonzero"), (0.3, "mutual_min"), (-0.2, "waypoint_flow")]
+        cfg = ChainConfig(n_networks=2, burn_in=sweep, thin=sweep // 2, seed=3)
+        tracemalloc.start()
+        try:
+            run = sampler_mod._chain(lam, dependence, FlowNetwork.empty(n), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.n_proposals == 2 * sweep
+        state = (n * n + 2 * n) * 8
+        # about 96 bytes per proposal of a chunk; chunks of a whole sweep
+        # peak at about 234 bytes per _RNG_BLOCK proposals here
+        assert peak - state < 150 * sampler_mod._RNG_BLOCK, peak - state
+
+
 class TestMultiChain:
     def test_partition_determinism(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
@@ -314,6 +391,32 @@ class TestMultiChain:
         assert len(calls) == 0
         mcmc_simulate(model, theta, nodes, dyads, current, cfg)
         assert len(calls) == 5  # the counter sees the snapshots that are built
+
+    def test_knockout_resolves_once(self, knockout_data, monkeypatch):
+        # one ChangeStats, and every-pair evaluations of the baseline's linear
+        # terms plus the zeroed one only
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        built = []
+        grids = []
+        unit_change = stats_mod.linear_unit_change
+
+        def counting_stats(*args):
+            built.append(1)
+            return ChangeStats(*args)
+
+        def counting_unit_change(term, ii, jj, *args):
+            if np.ndim(ii) == 2:
+                grids.append(term.label)
+            return unit_change(term, ii, jj, *args)
+
+        monkeypatch.setattr(sampler_mod, "ChangeStats", counting_stats)
+        monkeypatch.setattr(stats_mod, "linear_unit_change", counting_unit_change)
+        cfg = ChainConfig(n_networks=5, burn_in=2000, thin=500, seed=4)
+        knockout_experiment(model, theta, nodes, dyads, {"dyad:political_dissim"}, cfg,
+                            init=current)
+        assert len(built) == 1
+        linear = [t.label for t in model.terms if t.kind != "nonzero"]
+        assert grids == linear + ["dyad:political_dissim"]
 
 
 class TestAdequacy:
