@@ -2,8 +2,11 @@
 suppress?
 
 Zeroing a fitted coefficient "turns off" its mechanism; simulating under the
-original and the zeroed coefficient vectors with common random numbers and
-comparing expected totals quantifies the mechanism's contribution.
+original and the zeroed coefficient vectors and comparing expected totals
+quantifies the mechanism's contribution. Both scenarios run from the same
+seed, but their Poisson draws fall out of step once their rates differ, so
+the two means are close to independent estimates: compare the difference
+with both standard errors.
 
 Run with: python demos/04_knockout_experiment.py   (about half a minute)
 """

@@ -7,7 +7,7 @@ coefficient-knockout counterfactuals.
 from .errors import ErgmFlowError, EstimationError, ValidationError
 from .network import (RACIAL_CATEGORIES, REGIONS, DyadCovariateSet,
                       FlowNetwork, NodeTable, SummaryReport, build_network,
-                      in_volume, out_volume, summarize)
+                      summarize)
 from .stats import (LINEAR_KINDS, NONLINEAR_KINDS, TERM_KINDS, ChangeStats,
                     ModelSpec, TermSpec, conditional_profile,
                     dependence_pieces, global_statistic, model_from_dict,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ErgmFlowError", "EstimationError", "ValidationError",
     "FlowNetwork", "NodeTable", "DyadCovariateSet", "SummaryReport",
-    "build_network", "summarize", "in_volume", "out_volume",
+    "build_network", "summarize",
     "REGIONS", "RACIAL_CATEGORIES",
     "TermSpec", "ModelSpec", "TERM_KINDS", "LINEAR_KINDS", "NONLINEAR_KINDS",
     "ChangeStats", "mutual_min_stat", "waypoint_flow_stat",

@@ -173,7 +173,9 @@ def _root_seed(args, config, minimum=None):
     return _flag_or_number("--seed", args.seed, config, "seed", 0, minimum)
 
 
-def _chain_config(config, root_seed):
+def _chain_config(config, root_seed, threads):
+    """The ChainConfig of the config's ``chain`` section, running ``threads``
+    chains, and its seed."""
     section = _section(config, "chain")
     unknown = sorted(set(section) - {"n_networks", "burn_in", "thin", "seed"})
     if unknown:
@@ -186,6 +188,7 @@ def _chain_config(config, root_seed):
         burn_in=_number(section, "chain.burn_in"),
         thin=_number(section, "chain.thin"),
         seed=seed,
+        n_chains=threads,
     ), seed
 
 
@@ -301,9 +304,8 @@ def cmd_gof(args, config):
     model, theta = _fit_from_file(args.fit)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
     root_seed = _root_seed(args, config)
-    chain, chain_seed = _chain_config(config, root_seed)
-    report = adequacy_check(model, theta, nodes, dyads, network, chain,
-                            n_chains=args.threads, n_jobs=args.threads)
+    chain, chain_seed = _chain_config(config, root_seed, args.threads)
+    report = adequacy_check(model, theta, nodes, dyads, network, chain)
     outdir = _outdir(args, config)
     report.write_volume_csv(outdir / "adequacy_in_volume.csv", "in")
     report.write_volume_csv(outdir / "adequacy_out_volume.csv", "out")
@@ -321,7 +323,7 @@ def cmd_simulate(args, config):
     model, theta = _fit_from_file(args.fit)
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
     root_seed = _root_seed(args, config)
-    chain, chain_seed = _chain_config(config, root_seed)
+    chain, chain_seed = _chain_config(config, root_seed, args.threads)
     run = mcmc_simulate(model, theta, nodes, dyads, network, chain)
     outdir = _outdir(args, config)
     names = []
@@ -341,10 +343,9 @@ def cmd_knockout(args, config):
     network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
     labels = [x for x in (args.labels or "").split(",") if x]
     root_seed = _root_seed(args, config)
-    chain, chain_seed = _chain_config(config, root_seed)
+    chain, chain_seed = _chain_config(config, root_seed, args.threads)
     report = knockout_experiment(model, theta, nodes, dyads, labels, chain,
-                                 init=network, n_chains=args.threads,
-                                 n_jobs=args.threads)
+                                 init=network)
     outdir = _outdir(args, config)
     report.write_json(outdir / "knockout.json")
     _write_manifest(outdir, "knockout", config,
@@ -410,15 +411,22 @@ def cmd_synth(args, config):
 
 # -- argument parsing -----------------------------------------------------------
 
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %s" % text)
+    return int(text)
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, default=None,
                         help="root seed (overrides config)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker chains for simulation commands")
     common.add_argument("--out", default=None,
                         help="output directory (overrides config)")
+    chains = argparse.ArgumentParser(add_help=False, parents=[common])
+    chains.add_argument("--threads", type=_positive_int, default=1,
+                        help="chains, run in up to as many worker processes")
 
     parser = argparse.ArgumentParser(
         prog="ergmflow",
@@ -440,17 +448,17 @@ def _build_parser():
                        help="fit the model by subsampled penalized MPLE")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("gof", parents=[common],
+    p = sub.add_parser("gof", parents=[chains],
                        help="simulation-based adequacy check of a fit")
     p.add_argument("--fit", required=True, help="fit.json from the fit command")
     p.set_defaults(func=cmd_gof)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[chains],
                        help="simulate networks from a fit")
     p.add_argument("--fit", required=True, help="fit.json from the fit command")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("knockout", parents=[common],
+    p = sub.add_parser("knockout", parents=[chains],
                        help="zero selected coefficients and compare totals")
     p.add_argument("--fit", required=True, help="fit.json from the fit command")
     p.add_argument("--labels", default="",

@@ -73,10 +73,6 @@ class DyadSample:
     def weight_total(self):
         return float(self.weights.sum())
 
-    @property
-    def pairs(self):
-        return list(zip(self.src.tolist(), self.dst.tolist()))
-
     def summary(self):
         n1, n0, s1, s0 = self.strata_counts
         return {

@@ -27,8 +27,6 @@ __all__ = [
     "SummaryReport",
     "build_network",
     "summarize",
-    "in_volume",
-    "out_volume",
     "REGIONS",
     "RACIAL_CATEGORIES",
 ]
@@ -350,16 +348,6 @@ def summarize(network):
         mean_flow_per_edge=total / e if e else 0.0,
         period_label=network.period_label,
     )
-
-
-def in_volume(network, node):
-    """Total flow into ``node`` summed over stored edges."""
-    return network.in_volume(node)
-
-
-def out_volume(network, node):
-    """Total flow out of ``node`` summed over stored edges."""
-    return network.out_volume(node)
 
 
 # -- covariate tables --------------------------------------------------------

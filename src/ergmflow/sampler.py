@@ -23,10 +23,13 @@ is cut short where a sample is recorded. The random draws are made per chunk
 of about ``_RNG_BLOCK`` proposals, so the chain's temporaries do not grow
 with the network.
 
-Each simulation is resolved once, however many chains it runs, into the
+Every simulation runs through :func:`_run_chains`. It is resolved
+once, however many chains it runs (``ChainConfig.n_chains``), into the
 Poisson means and the active (theta_k, kind) dependence terms; a chain reads
 only those and its start network, and keeps a private dense state and random
-stream. Pool workers receive the resolved inputs once, at start-up.
+stream. The chains run in a process pool of min(chains with networks to
+draw, available CPUs) workers, which receive the resolved inputs once, at
+start-up, and serially when that is 1.
 
 Every chain records, per sample, the Sum statistic and the per-node in- and
 out-volume vectors from its running state (:class:`ChainRun`). Only
@@ -43,6 +46,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -69,7 +73,7 @@ _POISSON_MAX = np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max)
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Chain length controls, counted in proposals.
+    """Chain controls: lengths counted in proposals, and the chain count.
 
     ``burn_in`` and ``thin`` default to 10 and 2 proposals per dyad, which
     are exactly 10 and 2 sweeps over every dyad. Without dependence terms
@@ -77,16 +81,24 @@ class ChainConfig:
     stationary once it has been proposed; with them,
     check the reported Sum-statistic autocorrelation and raise ``thin`` if
     it exceeds ~0.1.
+
+    The ``n_networks`` samples are split as evenly as possible over
+    ``n_chains`` chains. A single chain runs at ``seed``; several get seeds
+    derived from it, so results depend on ``n_chains`` but not on the
+    number of worker processes.
     """
 
     n_networks: int = 100
     burn_in: int | None = None
     thin: int | None = None
     seed: int = 0
+    n_chains: int = 1
 
     def __post_init__(self):
         if self.n_networks < 1:
             raise ValidationError("n_networks must be >= 1")
+        if self.n_chains < 1:
+            raise ValidationError("n_chains must be >= 1")
         if self.burn_in is not None and self.burn_in < 1:
             raise ValidationError("burn_in must be >= 1 when given")
         if self.thin is not None and self.thin < 1:
@@ -134,16 +146,17 @@ def lag1_autocorrelation(series):
 
 
 def mcmc_simulate(model, theta, nodes, dyads, init, config):
-    """Run one chain and return its sampled networks and summaries.
+    """Run the chains of ``config`` and return their sampled networks and
+    summaries.
 
     Returns a :class:`ChainRun` whose ``networks`` are the
-    ``config.n_networks`` states taken every ``thin`` proposals after
-    ``burn_in`` proposals, with the Sum-statistic series, the per-sample
-    node volumes and the acceptance counts. Identical (seed, config, theta)
-    always reproduce the identical sequence.
+    ``config.n_networks`` states, in chain order, each chain's taken every
+    ``thin`` proposals after ``burn_in`` proposals, with the Sum-statistic
+    series, the per-sample node volumes and the acceptance counts. Identical
+    (seed, config, theta) always reproduce the identical sequence.
     """
-    return _chain(*_resolve(model, theta, nodes, dyads, init), config,
-                  keep_networks=True)
+    return _run_chains(_resolve(model, theta, nodes, dyads, init), config,
+                       keep_networks=True)
 
 
 def _proposal_means(rate, node_ids):
@@ -346,8 +359,8 @@ def _start_worker(*resolved):
     _worker_inputs = resolved
 
 
-def _worker_chain(config):
-    return _chain(*_worker_inputs, config)
+def _worker_chain(config, keep_networks):
+    return _chain(*_worker_inputs, config, keep_networks)
 
 
 def _available_cpus():
@@ -357,42 +370,29 @@ def _available_cpus():
         return os.cpu_count() or 1
 
 
-def _simulate_many(model, theta, nodes, dyads, init, config, n_chains=1, n_jobs=1):
-    """Split config.n_networks over chains and merge their summaries.
-
-    A single chain runs at ``config.seed``; several get seeds derived from
-    it. The chain partition depends only on ``n_chains``, so results are
-    reproducible for any worker count. The chains run in a pool of at most
-    min(n_jobs, chains, available CPUs) workers, which receive the resolved
-    inputs once at start-up, and run serially when that is 1. Returns one
-    :class:`ChainRun` that holds no networks: the chains' volumes and Sum
-    series in chain order, and their summed counters.
-    """
-    return _run_chains(_resolve(model, theta, nodes, dyads, init), config,
-                       n_chains, n_jobs)
-
-
-def _run_chains(resolved, config, n_chains, n_jobs):
-    """:func:`_simulate_many` over one simulation's :func:`_inputs`."""
-    if n_chains < 1:
-        raise ValidationError("n_chains must be >= 1")
+def _run_chains(resolved, config, keep_networks=False):
+    """Run the ``config.n_chains`` chains of one simulation's :func:`_inputs`
+    and merge them, in chain order, into one :class:`ChainRun`, which holds
+    the network snapshots only when ``keep_networks`` is set."""
+    n_chains = config.n_chains
     q, r = divmod(config.n_networks, n_chains)
     per = [q + (k < r) for k in range(n_chains)]
     seeds = [config.seed] if n_chains == 1 else \
         np.random.SeedSequence(config.seed).spawn(n_chains)
     configs = [replace(config, n_networks=m, seed=seed)
                for m, seed in zip(per, seeds) if m > 0]
-    workers = min(n_jobs, len(configs), _available_cpus())
+    workers = min(len(configs), _available_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=resolved) as pool:
-            runs = list(pool.map(_worker_chain, configs))
+            runs = list(pool.map(_worker_chain, configs, repeat(keep_networks)))
     else:
-        runs = [_chain(*resolved, c) for c in configs]
+        runs = [_chain(*resolved, c, keep_networks) for c in configs]
     return ChainRun(np.concatenate([r.in_volumes for r in runs]),
                     np.concatenate([r.out_volumes for r in runs]),
                     np.concatenate([r.sum_series for r in runs]),
-                    sum(r.n_proposals for r in runs), sum(r.n_accepted for r in runs))
+                    sum(r.n_proposals for r in runs), sum(r.n_accepted for r in runs),
+                    [net for r in runs for net in r.networks])
 
 
 # -- adequacy ------------------------------------------------------------------
@@ -491,16 +491,14 @@ def _pearson(a, b):
     return float(a @ b) / denom
 
 
-def adequacy_check(model, theta, nodes, dyads, observed, config,
-                   n_chains=1, n_jobs=1):
+def adequacy_check(model, theta, nodes, dyads, observed, config):
     """Simulate from the model and compare per-node volumes with ``observed``.
 
     Chains start at the observed network. Returns an :class:`AdequacyReport`
     with per-node envelopes, outside-envelope flags, and the two
     observed-versus-simulated-median correlations.
     """
-    run = _simulate_many(model, theta, nodes, dyads, observed, config,
-                         n_chains=n_chains, n_jobs=n_jobs)
+    run = _run_chains(_resolve(model, theta, nodes, dyads, observed), config)
     n = observed.n_nodes
     sim_in = run.in_volumes.astype(np.float64)
     sim_out = run.out_volumes.astype(np.float64)
@@ -545,21 +543,10 @@ def _batch_means_se(series):
     return float(batches.std(ddof=1) / math.sqrt(b))
 
 
-def _resolve_init(init, nodes):
-    if init is not None:
-        return init
-    if nodes is not None:
-        return FlowNetwork.empty(nodes.n_nodes)
-    raise ValidationError("need an init network or a node table")
-
-
-def expected_total_flow(model, theta, nodes, dyads, config, init=None,
-                        n_chains=1, n_jobs=1):
+def expected_total_flow(model, theta, nodes, dyads, config, init):
     """Monte-Carlo mean of total flow under the model, with batch-means SE.
-    Chains start at ``init``, else at the empty network on ``nodes``."""
-    init = _resolve_init(init, nodes)
-    return _mean_and_se(_simulate_many(model, theta, nodes, dyads, init, config,
-                                       n_chains=n_chains, n_jobs=n_jobs))
+    Chains start at ``init``."""
+    return _mean_and_se(_run_chains(_resolve(model, theta, nodes, dyads, init), config))
 
 
 def _mean_and_se(run):
@@ -601,8 +588,9 @@ class KnockoutReport:
 
 
 def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
-                        init=None, n_chains=1, n_jobs=1):
-    """Zero the named coefficients and compare expected total flow.
+                        init):
+    """Zero the named coefficients and compare expected total flow, with
+    chains started at ``init``.
 
     The lagged-flow covariate (when present) stays at its observed values;
     this is a single-period counterfactual, not a re-simulated history.
@@ -620,16 +608,15 @@ def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
         zeroed[pos] = theta_fitted[pos]
     theta_cf = theta_fitted - zeroed
 
-    init = _resolve_init(init, nodes)
     cs = _change_stats(model, init, nodes, dyads)
     rate = cs.linear_rate_matrix(theta_fitted)
     base_mean, base_se = _mean_and_se(_run_chains(
-        _inputs(cs, theta_fitted, rate, init), config, n_chains, n_jobs))
+        _inputs(cs, theta_fitted, rate, init), config))
     # the counterfactual rate lacks only the zeroed linear terms' share, and
     # equals the baseline's when no linear term is zeroed
     rate -= cs.linear_rate_matrix(zeroed)
     cf_mean, cf_se = _mean_and_se(_run_chains(
-        _inputs(cs, theta_cf, rate, init), config, n_chains, n_jobs))
+        _inputs(cs, theta_cf, rate, init), config))
     diff = cf_mean - base_mean
     pct = 100.0 * diff / base_mean if base_mean != 0 else float("nan")
     return KnockoutReport(

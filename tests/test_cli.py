@@ -215,6 +215,36 @@ class TestSimulate:
         b = (tmp_path / "s2" / "sim_004.csv").read_bytes()
         assert a == b
 
+    def test_threaded_run_writes_every_network_byte_identically(self, fitted, tmp_path):
+        cfg, fit_path = fitted
+        for sub in ("t1", "t2"):
+            assert main(["simulate", "--config", str(cfg), "--fit", str(fit_path),
+                         "--threads", "2", "--out", str(tmp_path / sub)]) == 0
+        names = ["sim_%03d.csv" % k for k in range(10)]
+        assert sorted(p.name for p in (tmp_path / "t1").glob("sim_*.csv")) == names
+        for name in names + ["manifest.json"]:
+            assert (tmp_path / "t1" / name).read_bytes() == \
+                (tmp_path / "t2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gof", "simulate", "knockout"])
+def test_threads_below_one_exits_2_naming_it(fitted, tmp_path, capsys, command):
+    cfg, fit_path = fitted
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--fit", str(fit_path),
+              "--threads", "0", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["summarize", "dissim", "fit", "synth"])
+def test_threads_rejected_where_no_chain_runs(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
 
 class TestKnockout:
     def test_empty_label_set_is_noop(self, fitted, tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ergmflow import (DyadCovariateSet, FlowNetwork, NodeTable,
-                      ValidationError, build_network, in_volume, out_volume,
-                      summarize)
+                      ValidationError, build_network, summarize)
 
 
 def net_abc(records):
@@ -85,17 +84,17 @@ class TestSummarize:
 class TestVolumes:
     def test_in_volume_sums_entries(self):
         net = net_abc([("A", "B", 3), ("C", "B", 2)])
-        assert in_volume(net, 1) == 5
+        assert net.in_volume(1) == 5
 
     def test_empty_network(self):
         net = build_network([], n_nodes=3)
-        assert in_volume(net, 0) == 0
-        assert out_volume(net, 0) == 0
+        assert net.in_volume(0) == 0
+        assert net.out_volume(0) == 0
 
     def test_direct_read(self):
         net = net_abc([("A", "B", 3), ("B", "A", 1)])
-        assert out_volume(net, 0) == 3
-        assert in_volume(net, 0) == 1
+        assert net.out_volume(0) == 3
+        assert net.in_volume(0) == 1
 
     def test_out_of_range_rejected(self):
         net = build_network([], n_nodes=3)

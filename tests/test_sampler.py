@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,8 @@ class TestChainBasics:
             ChainConfig(n_networks=0)
         with pytest.raises(ValidationError):
             ChainConfig(n_networks=1, burn_in=0)
+        with pytest.raises(ValidationError, match="n_chains"):
+            ChainConfig(n_chains=0)
 
     def test_single_node_rejected_by_every_entry_point(self):
         one = FlowNetwork.empty(1)
@@ -167,8 +170,8 @@ class TestPoissonTarget:
         steps = 500_000
         # every 10th state after burn-in, read from the recorded volumes
         cfg = ChainConfig(n_networks=steps // 10, burn_in=burn, thin=10, seed=77)
-        run = sampler_mod._simulate_many(model, np.array([th_s, th_w]), None, None,
-                                         FlowNetwork.empty(3), cfg)
+        run = sampler_mod._run_chains(sampler_mod._resolve(
+            model, np.array([th_s, th_w]), None, None, FlowNetwork.empty(3)), cfg)
         wps = np.minimum(run.out_volumes, run.in_volumes).sum(axis=1)
         tots = run.out_volumes.sum(axis=1)
 
@@ -189,8 +192,8 @@ class TestPoissonTarget:
             burn = 5000
             steps = 200_000
             cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=5)
-            run = sampler_mod._simulate_many(model, theta, None, None,
-                                             FlowNetwork.empty(2), cfg)
+            run = sampler_mod._run_chains(sampler_mod._resolve(
+                model, theta, None, None, FlowNetwork.empty(2)), cfg)
             a, b = run.out_volumes.T
             keep = (a <= 6) & (b <= 6)
             counts = np.zeros((7, 7))
@@ -286,28 +289,36 @@ class TestBlockKernel:
 
 
 class TestMultiChain:
-    def test_partition_determinism(self, knockout_data):
+    def test_partition_determinism(self, knockout_data, monkeypatch):
+        # two chains, serially on one CPU, then in a pool where the host
+        # offers more; the pool's workers send their snapshots back
         model, theta, current, _lag, nodes, dyads = knockout_data
-        cfg = ChainConfig(n_networks=10, burn_in=2000, thin=500, seed=5)
-        a = sampler_mod._simulate_many(
-            model, theta, nodes, dyads, current, cfg, n_chains=2, n_jobs=1)
-        b = sampler_mod._simulate_many(
-            model, theta, nodes, dyads, current, cfg, n_chains=2, n_jobs=2)
+        cfg = ChainConfig(n_networks=10, burn_in=2000, thin=500, seed=5, n_chains=2)
+        b = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: 1)
+        a = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        assert a.networks == b.networks
         assert np.array_equal(a.sum_series, b.sum_series)
         assert np.array_equal(a.in_volumes, b.in_volumes)
         assert np.array_equal(a.out_volumes, b.out_volumes)
         assert a.in_volumes.shape == (10, current.n_nodes)
+        assert len(a.networks) == 10
 
     def test_single_chain_keeps_config_seed(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
         cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5)
-        merged = sampler_mod._simulate_many(model, theta, nodes, dyads, current, cfg)
+        resolved = sampler_mod._resolve(model, theta, nodes, dyads, current)
+        # the reference runs the one chain directly at cfg.seed
+        ref = sampler_mod._chain(*resolved, cfg, True)
+        merged = sampler_mod._run_chains(resolved, cfg)
         run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
         assert merged.networks == []
-        assert np.array_equal(merged.sum_series, run.sum_series)
-        assert np.array_equal(merged.in_volumes, run.in_volumes)
-        assert np.array_equal(merged.out_volumes, run.out_volumes)
-        assert merged.n_accepted == run.n_accepted
+        assert run.networks == ref.networks
+        for got in (merged, run):
+            assert np.array_equal(got.sum_series, ref.sum_series)
+            assert np.array_equal(got.in_volumes, ref.in_volumes)
+            assert np.array_equal(got.out_volumes, ref.out_volumes)
+            assert got.n_accepted == ref.n_accepted
 
     def test_change_stats_built_once_per_simulation(self, knockout_data, monkeypatch):
         model, theta, current, _lag, nodes, dyads = knockout_data
@@ -318,8 +329,9 @@ class TestMultiChain:
             return ChangeStats(*args)
 
         monkeypatch.setattr(sampler_mod, "ChangeStats", counting)
-        cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5)
-        sampler_mod._simulate_many(model, theta, nodes, dyads, current, cfg, n_chains=3)
+        monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: 1)
+        cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5, n_chains=3)
+        adequacy_check(model, theta, nodes, dyads, current, cfg)
         assert len(calls) == 1
 
     def test_pool_gets_resolved_inputs_once_and_small_jobs(self, adequacy_data,
@@ -350,18 +362,18 @@ class TestMultiChain:
         monkeypatch.setattr(sampler_mod, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(sampler_mod, "_worker_inputs", None)  # restored after
         cfg = ChainConfig(n_networks=10, burn_in=2000, thin=200, seed=5)
+        resolved = sampler_mod._resolve(model, theta, nodes, dyads, current)
 
-        def run(n_chains, n_jobs):
-            return sampler_mod._simulate_many(model, theta, nodes, dyads, current, cfg,
-                                              n_chains=n_chains, n_jobs=n_jobs)
+        def run(n_chains):
+            return sampler_mod._run_chains(resolved, replace(cfg, n_chains=n_chains))
 
-        serial = run(3, 1)
-        assert pools == []
-        # workers: min(n_jobs, chains with networks to draw, CPUs available)
-        for cpus, n_chains, n_jobs, workers in ((4, 3, 64, 3), (4, 3, 2, 2),
-                                                (2, 3, 3, 2), (8, 12, 64, 8)):
+        monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: 1)
+        serial = run(3)
+        assert pools == []  # one CPU runs the chains serially
+        # workers: min(chains with networks to draw, CPUs available)
+        for cpus, n_chains, workers in ((4, 3, 3), (2, 3, 2), (8, 12, 8)):
             monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: cpus)
-            pooled = run(n_chains, n_jobs)
+            pooled = run(n_chains)
             pool = pools.pop()
             assert pool.max_workers == workers
             assert len(pool.job_bytes) == min(n_chains, cfg.n_networks)
@@ -371,9 +383,6 @@ class TestMultiChain:
                 assert np.array_equal(pooled.in_volumes, serial.in_volumes)
                 assert np.array_equal(pooled.out_volumes, serial.out_volumes)
                 assert pooled.n_accepted == serial.n_accepted
-        monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: 1)
-        run(3, 64)
-        assert pools == []  # one CPU runs the chains serially
 
     def test_adequacy_and_knockout_build_no_networks(self, knockout_data, monkeypatch):
         model, theta, current, _lag, nodes, dyads = knockout_data
@@ -424,13 +433,13 @@ class TestAdequacy:
         # every simulated network equal to the observed one
         model, theta, current, _lag, nodes, dyads = small_data
 
-        def fake_simulate(*args, **kwargs):
+        def fake_run_chains(*args, **kwargs):
             return sampler_mod.ChainRun(
                 np.tile(current.in_volumes(), (20, 1)),
                 np.tile(current.out_volumes(), (20, 1)),
                 np.full(20, float(current.total_flow)), 0, 0)
 
-        monkeypatch.setattr(sampler_mod, "_simulate_many", fake_simulate)
+        monkeypatch.setattr(sampler_mod, "_run_chains", fake_run_chains)
         report = adequacy_check(model, theta, nodes, dyads, current,
                                 ChainConfig(n_networks=20, seed=0))
         assert report.in_correlation == pytest.approx(1.0)
