@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._jsonio import write_json
 from .errors import EstimationError, ValidationError
 from .estimator import fit_mple, stratified_dyad_sample
 from .ingest import (build_dyad_covariates, load_flows, load_nodes,
@@ -77,13 +78,9 @@ def _outdir(args, config):
     return path
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_manifest(outdir, command, config, seeds, outputs):
+def _write_manifest(outdir, command, config, seeds, outputs, **fields):
+    """Write ``manifest.json``, with any command-specific ``fields``, and
+    append a timestamped line to the sidecar ``run.log``."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -91,8 +88,9 @@ def _write_manifest(outdir, command, config, seeds, outputs):
         "root_seed": seeds.get("root"),
         "seeds": seeds,
         "outputs": sorted(outputs),
+        **fields,
     }
-    _write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", manifest)
     with open(outdir / "run.log", "a", encoding="utf-8") as fh:
         fh.write("%s %s completed (config %s)\n"
                  % (datetime.datetime.now().isoformat(timespec="seconds"),
@@ -235,7 +233,7 @@ def cmd_summarize(args, config):
             writer.writerow(["statistic", "value"])
             for name, value in report.to_dict().items():
                 writer.writerow([name, value])
-        _write_json(outdir / "summary.json", report.to_dict())
+        write_json(outdir / "summary.json", report.to_dict())
         _write_manifest(outdir, "summarize", {"flows": str(flows_path)},
                         {"root": None}, ["summary.csv", "summary.json"])
     return EXIT_OK
@@ -313,7 +311,8 @@ def cmd_gof(args, config):
     _write_manifest(outdir, "gof", config,
                     {"root": root_seed, "chain": chain_seed},
                     ["adequacy_in_volume.csv", "adequacy_out_volume.csv",
-                     "adequacy.json"])
+                     "adequacy.json"],
+                    n_chains=chain.n_chains)
     print("in-volume correlation  %.4f" % report.in_correlation)
     print("out-volume correlation %.4f" % report.out_correlation)
     return EXIT_OK
@@ -332,7 +331,8 @@ def cmd_simulate(args, config):
         write_flows_csv(outdir / name, net)
         names.append(name)
     _write_manifest(outdir, "simulate", config,
-                    {"root": root_seed, "chain": chain_seed}, names)
+                    {"root": root_seed, "chain": chain_seed}, names,
+                    n_chains=chain.n_chains)
     print("wrote %d simulated networks (acceptance rate %.3f)"
           % (len(run.networks), run.acceptance_rate))
     return EXIT_OK
@@ -350,7 +350,8 @@ def cmd_knockout(args, config):
     report.write_json(outdir / "knockout.json")
     _write_manifest(outdir, "knockout", config,
                     {"root": root_seed, "chain": chain_seed},
-                    ["knockout.json"])
+                    ["knockout.json"],
+                    n_chains=chain.n_chains)
     print("baseline total %.1f, counterfactual %.1f, change %+.2f%%"
           % (report.baseline_mean, report.counterfactual_mean, report.pct_diff))
     return EXIT_OK
@@ -392,7 +393,7 @@ def cmd_synth(args, config):
     write_nodes_csv(outdir / "nodes.csv", nodes)
     km = np.exp(dyads.matrix("log_distance"))
     write_distances_csv(outdir / "distances.csv", km, nodes.ids)
-    _write_json(outdir / "meta.json", {
+    write_json(outdir / "meta.json", {
         "n_nodes": n_nodes,
         "seed": root_seed,
         "model": model_to_dict(model),

@@ -15,19 +15,20 @@ objective is unbiased for the full-census pseudo-log-likelihood.
 Per-dyad contributions are evaluated in vectorized chunks with a fixed
 chunk order, so values, gradients and Hessians are reproducible bit-for-bit
 for a given sample.
+
+scipy is imported inside the functions that use it, so that importing the
+package, and every command but ``fit``, does not pay for loading it.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import gammainc, gammaincc, gammaln
 
+from ._jsonio import write_json
 from .errors import EstimationError, ValidationError
 from .network import dyad_codes, dyads_of_codes
 from .stats import ChangeStats, ModelSpec, model_to_dict
@@ -146,6 +147,7 @@ def _log_series(a, lo, hi, below):
     """log P(lo <= X <= hi), X ~ Poisson(e^a), summed from the end nearer
     the mean (hi where ``below``, else lo), where term ratios are below one
     and shrink; stops once a term is under 1e-17 of the sum."""
+    from scipy.special import gammaln
     lam = np.exp(a)
     start = np.where(below, hi, lo)
     total = np.ones_like(a)
@@ -167,6 +169,7 @@ def _log_poisson_interval(a, lo, hi):
     incomplete gamma tail on its own side of the mean, so no tail is one
     minus another; where the result underflows, :func:`_log_series` sums it
     from the nearer endpoint instead."""
+    from scipy.special import gammainc, gammaincc
     out = np.full(np.shape(a), -np.inf)
     live = lo <= hi
     a, lo, hi = a[live], lo[live], hi[live]
@@ -201,6 +204,7 @@ def _segment_moments(a, lam, log_p, lo, hi):
     Elsewhere that difference would cancel, and P_1, P_2 come from
     :func:`_log_poisson_interval`. Segments with log_p = -inf get zeros.
     """
+    from scipy.special import gammaln
     live = log_p > -np.inf
     up = live & (lo > lam)
     rest = live & ~up
@@ -241,6 +245,7 @@ class _Chunk:
         """log P(y_ij = v | rest) per dyad (-inf or NaN where some e^a_s
         overflows), and per segment (a, e^a, log P, share of the normalizer).
         """
+        from scipy.special import gammaln
         with np.errstate(over="ignore", invalid="ignore"):
             rate = self.x @ theta[self.lin]
             intercept = self.c @ theta[self.nl]
@@ -411,11 +416,10 @@ class FitResult:
             "model": model_to_dict(self.model),
             "labels": list(self.labels),
             "theta": [float(x) for x in self.theta],
-            "std_errors": [None if not math.isfinite(s) else float(s)
-                           for s in self.std_errors],
+            "std_errors": [float(s) for s in self.std_errors],
             "penalized_pll": self.penalized_pll,
             "unpenalized_pll": self.unpenalized_pll,
-            "pseudo_bic": self.pseudo_bic if math.isfinite(self.pseudo_bic) else None,
+            "pseudo_bic": self.pseudo_bic,
             "converged": self.converged,
             "iterations": self.iterations,
             "ridge_lambda": self.ridge_lambda,
@@ -425,9 +429,7 @@ class FitResult:
         }
 
     def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def write_coefficients_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -460,6 +462,7 @@ def _newton(value_fn, derivatives_fn, theta, tol, max_iter, notes, stage=""):
     below ``tol`` or after ``max_iter`` steps. Takes a scaled gradient step
     where the Hessian is not negative definite and halves each step until the
     value improves. Returns (theta, value, gradient, Hessian, steps)."""
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
     value, state = value_fn(theta)
     if not math.isfinite(value):
         raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
@@ -506,6 +509,7 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
     penalized Hessian at the optimum; a singular Hessian yields NaN
     standard errors and a non-converged flag, not fabricated values.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
     if ridge_lambda < 0:
         raise ValidationError("ridge_lambda must be >= 0")
     if not tol > 0:

@@ -41,7 +41,6 @@ networks.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -50,6 +49,7 @@ from itertools import repeat
 
 import numpy as np
 
+from ._jsonio import write_json
 from .errors import ValidationError
 from .network import FlowNetwork
 from .stats import ChangeStats, dependence_pieces
@@ -448,9 +448,7 @@ class AdequacyReport:
         }
 
     def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def write_volume_csv(self, path, direction):
         """Per-node envelope CSV for one direction ("in" or "out")."""
@@ -582,9 +580,7 @@ class KnockoutReport:
         }
 
     def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from ergmflow._jsonio import write_json
 from ergmflow.cli import main
 
 
@@ -226,6 +228,18 @@ class TestSimulate:
             assert (tmp_path / "t1" / name).read_bytes() == \
                 (tmp_path / "t2" / name).read_bytes()
 
+    def test_manifest_records_the_chain_count(self, fitted, tmp_path):
+        cfg, fit_path = fitted
+        manifests = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("t" + threads)
+            assert main(["simulate", "--config", str(cfg), "--fit", str(fit_path),
+                         "--threads", threads, "--out", str(out)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        one, two = manifests
+        assert (one.pop("n_chains"), two.pop("n_chains")) == (1, 2)
+        assert one == two
+
 
 @pytest.mark.parametrize("command", ["gof", "simulate", "knockout"])
 def test_threads_below_one_exits_2_naming_it(fitted, tmp_path, capsys, command):
@@ -271,6 +285,42 @@ class TestKnockout:
         assert payload["baseline_mean"] > 0
         assert payload["zeroed_labels"] == ["dyad:political_dissim",
                                             "dyad:rural_dissim"]
+
+    def test_one_network_writes_strict_json(self, fitted, tmp_path):
+        # batch-means SEs are undefined for a single sample
+        cfg_path, fit_path = fitted
+        config = json.loads(cfg_path.read_text())
+        config["chain"] = dict(config["chain"], n_networks=1)
+        config["out"] = str(tmp_path / "ko")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["knockout", "--config", str(path), "--fit", str(fit_path),
+                     "--labels", "dyad:political_dissim"]) == 0
+        payload = _strict_json(tmp_path / "ko" / "knockout.json")
+        assert payload["baseline_se"] is None
+        assert payload["counterfactual_se"] is None
+        assert payload["baseline_mean"] > 0
+        manifest = _strict_json(tmp_path / "ko" / "manifest.json")
+        assert manifest["n_chains"] == 1
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s in %s" % (token, path))
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_json_outputs_write_non_finite_floats_as_null(tmp_path):
+    payload = {"se": float("nan"), "cond": float("inf"),
+               "nested": [np.float64(-np.inf), (1.5, np.float64(0.25))],
+               "n": 3, "note": None}
+    write_json(tmp_path / "out.json", payload)
+    assert _strict_json(tmp_path / "out.json") == {
+        "se": None, "cond": None, "nested": [None, [1.5, 0.25]], "n": 3, "note": None}
+    finite = {"a": [0.1, np.float64(1e-300)], "b": 2}
+    write_json(tmp_path / "finite.json", finite)
+    assert (tmp_path / "finite.json").read_text() == \
+        json.dumps(finite, indent=2, sort_keys=True) + "\n"
 
 
 class TestSummarizeAndDissim:
