@@ -49,23 +49,91 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _load_config(path):
-    if path is None:
-        return {}
+# Every config key: a top-level ``key`` or a ``section.key``. A number's
+# entry is (type, default, smallest allowed value); any other key's is None.
+_KEYS = {
+    "seed": (int, 0, 0),  # synth seeds numpy with it, which takes no negative seed
+    "out": None, "flows": None, "lagged_flows": None, "nodes": None,
+    "distances": None, "model": None, "estimator": None, "chain": None,
+    "synth": None,
+    "estimator.seed": (int, None, 0),  # None: derived from the root seed
+    "estimator.sample_size": (int, None, 1),  # None: a census of all dyads
+    "estimator.ridge_lambda": (float, 0.01, 0.0),
+    "estimator.tol": (float, 1e-6, math.ulp(0.0)),  # the smallest float > 0
+    "estimator.max_iter": (int, 50, 1),
+    "chain.n_networks": (int, 100, 1),
+    "chain.burn_in": (int, None, 1),  # None: ChainConfig's default
+    "chain.thin": (int, None, 1),
+    "chain.seed": (int, None, 0),
+    "chain.n_chains": (int, 1, 1),
+    "synth.n_nodes": (int, 50, 2),
+    "synth.model": None,
+    "synth.theta_true": None,
+}
+_SECTIONS = sorted({name.split(".")[0] for name in _KEYS if "." in name})
+
+
+def _read_json_object(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            payload = json.load(fh)
     except OSError as exc:
-        raise _IOFailure("cannot read config %s: %s" % (path, exc)) from exc
+        raise OSError("cannot read %s %s: %s" % (what, path, exc)) from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError("config %s is not valid JSON: %s" % (path, exc)) from exc
-    if not isinstance(config, dict):
-        raise ValidationError("config root must be a JSON object")
+        raise ValidationError("%s %s is not valid JSON: %s" % (what, path, exc)) from exc
+    if not isinstance(payload, dict):
+        raise ValidationError("%s %s: the root must be a JSON object" % (what, path))
+    return payload
+
+
+def _load_config(path):
+    """The config at ``path`` ({} when None), checked against :data:`_KEYS`
+    before any data is read: unknown keys raise ValidationError naming each
+    one, and a malformed number one naming its key."""
+    config = {} if path is None else _read_json_object(path, "config")
+    unknown = [key for key in config if key not in _KEYS]
+    for section in _SECTIONS:
+        values = config.get(section)
+        if values is not None and not isinstance(values, dict):
+            raise ValidationError("config section %r must be a JSON object" % section)
+        unknown += ["%s.%s" % (section, key) for key in values or ()
+                    if "%s.%s" % (section, key) not in _KEYS]
+    if unknown:
+        raise ValidationError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+    for name, entry in _KEYS.items():
+        if entry is not None:
+            _number(config, name)
     return config
 
 
-class _IOFailure(Exception):
-    pass
+def _number(config, name, flag=None, value=None):
+    """The number at dotted config key ``name``, or ``value`` of command-line
+    ``flag`` when given, checked against the key's :data:`_KEYS` entry: the
+    key's default when absent or null. A value of the wrong type (a
+    fractional one for an integer key) or below the smallest allowed raises
+    ValidationError naming the key or the flag."""
+    kind, default, minimum = _KEYS[name]
+    where = flag
+    if value is None:
+        section, _, key = name.rpartition(".")
+        value = ((config.get(section) or {}) if section else config).get(key)
+        where = "config key %r" % name
+        if value is None:
+            return default
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = math.isfinite(value) and (value.is_integer() or kind is float)
+    if not ok or value < minimum:
+        raise ValidationError("%s must be %s >= %r, got %r"
+                              % (where, "an integer" if kind is int else "a finite number",
+                                 minimum, value))
+    return kind(value)
+
+
+def _seed(config, section, root_seed):
+    """``section.seed`` when set, else a seed derived from the root seed."""
+    seed = _number(config, section + ".seed")
+    return derive_seed(root_seed, section) if seed is None else seed
 
 
 def _outdir(args, config):
@@ -74,7 +142,7 @@ def _outdir(args, config):
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _IOFailure("cannot create output directory %s: %s" % (path, exc)) from exc
+        raise OSError("cannot create output directory %s: %s" % (path, exc)) from exc
     return path
 
 
@@ -118,91 +186,34 @@ def _load_dataset(config, need_lag):
                               "'lagged_flows' path")
     dyads = build_dyad_covariates(nodes, _require(config, "distances"),
                                   lagged=lagged)
-    return network, lagged, nodes, dyads
-
-
-def _model_from_config(config):
-    model_dict = config.get("model")
-    if not model_dict:
-        raise ValidationError("config is missing the 'model' section")
-    return model_from_dict(model_dict)
-
-
-def _section(config, key):
-    """A config section as a dict ({} when absent)."""
-    section = config.get(key)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ValidationError("config section %r must be a JSON object" % key)
-    return section
-
-
-def _number(section, name, default=None, integer=True, minimum=None):
-    """The config value at dotted ``name`` (its last part is the key in
-    ``section``) as an int, or a float when ``integer`` is false; ``default``
-    when absent or null. Anything else, including a fractional value for an
-    integer key or one below ``minimum``, raises ValidationError naming the
-    key."""
-    value = section.get(name.rsplit(".", 1)[-1])
-    if value is None:
-        return default
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and isinstance(value, float):
-        ok = math.isfinite(value) and (value.is_integer() or not integer)
-    if not ok or (minimum is not None and value < minimum):
-        raise ValidationError("config key %r must be %s%s, got %r"
-                              % (name, "an integer" if integer else "a finite number",
-                                 "" if minimum is None else " >= %r" % minimum, value))
-    return int(value) if integer else float(value)
-
-
-def _flag_or_number(flag, value, section, name, default, minimum=None):
-    """``value`` of command-line ``flag`` when given, else :func:`_number` of
-    config key ``name``; either one below ``minimum`` raises ValidationError."""
-    if value is None:
-        return _number(section, name, default, minimum=minimum)
-    if minimum is not None and value < minimum:
-        raise ValidationError("%s must be >= %d, got %d" % (flag, minimum, value))
-    return value
-
-
-def _root_seed(args, config, minimum=None):
-    return _flag_or_number("--seed", args.seed, config, "seed", 0, minimum)
-
-
-def _chain_config(config, root_seed, threads):
-    """The ChainConfig of the config's ``chain`` section, running ``threads``
-    chains, and its seed."""
-    section = _section(config, "chain")
-    unknown = sorted(set(section) - {"n_networks", "burn_in", "thin", "seed"})
-    if unknown:
-        raise ValidationError("unknown chain config keys: %s" % ", ".join(unknown))
-    seed = _number(section, "chain.seed", minimum=0)
-    if seed is None:
-        seed = derive_seed(root_seed, "chain")
-    return ChainConfig(
-        n_networks=_number(section, "chain.n_networks", 100),
-        burn_in=_number(section, "chain.burn_in"),
-        thin=_number(section, "chain.thin"),
-        seed=seed,
-        n_chains=threads,
-    ), seed
+    return network, nodes, dyads
 
 
 def _fit_from_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise _IOFailure("cannot read fit file %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError("fit file %s is not valid JSON: %s" % (path, exc)) from exc
+    payload = _read_json_object(path, "fit file")
     try:
         model = model_from_dict(payload["model"])
         return model, model.check_theta(payload["theta"])
     except KeyError as exc:
         raise ValidationError("fit file %s lacks field %s" % (path, exc)) from exc
+
+
+def _simulation_inputs(args, config):
+    """What ``gof``, ``simulate`` and ``knockout`` share: the fit's model and
+    theta, the observed network, nodes and dyads, the ChainConfig and the
+    seeds for the manifest."""
+    model, theta = _fit_from_file(args.fit)
+    network, nodes, dyads = _load_dataset(config, model.has_lag)
+    root_seed = _number(config, "seed", "--seed", args.seed)
+    chain = ChainConfig(
+        n_networks=_number(config, "chain.n_networks"),
+        burn_in=_number(config, "chain.burn_in"),
+        thin=_number(config, "chain.thin"),
+        seed=_seed(config, "chain", root_seed),
+        n_chains=_number(config, "chain.n_chains"),
+    )
+    return model, theta, network, nodes, dyads, chain, \
+        {"root": root_seed, "chain": chain.seed}
 
 
 # -- commands -----------------------------------------------------------------
@@ -263,22 +274,17 @@ def cmd_dissim(args, config):
 
 
 def cmd_fit(args, config):
-    model = _model_from_config(config)
-    network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    root_seed = _root_seed(args, config)
-    section = _section(config, "estimator")
-    est_seed = _number(section, "estimator.seed", minimum=0)
-    if est_seed is None:
-        est_seed = derive_seed(root_seed, "estimator")
-    sample_size = _number(section, "estimator.sample_size", network.n_dyads)
-    tol = _number(section, "estimator.tol", 1e-6, integer=False)
-    if tol <= 0:
-        raise ValidationError("config key 'estimator.tol' must be > 0, got %r" % tol)
+    model = model_from_dict(_require(config, "model"))
+    network, nodes, dyads = _load_dataset(config, model.has_lag)
+    root_seed = _number(config, "seed", "--seed", args.seed)
+    est_seed = _seed(config, "estimator", root_seed)
+    sample_size = _number(config, "estimator.sample_size") or network.n_dyads
     sample = stratified_dyad_sample(network, sample_size, seed=est_seed)
     fit = fit_mple(
         model, network, nodes, dyads, sample,
-        ridge_lambda=_number(section, "estimator.ridge_lambda", 0.01, integer=False),
-        tol=tol, max_iter=_number(section, "estimator.max_iter", 50, minimum=1),
+        ridge_lambda=_number(config, "estimator.ridge_lambda"),
+        tol=_number(config, "estimator.tol"),
+        max_iter=_number(config, "estimator.max_iter"),
     )
     outdir = _outdir(args, config)
     fit.write_json(outdir / "fit.json")
@@ -299,19 +305,14 @@ def cmd_fit(args, config):
 
 
 def cmd_gof(args, config):
-    model, theta = _fit_from_file(args.fit)
-    network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    root_seed = _root_seed(args, config)
-    chain, chain_seed = _chain_config(config, root_seed, args.threads)
+    model, theta, network, nodes, dyads, chain, seeds = _simulation_inputs(args, config)
     report = adequacy_check(model, theta, nodes, dyads, network, chain)
     outdir = _outdir(args, config)
     report.write_volume_csv(outdir / "adequacy_in_volume.csv", "in")
     report.write_volume_csv(outdir / "adequacy_out_volume.csv", "out")
     report.write_json(outdir / "adequacy.json")
-    _write_manifest(outdir, "gof", config,
-                    {"root": root_seed, "chain": chain_seed},
-                    ["adequacy_in_volume.csv", "adequacy_out_volume.csv",
-                     "adequacy.json"],
+    _write_manifest(outdir, "gof", config, seeds,
+                    ["adequacy_in_volume.csv", "adequacy_out_volume.csv", "adequacy.json"],
                     n_chains=chain.n_chains)
     print("in-volume correlation  %.4f" % report.in_correlation)
     print("out-volume correlation %.4f" % report.out_correlation)
@@ -319,10 +320,7 @@ def cmd_gof(args, config):
 
 
 def cmd_simulate(args, config):
-    model, theta = _fit_from_file(args.fit)
-    network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
-    root_seed = _root_seed(args, config)
-    chain, chain_seed = _chain_config(config, root_seed, args.threads)
+    model, theta, network, nodes, dyads, chain, seeds = _simulation_inputs(args, config)
     run = mcmc_simulate(model, theta, nodes, dyads, network, chain)
     outdir = _outdir(args, config)
     names = []
@@ -330,27 +328,20 @@ def cmd_simulate(args, config):
         name = "sim_%03d.csv" % k
         write_flows_csv(outdir / name, net)
         names.append(name)
-    _write_manifest(outdir, "simulate", config,
-                    {"root": root_seed, "chain": chain_seed}, names,
-                    n_chains=chain.n_chains)
+    _write_manifest(outdir, "simulate", config, seeds, names, n_chains=chain.n_chains)
     print("wrote %d simulated networks (acceptance rate %.3f)"
           % (len(run.networks), run.acceptance_rate))
     return EXIT_OK
 
 
 def cmd_knockout(args, config):
-    model, theta = _fit_from_file(args.fit)
-    network, _lagged, nodes, dyads = _load_dataset(config, model.has_lag)
+    model, theta, network, nodes, dyads, chain, seeds = _simulation_inputs(args, config)
     labels = [x for x in (args.labels or "").split(",") if x]
-    root_seed = _root_seed(args, config)
-    chain, chain_seed = _chain_config(config, root_seed, args.threads)
     report = knockout_experiment(model, theta, nodes, dyads, labels, chain,
                                  init=network)
     outdir = _outdir(args, config)
     report.write_json(outdir / "knockout.json")
-    _write_manifest(outdir, "knockout", config,
-                    {"root": root_seed, "chain": chain_seed},
-                    ["knockout.json"],
+    _write_manifest(outdir, "knockout", config, seeds, ["knockout.json"],
                     n_chains=chain.n_chains)
     print("baseline total %.1f, counterfactual %.1f, change %+.2f%%"
           % (report.baseline_mean, report.counterfactual_mean, report.pct_diff))
@@ -378,10 +369,9 @@ _DEFAULT_SYNTH_THETA = [-4.2, 1.0, 0.05, -0.01, -0.8, -0.5, -0.5, -0.35,
 
 
 def cmd_synth(args, config):
-    section = _section(config, "synth")
-    n_nodes = _flag_or_number("--nodes", args.nodes, section, "synth.n_nodes", 50, 2)
-    # the generator seeds numpy directly, which takes no negative seed
-    root_seed = _root_seed(args, config, minimum=0)
+    section = config.get("synth") or {}
+    n_nodes = _number(config, "synth.n_nodes", "--nodes", args.nodes)
+    root_seed = _number(config, "seed", "--seed", args.seed)
     model = model_from_dict(section.get("model") or _DEFAULT_SYNTH_MODEL)
     theta = model.check_theta(section.get("theta_true") or _DEFAULT_SYNTH_THETA,
                               "synth.theta_true")
@@ -412,12 +402,6 @@ def cmd_synth(args, config):
 
 # -- argument parsing -----------------------------------------------------------
 
-def _positive_int(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %s" % text)
-    return int(text)
-
-
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
@@ -425,9 +409,6 @@ def _build_parser():
                         help="root seed (overrides config)")
     common.add_argument("--out", default=None,
                         help="output directory (overrides config)")
-    chains = argparse.ArgumentParser(add_help=False, parents=[common])
-    chains.add_argument("--threads", type=_positive_int, default=1,
-                        help="chains, run in up to as many worker processes")
 
     parser = argparse.ArgumentParser(
         prog="ergmflow",
@@ -449,17 +430,17 @@ def _build_parser():
                        help="fit the model by subsampled penalized MPLE")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("gof", parents=[chains],
+    p = sub.add_parser("gof", parents=[common],
                        help="simulation-based adequacy check of a fit")
     p.add_argument("--fit", required=True, help="fit.json from the fit command")
     p.set_defaults(func=cmd_gof)
 
-    p = sub.add_parser("simulate", parents=[chains],
+    p = sub.add_parser("simulate", parents=[common],
                        help="simulate networks from a fit")
     p.add_argument("--fit", required=True, help="fit.json from the fit command")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("knockout", parents=[chains],
+    p = sub.add_parser("knockout", parents=[common],
                        help="zero selected coefficients and compare totals")
     p.add_argument("--fit", required=True, help="fit.json from the fit command")
     p.add_argument("--labels", default="",
@@ -485,9 +466,6 @@ def main(argv=None):
     except EstimationError as exc:
         print("estimation failed: %s" % exc, file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except _IOFailure as exc:
-        print("i/o error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return EXIT_IO

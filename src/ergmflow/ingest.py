@@ -464,14 +464,12 @@ DEFAULT_COVARIATE_DISTRIBUTIONS = {
 }
 
 
-def synthetic_generate(n_nodes, model, theta_true, seed,
-                       covariate_distributions=None):
+def synthetic_generate(n_nodes, model, theta_true, seed):
     """Generate a full synthetic dataset from known coefficients.
 
-    Draws node covariates from simple documented distributions (override
-    any entry of :data:`DEFAULT_COVARIATE_DISTRIBUTIONS` through
-    ``covariate_distributions``), derives distances from latent planar
-    coordinates, simulates a lagged network from ``theta_true`` with any
+    Draws node covariates from the documented distributions of
+    :data:`DEFAULT_COVARIATE_DISTRIBUTIONS`, derives distances from latent
+    planar coordinates, simulates a lagged network from ``theta_true`` with any
     lagged-flow term dropped, then simulates the current network from the
     full model. Each network is the state of a chain after 40 proposals per
     dyad, started from the empty network. Everything is determined by
@@ -483,13 +481,7 @@ def synthetic_generate(n_nodes, model, theta_true, seed,
     if n_nodes < 2:
         raise ValidationError("n_nodes must be >= 2")
     theta_true = model.check_theta(theta_true)
-    dists = dict(DEFAULT_COVARIATE_DISTRIBUTIONS)
-    if covariate_distributions:
-        unknown = set(covariate_distributions) - set(dists)
-        if unknown:
-            raise ValidationError("unknown covariate distribution keys: %s"
-                                  % ", ".join(sorted(unknown)))
-        dists.update(covariate_distributions)
+    dists = DEFAULT_COVARIATE_DISTRIBUTIONS
 
     root = np.random.SeedSequence(seed)
     cov_ss, lag_ss, cur_ss = root.spawn(3)

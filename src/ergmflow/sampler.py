@@ -83,9 +83,11 @@ class ChainConfig:
     it exceeds ~0.1.
 
     The ``n_networks`` samples are split as evenly as possible over
-    ``n_chains`` chains. A single chain runs at ``seed``; several get seeds
-    derived from it, so results depend on ``n_chains`` but not on the
-    number of worker processes.
+    ``n_chains`` chains (the config key ``chain.n_chains``). A single chain
+    runs at ``seed``; several get seeds derived from it, so results depend
+    on ``n_chains`` but not on the number of worker processes. That number
+    is not a setting: it is min(chains with networks to draw, available
+    CPUs), and the chains run serially when it is 1.
     """
 
     n_networks: int = 100
@@ -535,8 +537,6 @@ def _batch_means_se(series):
         return float("nan")
     b = max(2, int(math.sqrt(m)))
     k = m // b
-    if k < 1:
-        b, k = m, 1
     batches = x[: b * k].reshape(b, k).mean(axis=1)
     return float(batches.std(ddof=1) / math.sqrt(b))
 

@@ -142,20 +142,31 @@ def model_to_dict(model):
 
 
 def model_from_dict(d):
-    """The :class:`ModelSpec` of a model dict; a ``lag_depth`` key, left in
-    older configs and fit files, must be 1 (the one previous period)."""
-    try:
-        terms = tuple(
-            TermSpec(kind=t["kind"], covariate=t.get("covariate"), label=t.get("label") or "")
-            for t in d["terms"]
-        )
-        lag_depth = d.get("lag_depth", 1)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("malformed model spec: %s" % exc) from exc
+    """The :class:`ModelSpec` of a model dict. The model holds ``terms`` and
+    optionally ``lag_depth``, and a term ``kind`` and optionally
+    ``covariate`` and ``label``; any other key raises ValidationError naming
+    it. A ``lag_depth`` key, left in older configs and fit files, must be 1
+    (the one previous period)."""
+    terms = d.get("terms") if isinstance(d, dict) else None
+    if not isinstance(terms, (list, tuple)) or not all(isinstance(t, dict) for t in terms):
+        raise ValidationError("malformed model spec: need an object whose 'terms' "
+                              "is a list of objects")
+    unknown = ["model." + key for key in sorted(set(d) - {"terms", "lag_depth"})]
+    for k, t in enumerate(terms):
+        unknown += ["model.terms[%d].%s" % (k, key)
+                    for key in sorted(set(t) - {"kind", "covariate", "label"})]
+    if unknown:
+        raise ValidationError("unknown model keys: %s" % ", ".join(unknown))
+    lag_depth = d.get("lag_depth", 1)
     if isinstance(lag_depth, bool) or lag_depth != 1:
         raise ValidationError("model key 'lag_depth' must be 1 (one previous period), "
                               "got %r" % (lag_depth,))
-    return ModelSpec(terms=terms)
+    try:
+        return ModelSpec(terms=tuple(
+            TermSpec(kind=t["kind"], covariate=t.get("covariate"), label=t.get("label") or "")
+            for t in terms))
+    except KeyError as exc:
+        raise ValidationError("malformed model spec: a term lacks %s" % exc) from exc
 
 
 # -- global statistics -----------------------------------------------------

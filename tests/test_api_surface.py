@@ -9,7 +9,7 @@ import inspect
 
 import ergmflow
 
-MAX_OPTIONAL_PARAMETERS = 32
+MAX_OPTIONAL_PARAMETERS = 31
 
 
 def test_optional_parameter_count_is_bounded():

@@ -140,9 +140,10 @@ class TestGof:
 
     def test_threaded_run_is_byte_identical(self, fitted, tmp_path):
         cfg, fit_path = fitted
+        cfg = _with_chain(cfg, tmp_path, n_chains=2)
         for sub in ("t1", "t2"):
             assert main(["gof", "--config", str(cfg), "--fit", str(fit_path),
-                         "--threads", "2", "--out", str(tmp_path / sub)]) == 0
+                         "--out", str(tmp_path / sub)]) == 0
         for name in ("adequacy_in_volume.csv", "adequacy_out_volume.csv",
                      "adequacy.json", "manifest.json"):
             assert (tmp_path / "t1" / name).read_bytes() == \
@@ -154,6 +155,27 @@ class TestGof:
                      "--fit", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "gof2")])
         assert code == 4
+
+
+def _with_chain(cfg_path, tmp_path, **chain):
+    """A copy of the config at ``cfg_path`` with the ``chain`` keys given."""
+    config = json.loads(cfg_path.read_text())
+    config["chain"] = dict(config["chain"], **chain)
+    path = tmp_path / "config_chain.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("command", ["gof", "simulate", "knockout"])
+def test_fit_file_whose_root_is_not_an_object_exits_2_naming_it(fitted, tmp_path,
+                                                                capsys, command):
+    cfg, _fit_path = fitted
+    bad = tmp_path / "fit_list.json"
+    bad.write_text("[1, 2]")
+    assert main([command, "--config", str(cfg), "--fit", str(bad),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def _bogus_fit(fit_path, out):
@@ -219,9 +241,10 @@ class TestSimulate:
 
     def test_threaded_run_writes_every_network_byte_identically(self, fitted, tmp_path):
         cfg, fit_path = fitted
+        cfg = _with_chain(cfg, tmp_path, n_chains=2)
         for sub in ("t1", "t2"):
             assert main(["simulate", "--config", str(cfg), "--fit", str(fit_path),
-                         "--threads", "2", "--out", str(tmp_path / sub)]) == 0
+                         "--out", str(tmp_path / sub)]) == 0
         names = ["sim_%03d.csv" % k for k in range(10)]
         assert sorted(p.name for p in (tmp_path / "t1").glob("sim_*.csv")) == names
         for name in names + ["manifest.json"]:
@@ -229,35 +252,33 @@ class TestSimulate:
                 (tmp_path / "t2" / name).read_bytes()
 
     def test_manifest_records_the_chain_count(self, fitted, tmp_path):
+        # the chain count is a config key, so the config hash tells the runs apart
         cfg, fit_path = fitted
         manifests = []
-        for threads in ("1", "2"):
-            out = tmp_path / ("t" + threads)
-            assert main(["simulate", "--config", str(cfg), "--fit", str(fit_path),
-                         "--threads", threads, "--out", str(out)]) == 0
+        for n_chains in (1, 2):
+            out = tmp_path / ("t%d" % n_chains)
+            out.mkdir()
+            assert main(["simulate", "--config", str(_with_chain(cfg, out, n_chains=n_chains)),
+                         "--fit", str(fit_path), "--out", str(out)]) == 0
             manifests.append(json.loads((out / "manifest.json").read_text()))
         one, two = manifests
         assert (one.pop("n_chains"), two.pop("n_chains")) == (1, 2)
+        assert one.pop("config_sha256") != two.pop("config_sha256")
         assert one == two
 
 
 @pytest.mark.parametrize("command", ["gof", "simulate", "knockout"])
 def test_threads_below_one_exits_2_naming_it(fitted, tmp_path, capsys, command):
+    # the chain count is the chain.n_chains key; it is checked before any
+    # data is read, so the missing flow file (exit 4) is never reached
     cfg, fit_path = fitted
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(cfg), "--fit", str(fit_path),
-              "--threads", "0", "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    cfg = _with_chain(cfg, tmp_path, n_chains=0)
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()),
+                                   flows=str(tmp_path / "missing.csv"))))
+    assert main([command, "--config", str(cfg), "--fit", str(fit_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "chain.n_chains" in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
-
-
-@pytest.mark.parametrize("command", ["summarize", "dissim", "fit", "synth"])
-def test_threads_rejected_where_no_chain_runs(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--threads", "2"])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
 
 
 class TestKnockout:
@@ -367,6 +388,9 @@ _CHAIN = {"n_networks": 10, "burn_in": 4000, "thin": 1000}
     ("fit", "estimator", {"tol": -1.0}, "estimator.tol"),
     ("fit", "estimator", {"max_iter": 0}, "estimator.max_iter"),
     ("fit", "estimator", {"max_iter": -3}, "estimator.max_iter"),
+    ("gof", "chain", dict(_CHAIN, n_chains=0), "chain.n_chains"),
+    ("gof", "chain", dict(_CHAIN, n_chains=1.5), "chain.n_chains"),
+    ("fit", "seed", -1, "'seed'"),
 ])
 def test_malformed_config_value_exits_2_naming_it(fitted, tmp_path, capsys,
                                                   command, section, value, key):
@@ -391,3 +415,38 @@ def test_integral_float_config_value_accepted(fitted, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["gof", "--config", str(path), "--fit", str(fit_path)]) == 0
+
+
+@pytest.mark.parametrize("command, edit, keys", [
+    ("fit", {"estimator": {"ridge_lamda": 0.01}}, ["estimator.ridge_lamda"]),
+    ("fit", {"estimator": {"max_iters": 50}}, ["estimator.max_iters"]),
+    ("fit", {"chian": {"n_networks": 10}}, ["chian"]),
+    ("synth", {"synth": {"n_node": 12}}, ["synth.n_node"]),
+    ("gof", {"chian": {}, "chain": dict(_CHAIN, n_chain=2)}, ["chain.n_chain", "chian"]),
+    ("fit", {"model": {"terms": [{"kind": "sum", "lable": "intercept"}]}},
+     ["model.terms[0].lable"]),
+    ("fit", {"model": {"terms": [{"kind": "sum"}], "lag_dept": 3}}, ["model.lag_dept"]),
+])
+def test_unknown_config_key_exits_2_naming_it(fitted, tmp_path, capsys, command, edit, keys):
+    cfg_path, fit_path = fitted
+    config = dict(json.loads(cfg_path.read_text()), **edit)
+    config["out"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    if command == "gof":
+        argv += ["--fit", str(fit_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys), err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_lagged_term_without_lagged_flows_exits_2_naming_it(synth_dir, tmp_path, capsys):
+    cfg_path = _fit_config(synth_dir, tmp_path / "nolag")
+    config = json.loads(cfg_path.read_text())
+    del config["lagged_flows"]
+    cfg_path.write_text(json.dumps(config))
+    assert main(["fit", "--config", str(cfg_path)]) == 2
+    assert "lagged_flows" in capsys.readouterr().err
+    assert not (tmp_path / "nolag" / "fit.json").exists()

@@ -375,9 +375,6 @@ class TestSyntheticGenerate:
             synthetic_generate(1, model, np.array([0.0]), seed=0)
         with pytest.raises(ValidationError):
             synthetic_generate(10, model, np.array([0.0, 1.0]), seed=0)
-        with pytest.raises(ValidationError):
-            synthetic_generate(10, model, np.array([0.0]), seed=0,
-                               covariate_distributions={"bogus": None})
 
 
 # -- streaming loaders against the row-at-a-time oracle ---------------------------

@@ -204,6 +204,12 @@ class TestNodeTable:
         assert np.allclose(nodes.covariate("log_immigrant_inflow"),
                            np.log1p(nodes.immigrant_inflow))
 
+    def test_log_density_needs_positive_density(self):
+        nodes = make_nodes()
+        assert np.array_equal(nodes.covariate("log_density"), np.log(nodes.density))
+        with pytest.raises(ValidationError, match="log_density.*n1$"):
+            make_nodes(density=[0.5, 0.0, 0.7, 0.8]).covariate("log_density")
+
     def test_unknown_covariate(self):
         with pytest.raises(ValidationError, match="unknown node covariate"):
             make_nodes().covariate("favorite_color")

@@ -54,6 +54,15 @@ class TestModelSpec:
             with pytest.raises(ValidationError, match="'lag_depth'"):
                 model_from_dict({"terms": [{"kind": "sum"}], "lag_depth": bad})
 
+    def test_unknown_or_malformed_keys_rejected(self):
+        with pytest.raises(ValidationError, match=r"model\.terms\[1\]\.lable$"):
+            model_from_dict({"terms": [{"kind": "sum"}, {"kind": "nonzero", "lable": "x"}]})
+        with pytest.raises(ValidationError, match=r"model\.lag_dept$"):
+            model_from_dict({"terms": [{"kind": "sum"}], "lag_dept": 3})
+        for bad in ([], {"terms": "sum"}, {"terms": ["sum"]}, {"terms": [{"label": "a"}]}):
+            with pytest.raises(ValidationError, match="malformed model spec"):
+                model_from_dict(bad)
+
     def test_check_theta(self):
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero")))
         theta = model.check_theta([1, -2])
