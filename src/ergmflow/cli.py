@@ -50,12 +50,12 @@ def _config_hash(config):
 
 
 # Every config key: a top-level ``key`` or a ``section.key``. A number's
-# entry is (type, default, smallest allowed value); any other key's is None.
+# entry is (type, default, smallest allowed value), a path's is str (a string
+# or null); any other key's is None.
 _KEYS = {
     "seed": (int, 0, 0),  # synth seeds numpy with it, which takes no negative seed
-    "out": None, "flows": None, "lagged_flows": None, "nodes": None,
-    "distances": None, "model": None, "estimator": None, "chain": None,
-    "synth": None,
+    "out": str, "flows": str, "lagged_flows": str, "nodes": str, "distances": str,
+    "model": None, "estimator": None, "chain": None, "synth": None,
     "estimator.seed": (int, None, 0),  # None: derived from the root seed
     "estimator.sample_size": (int, None, 1),  # None: a census of all dyads
     "estimator.ridge_lambda": (float, 0.01, 0.0),
@@ -89,7 +89,7 @@ def _read_json_object(path, what):
 def _load_config(path):
     """The config at ``path`` ({} when None), checked against :data:`_KEYS`
     before any data is read: unknown keys raise ValidationError naming each
-    one, and a malformed number one naming its key."""
+    one, and a malformed number or path one naming its key."""
     config = {} if path is None else _read_json_object(path, "config")
     unknown = [key for key in config if key not in _KEYS]
     for section in _SECTIONS:
@@ -101,7 +101,12 @@ def _load_config(path):
     if unknown:
         raise ValidationError("unknown config keys: %s" % ", ".join(sorted(unknown)))
     for name, entry in _KEYS.items():
-        if entry is not None:
+        if entry is str:
+            value = config.get(name)
+            if value is not None and not isinstance(value, str):
+                raise ValidationError("config key %r must be a string or null, got %r"
+                                      % (name, value))
+        elif entry is not None:
             _number(config, name)
     return config
 

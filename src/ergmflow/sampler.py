@@ -23,13 +23,12 @@ is cut short where a sample is recorded. The random draws are made per chunk
 of about ``_RNG_BLOCK`` proposals, so the chain's temporaries do not grow
 with the network.
 
-Every simulation runs through :func:`_run_chains`. It is resolved
-once, however many chains it runs (``ChainConfig.n_chains``), into the
-Poisson means and the active (theta_k, kind) dependence terms; a chain reads
-only those and its start network, and keeps a private dense state and random
-stream. The chains run in a process pool of min(chains with networks to
-draw, available CPUs) workers, which receive the resolved inputs once, at
-start-up, and serially when that is 1.
+Every simulation is resolved once into the Poisson means and the active
+(theta_k, kind) dependence terms, and runs through :func:`_chain`. Its
+``ChainConfig.n_chains`` chains run side by side in one state array, one
+row per chain, from one random stream: they share the sweep schedule,
+which reads no state, so each is still an exact Metropolis-Hastings chain,
+and each block of every chain is updated in one numpy pass.
 
 Every chain records, per sample, the Sum statistic and the per-node in- and
 out-volume vectors from its running state (:class:`ChainRun`). Only
@@ -42,10 +41,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,11 +79,10 @@ class ChainConfig:
     it exceeds ~0.1.
 
     The ``n_networks`` samples are split as evenly as possible over
-    ``n_chains`` chains (the config key ``chain.n_chains``). A single chain
-    runs at ``seed``; several get seeds derived from it, so results depend
-    on ``n_chains`` but not on the number of worker processes. That number
-    is not a setting: it is min(chains with networks to draw, available
-    CPUs), and the chains run serially when it is 1.
+    ``n_chains`` chains (the config key ``chain.n_chains``), at most one
+    chain per sample. The chains run side by side in one process, all from
+    one random stream at ``seed``, so results depend on ``n_chains``. More
+    chains buy diagnostics, not cores: they never run in parallel.
     """
 
     n_networks: int = 100
@@ -157,8 +152,8 @@ def mcmc_simulate(model, theta, nodes, dyads, init, config):
     series, the per-sample node volumes and the acceptance counts. Identical
     (seed, config, theta) always reproduce the identical sequence.
     """
-    return _run_chains(_resolve(model, theta, nodes, dyads, init), config,
-                       keep_networks=True)
+    return _chain(*_resolve(model, theta, nodes, dyads, init), config,
+                  keep_networks=True)
 
 
 def _proposal_means(rate, node_ids):
@@ -229,19 +224,20 @@ def _rounds(n, rounds, perms):
     return np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
 
 
-def _schedule(n, n_steps, rng):
-    """The chain's first ``n_steps`` proposal dyads, as chunks of (src, dst)
-    arrays of about ``_RNG_BLOCK`` dyads each.
+def _schedule(n, n_steps, rng, n_chains):
+    """The chains' first ``n_steps`` proposal dyads, as chunks of (src, dst)
+    arrays, which every one of the ``n_chains`` chains follows, of about
+    ``_RNG_BLOCK`` proposals over all chains each.
 
     A sweep visits every ordered dyad once: the round robin under a fresh
     random relabelling of the nodes, one ``rng.permuted`` row per sweep, each
     round once per direction. A chunk holds whole rounds, so its consecutive
     runs of n // 2 dyads are node-disjoint blocks. It holds several whole
-    sweeps when a sweep is shorter than ``_RNG_BLOCK``, and at most one sweep
+    sweeps when a sweep is shorter than its size, and at most one sweep
     otherwise, so its size does not grow with n.
     """
     per_sweep = n - 1 + n % 2
-    rounds_per_chunk = max(1, _RNG_BLOCK // (2 * (n // 2)))
+    rounds_per_chunk = max(1, _RNG_BLOCK // (2 * (n // 2) * n_chains))
     if rounds_per_chunk >= per_sweep:
         rounds_per_chunk -= rounds_per_chunk % per_sweep
     first = 0  # round of the current sweep that the next chunk starts at
@@ -257,31 +253,43 @@ def _schedule(n, n_steps, rng):
 
 
 def _run_blocks(state, n, dependence, src, dst, proposed, expo, cuts, record):
-    """Propose value ``proposed[t]`` for dyad (src[t], dst[t]), t in order,
-    and accept it with probability min(1, exp(dlp)) as ``expo[t]`` >= -dlp,
-    where dlp sums theta_k [g_k(v') - g_k(y_ij)] over ``dependence``.
+    """Propose value ``proposed[c, t]`` for dyad (src[t], dst[t]) of chain c,
+    t in order, and accept it with probability min(1, exp(dlp)) as
+    ``expo[c, t]`` >= -dlp, where dlp sums theta_k [g_k(v') - g_k(y_ij)]
+    over ``dependence``.
 
-    ``state`` is the buffer of :func:`_dense_state`. Runs of n // 2
-    dyads from the start, cut after every position in ``cuts``, must be
-    node-disjoint: each run is updated at once, which is exact because a
-    dyad's acceptance reads only y_ij, y_ji and the volumes of i and j.
+    ``state`` is the (chains, n² + 2n) buffer of :func:`_dense_state`. Runs
+    of n // 2 dyads from the start, cut after every position in ``cuts``,
+    must be node-disjoint: each run is updated at once in every chain,
+    which is exact because a dyad's acceptance reads only y_ij, y_ji and the
+    volumes of i and j of its own chain. The chain axis is folded into the
+    dyad axis, position-major, so that a run of every chain is one slice.
     ``record()`` is called after each cut. Returns the number of rejected
-    proposals.
+    proposals of each chain.
     """
+    n_chains, width = state.shape
     nn = n * n
     size = len(src)
+    flat = state.reshape(-1)
+    rows = np.arange(0, n_chains * width, width)  # each chain's offset in flat
     # y_ij, out_i and in_j, which an accepted change moves, then y_ji, in_i, out_j
-    at = np.empty((6, size), dtype=np.intp)
-    at[0], at[3] = src * n + dst, dst * n + src
-    at[1], at[4] = src + nn, src + (nn + n)
-    at[2], at[5] = dst + (nn + n), dst + nn
-    stops = np.union1d(np.append(np.arange(n // 2, size, n // 2), size), cuts).tolist()
-    cuts = set(cuts.tolist())
-    neg_e = -expo
-    rejected = np.empty(size, dtype=bool)
+    at = np.empty((6, size, n_chains), dtype=np.intp)
+    np.add((src * n + dst)[:, None], rows, out=at[0])
+    np.add((dst * n + src)[:, None], rows, out=at[3])
+    np.add(src[:, None], rows + nn, out=at[1])
+    np.add(src[:, None], rows + (nn + n), out=at[4])
+    np.add(dst[:, None], rows + (nn + n), out=at[2])
+    np.add(dst[:, None], rows + nn, out=at[5])
+    at = at.reshape(6, -1)
+    stops = np.union1d(np.append(np.arange(n // 2, size, n // 2), size), cuts)
+    stops = (stops * n_chains).tolist()
+    cuts = set((cuts * n_chains).tolist())
+    proposed = proposed.T.ravel()
+    neg_e = np.negative(expo.T, order="C").ravel()
+    rejected = np.empty(size * n_chains, dtype=bool)
     start = 0
     for stop in stops:
-        s = state.take(at[:, start:stop])
+        s = flat.take(at[:, start:stop])
         v, out_i, in_j, y_ji, in_i, out_j = s
         vp = proposed[start:stop]
         dlp = 0.0
@@ -290,111 +298,84 @@ def _run_blocks(state, n, dependence, src, dst, proposed, expo, cuts, record):
                 c = q - p  # min(p + x, q) is p + min(x, q - p)
                 dlp = dlp + th * (np.minimum(vp, c) - np.minimum(v, c))
         rej = np.less(dlp, neg_e[start:stop], out=rejected[start:stop])
-        state.put(at[:3, start:stop], s[:3] + np.where(rej, 0, vp - v))
+        flat.put(at[:3, start:stop], s[:3] + np.where(rej, 0, vp - v))
         if stop in cuts:
             record()
         start = stop
-    return int(np.count_nonzero(rejected))
+    return np.count_nonzero(rejected.reshape(size, n_chains), axis=0)
 
 
-def _dense_state(network):
-    """A chain's state: y row-major, then the out- and in-volumes, in one
-    int64 buffer, so that one gather reads all a block's acceptance needs."""
+def _dense_state(network, n_chains):
+    """The state of ``n_chains`` chains started at ``network``: per chain,
+    one int64 row holding y row-major, then the out- and in-volumes, so that
+    one gather reads all a block's acceptance needs."""
     n = network.n_nodes
     nn = n * n
-    state = np.zeros(nn + 2 * n, dtype=np.int64)
+    state = np.zeros((n_chains, nn + 2 * n), dtype=np.int64)
     src, dst, val = network.edge_arrays()
-    state[src * n + dst] = val
-    state[nn:nn + n] = network.out_volumes()
-    state[nn + n:] = network.in_volumes()
+    state[0, src * n + dst] = val
+    state[0, nn:nn + n] = network.out_volumes()
+    state[0, nn + n:] = network.in_volumes()
+    state[1:] = state[0]
     return state
 
 
 def _chain(lam, dependence, init, config, keep_networks=False):
-    """One chain over :func:`_resolve`'s inputs; it builds the per-sample
-    network snapshots only when ``keep_networks`` is set."""
+    """Run the ``config.n_chains`` chains of one simulation over
+    :func:`_resolve`'s inputs and merge them, in chain order, into one
+    :class:`ChainRun`, which holds the network snapshots only when
+    ``keep_networks`` is set.
+
+    The chains share one state array, started at ``init``, one random stream
+    at ``config.seed`` and the sweep schedule; each chunk draws every
+    chain's proposals and exponentials as one (chains, chunk) array. All
+    chains record ceil(n_networks / chains) samples at the same steps, and
+    chain k keeps its first q + (k < r) of them, q, r = divmod(n_networks,
+    chains); at most ``n_networks`` chains run.
+    """
     n = init.n_nodes
     nn = n * n
     burn_in, thin = config.resolved(n * (n - 1))
+    n_chains = min(config.n_chains, config.n_networks)
+    q, r = divmod(config.n_networks, n_chains)
+    keep = [q + (k < r) for k in range(n_chains)]  # samples each chain keeps
+    m = keep[0]  # samples each chain records
     rng = np.random.default_rng(config.seed)
 
-    state = _dense_state(init)
+    state = _dense_state(init, n_chains)
 
-    m = config.n_networks
-    networks = []
-    volumes = np.empty((m, 2 * n), dtype=np.int64)  # out-volumes, then in-volumes
+    networks = [[] for _ in range(n_chains)]
+    volumes = np.empty((m, n_chains, 2 * n), dtype=np.int64)  # out-, then in-volumes
     k = 0
 
     def record():
         nonlocal k
         if keep_networks:
-            networks.append(FlowNetwork.from_dense(state[:nn].reshape(n, n),
-                                                   node_ids=init.node_ids))
-        volumes[k] = state[nn:]
+            for c in range(n_chains):
+                if k < keep[c]:
+                    networks[c].append(FlowNetwork.from_dense(
+                        state[c, :nn].reshape(n, n), node_ids=init.node_ids))
+        volumes[k] = state[:, nn:]
         k += 1
 
     total_steps = burn_in + thin * m
     record_at = np.arange(burn_in + thin, total_steps + 1, thin)
     n_rejected = 0
     step = 0
-    for src, dst in _schedule(n, total_steps, rng):
-        proposed = rng.poisson(lam[src, dst])
-        expo = rng.standard_exponential(len(src))
+    for src, dst in _schedule(n, total_steps, rng, n_chains):
+        size = (n_chains, len(src))
+        proposed = rng.poisson(lam[src, dst], size)
+        expo = rng.standard_exponential(size)
         lo, hi = np.searchsorted(record_at, (step, step + len(src)), side="right")
-        n_rejected += _run_blocks(state, n, dependence, src, dst, proposed, expo,
-                                  record_at[lo:hi] - step, record)
+        n_rejected += int(_run_blocks(state, n, dependence, src, dst, proposed, expo,
+                                      record_at[lo:hi] - step, record).sum())
         step += len(src)
 
-    outs = volumes[:, :n].copy()
-    return ChainRun(volumes[:, n:].copy(), outs, outs.sum(axis=1).astype(np.float64),
-                    total_steps, total_steps - n_rejected, networks)
-
-
-# -- multi-chain orchestration ------------------------------------------------
-
-# A pool worker's resolved inputs, set once by _start_worker.
-_worker_inputs = None
-
-
-def _start_worker(*resolved):
-    global _worker_inputs
-    _worker_inputs = resolved
-
-
-def _worker_chain(config, keep_networks):
-    return _chain(*_worker_inputs, config, keep_networks)
-
-
-def _available_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
-
-
-def _run_chains(resolved, config, keep_networks=False):
-    """Run the ``config.n_chains`` chains of one simulation's :func:`_inputs`
-    and merge them, in chain order, into one :class:`ChainRun`, which holds
-    the network snapshots only when ``keep_networks`` is set."""
-    n_chains = config.n_chains
-    q, r = divmod(config.n_networks, n_chains)
-    per = [q + (k < r) for k in range(n_chains)]
-    seeds = [config.seed] if n_chains == 1 else \
-        np.random.SeedSequence(config.seed).spawn(n_chains)
-    configs = [replace(config, n_networks=m, seed=seed)
-               for m, seed in zip(per, seeds) if m > 0]
-    workers = min(len(configs), _available_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=resolved) as pool:
-            runs = list(pool.map(_worker_chain, configs, repeat(keep_networks)))
-    else:
-        runs = [_chain(*resolved, c, keep_networks) for c in configs]
-    return ChainRun(np.concatenate([r.in_volumes for r in runs]),
-                    np.concatenate([r.out_volumes for r in runs]),
-                    np.concatenate([r.sum_series for r in runs]),
-                    sum(r.n_proposals for r in runs), sum(r.n_accepted for r in runs),
-                    [net for r in runs for net in r.networks])
+    kept = np.concatenate([volumes[:keep[c], c] for c in range(n_chains)])
+    outs = kept[:, :n].copy()
+    return ChainRun(kept[:, n:].copy(), outs, outs.sum(axis=1).astype(np.float64),
+                    n_chains * total_steps, n_chains * total_steps - n_rejected,
+                    [net for nets in networks for net in nets])
 
 
 # -- adequacy ------------------------------------------------------------------
@@ -498,7 +479,7 @@ def adequacy_check(model, theta, nodes, dyads, observed, config):
     with per-node envelopes, outside-envelope flags, and the two
     observed-versus-simulated-median correlations.
     """
-    run = _run_chains(_resolve(model, theta, nodes, dyads, observed), config)
+    run = _chain(*_resolve(model, theta, nodes, dyads, observed), config)
     n = observed.n_nodes
     sim_in = run.in_volumes.astype(np.float64)
     sim_out = run.out_volumes.astype(np.float64)
@@ -544,7 +525,7 @@ def _batch_means_se(series):
 def expected_total_flow(model, theta, nodes, dyads, config, init):
     """Monte-Carlo mean of total flow under the model, with batch-means SE.
     Chains start at ``init``."""
-    return _mean_and_se(_run_chains(_resolve(model, theta, nodes, dyads, init), config))
+    return _mean_and_se(_chain(*_resolve(model, theta, nodes, dyads, init), config))
 
 
 def _mean_and_se(run):
@@ -585,14 +566,15 @@ class KnockoutReport:
 
 def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
                         init):
-    """Zero the named coefficients and compare expected total flow, with
-    chains started at ``init``.
+    """Zero the coefficients named in ``zero_labels`` (one label, or an
+    iterable of them) and compare expected total flow, with chains started
+    at ``init``.
 
     The lagged-flow covariate (when present) stays at its observed values;
     this is a single-period counterfactual, not a re-simulated history.
     """
     theta_fitted = model.check_theta(theta_fitted)
-    labels = set(zero_labels)
+    labels = {zero_labels} if isinstance(zero_labels, str) else set(zero_labels)
     known = set(model.labels)
     unknown = labels - known
     if unknown:
@@ -606,13 +588,12 @@ def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
 
     cs = _change_stats(model, init, nodes, dyads)
     rate = cs.linear_rate_matrix(theta_fitted)
-    base_mean, base_se = _mean_and_se(_run_chains(
-        _inputs(cs, theta_fitted, rate, init), config))
+    base_mean, base_se = _mean_and_se(_chain(*_inputs(cs, theta_fitted, rate, init),
+                                             config))
     # the counterfactual rate lacks only the zeroed linear terms' share, and
     # equals the baseline's when no linear term is zeroed
     rate -= cs.linear_rate_matrix(zeroed)
-    cf_mean, cf_se = _mean_and_se(_run_chains(
-        _inputs(cs, theta_cf, rate, init), config))
+    cf_mean, cf_se = _mean_and_se(_chain(*_inputs(cs, theta_cf, rate, init), config))
     diff = cf_mean - base_mean
     pct = 100.0 * diff / base_mean if base_mean != 0 else float("nan")
     return KnockoutReport(

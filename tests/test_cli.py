@@ -407,6 +407,21 @@ def test_malformed_config_value_exits_2_naming_it(fitted, tmp_path, capsys,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [["a"], 3])
+@pytest.mark.parametrize("key", ["nodes", "flows", "lagged_flows", "distances", "out"])
+def test_non_string_path_exits_2_naming_it(fitted, tmp_path, capsys, key, value):
+    # checked before any file is read: an integer would open a file descriptor
+    cfg_path, _fit_path = fitted
+    config = json.loads(cfg_path.read_text())
+    config["out"] = str(tmp_path / "out")
+    config[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["fit", "--config", str(path)]) == 2
+    assert "%r must be a string or null" % key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_float_config_value_accepted(fitted, tmp_path):
     cfg_path, fit_path = fitted
     config = json.loads(cfg_path.read_text())

@@ -1,4 +1,5 @@
-"""Only fitting loads scipy.
+"""Only fitting loads scipy, and nothing loads a process pool: every chain
+count runs in one process.
 
 Each check runs in a fresh interpreter, because by the time these tests run
 other tests have already imported scipy into this one.
@@ -14,18 +15,23 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# runs ``cli.main`` on the given arguments, then prints the scipy modules loaded
+# prints the loaded modules of scipy and of the two process-pool packages
+_PRINT_WATCHED = """
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing"))))
+"""
+# runs ``cli.main`` on the given arguments, then prints the watched modules
 _RUN_CLI = """
 import json, sys
 from ergmflow import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""" + _PRINT_WATCHED + """
 sys.exit(code)
 """
 
 
 def _cold(code, *argv):
-    """The scipy modules that ``code`` loads, run in a fresh interpreter
+    """The watched modules that ``code`` loads, run in a fresh interpreter
     that imports the package from the sources; it must exit 0."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
@@ -36,9 +42,7 @@ def _cold(code, *argv):
 
 
 def test_package_import_loads_no_scipy():
-    assert _cold('import json, sys, ergmflow, ergmflow.cli\n'
-                 'print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))'
-                 ) == []
+    assert _cold("import json, sys, ergmflow, ergmflow.cli\n" + _PRINT_WATCHED) == []
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +90,13 @@ def test_command_loads_no_scipy(cold_runs, command):
     else:
         loaded = _cold(_RUN_CLI, command, *argv[command], "--out", str(out / command))
     assert loaded == []
+
+
+def test_several_chains_load_no_process_pool(cold_runs):
+    out, cfg, _runs = cold_runs
+    config = json.loads(cfg.read_text())
+    config["chain"]["n_chains"] = 2
+    two = out / "config_two_chains.json"
+    two.write_text(json.dumps(config))
+    assert _cold(_RUN_CLI, "gof", "--config", str(two), "--fit",
+                 str(out / "fit" / "fit.json"), "--out", str(out / "gof2")) == []

@@ -1,5 +1,4 @@
 import math
-import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -168,9 +167,11 @@ class TestPoissonTarget:
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("waypoint_flow")))
         burn = 20_000
         steps = 500_000
-        # every 10th state after burn-in, read from the recorded volumes
-        cfg = ChainConfig(n_networks=steps // 10, burn_in=burn, thin=10, seed=77)
-        run = sampler_mod._run_chains(sampler_mod._resolve(
+        # every 10th state after each chain's burn-in, read from the recorded
+        # volumes of 8 chains, which pay the per-block cost once between them
+        cfg = ChainConfig(n_networks=steps // 10, burn_in=burn, thin=10, seed=77,
+                          n_chains=8)
+        run = sampler_mod._chain(*sampler_mod._resolve(
             model, np.array([th_s, th_w]), None, None, FlowNetwork.empty(3)), cfg)
         wps = np.minimum(run.out_volumes, run.in_volumes).sum(axis=1)
         tots = run.out_volumes.sum(axis=1)
@@ -192,7 +193,7 @@ class TestPoissonTarget:
             burn = 5000
             steps = 200_000
             cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=5)
-            run = sampler_mod._run_chains(sampler_mod._resolve(
+            run = sampler_mod._chain(*sampler_mod._resolve(
                 model, theta, None, None, FlowNetwork.empty(2)), cfg)
             a, b = run.out_volumes.T
             keep = (a <= 6) & (b <= 6)
@@ -220,42 +221,48 @@ class TestBlockKernel:
     @pytest.mark.parametrize("kinds", [("nonzero",), ("mutual_min",), ("waypoint_flow",),
                                        ("nonzero", "mutual_min", "waypoint_flow")])
     def test_block_kernel_matches_scalar_loop(self, n, kinds):
-        # the same (dyad, v', e) sequence in schedule order through both; it
+        # the same (dyad, v', e) sequence in schedule order through both, for
+        # one chain and for three side by side, each from its own start; it
         # ends mid-block, and records fall every 7 steps, mostly mid-block
         rng = np.random.default_rng(100 + n)
-        dense = rng.poisson(1.5, (n, n))
-        np.fill_diagonal(dense, 0)
         dependence = [(self.DEPENDENCE[kind], kind) for kind in kinds]
         n_steps = max(3 * n * (n - 1), 500) + n // 2 + 1
-        src, dst = (np.concatenate(a) for a in zip(*sampler_mod._schedule(n, n_steps, rng)))
-        proposed = rng.poisson(1.5, n_steps)
-        expo = rng.standard_exponential(n_steps)
+        src, dst = (np.concatenate(a)
+                    for a in zip(*sampler_mod._schedule(n, n_steps, rng, 1)))
         record_at = np.append(np.arange(3, n_steps, 7), n_steps)
-
-        state = sampler_mod._dense_state(FlowNetwork.from_dense(dense))
         nn = n * n
-        records = []
+        for n_chains in (1, 3):
+            dense = rng.poisson(1.5, (n_chains, n, n))
+            dense[:, np.arange(n), np.arange(n)] = 0
+            proposed = rng.poisson(1.5, (n_chains, n_steps))
+            expo = rng.standard_exponential((n_chains, n_steps))
+            state = np.concatenate([sampler_mod._dense_state(FlowNetwork.from_dense(d), 1)
+                                    for d in dense])
+            records = []
 
-        def record():
-            out_vol = state[nn:nn + n]
-            records.append((int(out_vol.sum()), state[nn + n:].tolist(), out_vol.tolist()))
+            def record():
+                out_vol = state[:, nn:nn + n]
+                records.append([(int(out_vol[c].sum()), state[c, nn + n:].tolist(),
+                                 out_vol[c].tolist()) for c in range(n_chains)])
 
-        n_rejected = sampler_mod._run_blocks(state, n, dependence, src, dst, proposed,
-                                             expo, record_at, record)
-        y, out_vol, in_vol, want_records, want_rejected = scalar_chain(
-            dense.tolist(), dependence, src.tolist(), dst.tolist(), proposed.tolist(),
-            expo.tolist(), record_at.tolist())
-        assert state[:nn].reshape(n, n).tolist() == y
-        assert state[nn:nn + n].tolist() == out_vol
-        assert state[nn + n:].tolist() == in_vol
-        assert records == want_records
-        assert n_rejected == want_rejected
-        assert 0 < n_rejected < n_steps
+            n_rejected = sampler_mod._run_blocks(state, n, dependence, src, dst,
+                                                 proposed, expo, record_at, record)
+            assert n_rejected.shape == (n_chains,)
+            for c in range(n_chains):
+                y, out_vol, in_vol, want_records, want_rejected = scalar_chain(
+                    dense[c].tolist(), dependence, src.tolist(), dst.tolist(),
+                    proposed[c].tolist(), expo[c].tolist(), record_at.tolist())
+                assert state[c, :nn].reshape(n, n).tolist() == y
+                assert state[c, nn:nn + n].tolist() == out_vol
+                assert state[c, nn + n:].tolist() == in_vol
+                assert [rec[c] for rec in records] == want_records
+                assert n_rejected[c] == want_rejected
+                assert 0 < n_rejected[c] < n_steps
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 200])
     def test_sweeps_visit_every_dyad_once_in_node_disjoint_blocks(self, n):
         sweep = n * (n - 1)
-        chunks = list(sampler_mod._schedule(n, 2 * sweep, np.random.default_rng(n)))
+        chunks = list(sampler_mod._schedule(n, 2 * sweep, np.random.default_rng(n), 1))
         codes = np.concatenate([src * n + dst for src, dst in chunks])
         every_dyad = np.flatnonzero(~np.eye(n, dtype=bool))
         for visits in (codes[:sweep], codes[sweep:]):
@@ -269,52 +276,65 @@ class TestBlockKernel:
             assert np.all(np.diff(nodes, axis=1) > 0)
 
     def test_chain_memory_is_bounded_by_a_chunk_not_a_sweep(self):
+        # a chunk holds about _RNG_BLOCK proposals over all chains, so the
+        # peak beyond the state rows does not grow with the chain count
         n = 400
         sweep = n * (n - 1)  # 159,600 dyads, about 2.4 chunks
         assert sweep > 2 * sampler_mod._RNG_BLOCK
         lam = np.full((n, n), 0.5)
         dependence = [(-0.5, "nonzero"), (0.3, "mutual_min"), (-0.2, "waypoint_flow")]
-        cfg = ChainConfig(n_networks=2, burn_in=sweep, thin=sweep // 2, seed=3)
-        tracemalloc.start()
-        try:
-            run = sampler_mod._chain(lam, dependence, FlowNetwork.empty(n), cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert run.n_proposals == 2 * sweep
-        state = (n * n + 2 * n) * 8
-        # about 96 bytes per proposal of a chunk; chunks of a whole sweep
-        # peak at about 234 bytes per _RNG_BLOCK proposals here
-        assert peak - state < 150 * sampler_mod._RNG_BLOCK, peak - state
+        for n_chains in (1, 4):
+            cfg = ChainConfig(n_networks=2 * n_chains, burn_in=sweep, thin=sweep // 2,
+                              seed=3, n_chains=n_chains)
+            tracemalloc.start()
+            try:
+                run = sampler_mod._chain(lam, dependence, FlowNetwork.empty(n), cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert run.n_proposals == 2 * sweep * n_chains
+            state = n_chains * (n * n + 2 * n) * 8
+            # about 96 bytes per proposal of a chunk; chunks of a whole sweep
+            # peak at about 234 bytes per _RNG_BLOCK proposals here
+            assert peak - state < 150 * sampler_mod._RNG_BLOCK, (n_chains, peak - state)
 
 
 class TestMultiChain:
-    def test_partition_determinism(self, knockout_data, monkeypatch):
-        # two chains, serially on one CPU, then in a pool where the host
-        # offers more; the pool's workers send their snapshots back
+    def test_fewer_networks_keep_a_prefix_of_each_chain(self, knockout_data):
+        # 12 networks over 3 chains and 10 over 3 run the same chains, 4
+        # recorded samples each; the 10 keep 4, 3 and 3 of them, in chain order
         model, theta, current, _lag, nodes, dyads = knockout_data
-        cfg = ChainConfig(n_networks=10, burn_in=2000, thin=500, seed=5, n_chains=2)
-        b = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
-        monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: 1)
-        a = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
-        assert a.networks == b.networks
-        assert np.array_equal(a.sum_series, b.sum_series)
-        assert np.array_equal(a.in_volumes, b.in_volumes)
-        assert np.array_equal(a.out_volumes, b.out_volumes)
-        assert a.in_volumes.shape == (10, current.n_nodes)
-        assert len(a.networks) == 10
+        cfg = ChainConfig(n_networks=12, burn_in=2000, thin=500, seed=5, n_chains=3)
+        full = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        part = mcmc_simulate(model, theta, nodes, dyads, current,
+                             replace(cfg, n_networks=10))
+        rows = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10]
+        assert np.array_equal(part.in_volumes, full.in_volumes[rows])
+        assert np.array_equal(part.out_volumes, full.out_volumes[rows])
+        assert np.array_equal(part.sum_series, full.sum_series[rows])
+        assert part.networks == [full.networks[k] for k in rows]
+        assert full.n_proposals == part.n_proposals == 3 * (2000 + 4 * 500)
+        for run in (full, part):
+            for k, net in enumerate(run.networks):
+                assert np.array_equal(run.in_volumes[k], net.in_volumes())
+                assert np.array_equal(run.out_volumes[k], net.out_volumes())
+        # the chains differ, and no more chains run than there are networks
+        assert len({tuple(full.sum_series[k::4]) for k in range(4)}) > 1
+        one_each = mcmc_simulate(model, theta, nodes, dyads, current,
+                                 replace(cfg, n_networks=2, n_chains=5))
+        assert one_each.n_proposals == 2 * (2000 + 500)
 
     def test_single_chain_keeps_config_seed(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
         cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5)
         resolved = sampler_mod._resolve(model, theta, nodes, dyads, current)
-        # the reference runs the one chain directly at cfg.seed
         ref = sampler_mod._chain(*resolved, cfg, True)
-        merged = sampler_mod._run_chains(resolved, cfg)
+        summaries = sampler_mod._chain(*resolved, cfg)
         run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
-        assert merged.networks == []
+        assert [net.total_flow for net in run.networks] == run.sum_series.tolist()
+        assert summaries.networks == []
         assert run.networks == ref.networks
-        for got in (merged, run):
+        for got in (summaries, run):
             assert np.array_equal(got.sum_series, ref.sum_series)
             assert np.array_equal(got.in_volumes, ref.in_volumes)
             assert np.array_equal(got.out_volumes, ref.out_volumes)
@@ -329,60 +349,9 @@ class TestMultiChain:
             return ChangeStats(*args)
 
         monkeypatch.setattr(sampler_mod, "ChangeStats", counting)
-        monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: 1)
         cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5, n_chains=3)
         adequacy_check(model, theta, nodes, dyads, current, cfg)
         assert len(calls) == 1
-
-    def test_pool_gets_resolved_inputs_once_and_small_jobs(self, adequacy_data,
-                                                          monkeypatch):
-        # a stand-in pool that runs every job inline, so no process starts; on
-        # 100 nodes the covariates pickle to ~700 KB and lambda alone to 80 KB
-        model, theta, current, _lag, nodes, dyads = adequacy_data
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer, initargs):
-                self.max_workers = max_workers
-                self.job_bytes = []
-                pools.append(self)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                for args in zip(*iterables):
-                    self.job_bytes.append(len(pickle.dumps((fn, args))))
-                    yield fn(*args)
-
-        monkeypatch.setattr(sampler_mod, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(sampler_mod, "_worker_inputs", None)  # restored after
-        cfg = ChainConfig(n_networks=10, burn_in=2000, thin=200, seed=5)
-        resolved = sampler_mod._resolve(model, theta, nodes, dyads, current)
-
-        def run(n_chains):
-            return sampler_mod._run_chains(resolved, replace(cfg, n_chains=n_chains))
-
-        monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: 1)
-        serial = run(3)
-        assert pools == []  # one CPU runs the chains serially
-        # workers: min(chains with networks to draw, CPUs available)
-        for cpus, n_chains, workers in ((4, 3, 3), (2, 3, 2), (8, 12, 8)):
-            monkeypatch.setattr(sampler_mod, "_available_cpus", lambda: cpus)
-            pooled = run(n_chains)
-            pool = pools.pop()
-            assert pool.max_workers == workers
-            assert len(pool.job_bytes) == min(n_chains, cfg.n_networks)
-            assert max(pool.job_bytes) < 64 * 1024
-            if n_chains == 3:
-                assert np.array_equal(pooled.sum_series, serial.sum_series)
-                assert np.array_equal(pooled.in_volumes, serial.in_volumes)
-                assert np.array_equal(pooled.out_volumes, serial.out_volumes)
-                assert pooled.n_accepted == serial.n_accepted
 
     def test_adequacy_and_knockout_build_no_networks(self, knockout_data, monkeypatch):
         model, theta, current, _lag, nodes, dyads = knockout_data
@@ -433,13 +402,13 @@ class TestAdequacy:
         # every simulated network equal to the observed one
         model, theta, current, _lag, nodes, dyads = small_data
 
-        def fake_run_chains(*args, **kwargs):
+        def fake_chain(*args, **kwargs):
             return sampler_mod.ChainRun(
                 np.tile(current.in_volumes(), (20, 1)),
                 np.tile(current.out_volumes(), (20, 1)),
                 np.full(20, float(current.total_flow)), 0, 0)
 
-        monkeypatch.setattr(sampler_mod, "_run_chains", fake_run_chains)
+        monkeypatch.setattr(sampler_mod, "_chain", fake_chain)
         report = adequacy_check(model, theta, nodes, dyads, current,
                                 ChainConfig(n_networks=20, seed=0))
         assert report.in_correlation == pytest.approx(1.0)
@@ -549,6 +518,15 @@ class TestKnockout:
         assert report.pct_diff > 0
         assert report.abs_diff == pytest.approx(
             report.counterfactual_mean - report.baseline_mean)
+
+    def test_single_string_is_one_label(self, knockout_data):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        cfg = ChainConfig(n_networks=4, burn_in=2000, thin=500, seed=24)
+        one, listed = (knockout_experiment(model, theta, nodes, dyads, labels, cfg,
+                                           init=current)
+                       for labels in ("nonzero", ["nonzero"]))
+        assert one == listed
+        assert one.zeroed_labels == ("nonzero",)
 
     def test_unknown_label_rejected(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
