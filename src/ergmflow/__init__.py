@@ -19,8 +19,7 @@ from .estimator import (DyadSample, FitResult, census_sample,
                         stratified_dyad_sample)
 from .sampler import (AdequacyReport, ChainConfig, ChainRun, KnockoutReport,
                       adequacy_check, expected_total_flow,
-                      knockout_experiment, lag1_autocorrelation,
-                      mcmc_simulate)
+                      knockout_experiment, mcmc_simulate)
 from .ingest import (DEFAULT_COVARIATE_DISTRIBUTIONS, GroupFlowMatrix,
                      build_dyad_covariates, group_flow_matrix, load_distances,
                      load_flows, load_nodes, racial_dissimilarity,
@@ -44,7 +43,7 @@ __all__ = [
     "fit_mple", "pseudo_bic", "effect_multiplier",
     "ChainConfig", "ChainRun", "mcmc_simulate",
     "AdequacyReport", "adequacy_check", "KnockoutReport",
-    "knockout_experiment", "expected_total_flow", "lag1_autocorrelation",
+    "knockout_experiment", "expected_total_flow",
     "GroupFlowMatrix", "group_flow_matrix", "racial_dissimilarity",
     "scalar_dissimilarity",
     "build_dyad_covariates", "load_flows", "load_nodes", "load_distances",

@@ -316,6 +316,7 @@ def cmd_gof(args, config):
     report.write_volume_csv(outdir / "adequacy_in_volume.csv", "in")
     report.write_volume_csv(outdir / "adequacy_out_volume.csv", "out")
     report.write_json(outdir / "adequacy.json")
+    sys.stderr.writelines("warning: %s\n" % message for message in report.warnings)
     _write_manifest(outdir, "gof", config, seeds,
                     ["adequacy_in_volume.csv", "adequacy_out_volume.csv", "adequacy.json"],
                     n_chains=chain.n_chains)
@@ -334,6 +335,7 @@ def cmd_simulate(args, config):
         write_flows_csv(outdir / name, net)
         names.append(name)
     _write_manifest(outdir, "simulate", config, seeds, names, n_chains=chain.n_chains)
+    sys.stderr.writelines("warning: %s\n" % message for message in run.warnings)
     print("wrote %d simulated networks (acceptance rate %.3f)"
           % (len(run.networks), run.acceptance_rate))
     return EXIT_OK
@@ -346,6 +348,7 @@ def cmd_knockout(args, config):
                                  init=network)
     outdir = _outdir(args, config)
     report.write_json(outdir / "knockout.json")
+    sys.stderr.writelines("warning: %s\n" % message for message in report.warnings)
     _write_manifest(outdir, "knockout", config, seeds, ["knockout.json"],
                     n_chains=chain.n_chains)
     print("baseline total %.1f, counterfactual %.1f, change %+.2f%%"

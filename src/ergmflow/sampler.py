@@ -34,14 +34,16 @@ Every chain records, per sample, the Sum statistic and the per-node in- and
 out-volume vectors from its running state (:class:`ChainRun`). Only
 :func:`mcmc_simulate` also builds a :class:`FlowNetwork` snapshot per sample;
 the adequacy check and the knockout read the recorded summaries and build no
-networks.
+networks. Monte-Carlo error is judged one way, by the effective sample size
+of the Sum series (:func:`_ess`): every standard error and mixing warning
+reads it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,7 +61,6 @@ __all__ = [
     "expected_total_flow",
     "knockout_experiment",
     "KnockoutReport",
-    "lag1_autocorrelation",
 ]
 
 _RNG_BLOCK = 1 << 16
@@ -74,9 +75,9 @@ class ChainConfig:
     ``burn_in`` and ``thin`` default to 10 and 2 proposals per dyad, which
     are exactly 10 and 2 sweeps over every dyad. Without dependence terms
     every proposal is an exact independent draw of its dyad, so a dyad is
-    stationary once it has been proposed; with them,
-    check the reported Sum-statistic autocorrelation and raise ``thin`` if
-    it exceeds ~0.1.
+    stationary once it has been proposed. A run warns when either is
+    shorter than one sweep, and when the effective sample size of its Sum
+    statistic is below half its samples; raise both then.
 
     The ``n_networks`` samples are split as evenly as possible over
     ``n_chains`` chains (the config key ``chain.n_chains``), at most one
@@ -113,9 +114,10 @@ class ChainRun:
     acceptance counts.
 
     ``in_volumes`` and ``out_volumes`` are (samples, n_nodes) int64 arrays,
-    ``sum_series`` the total flow of each sample. ``networks`` holds the
-    sampled :class:`FlowNetwork` states of :func:`mcmc_simulate` and is
-    empty otherwise.
+    ``sum_series`` the total flow of each sample, ``sum_ess`` the sum of
+    each chain's :func:`_ess` of it, ``warnings`` those of :func:`_chain`.
+    ``networks`` holds the sampled :class:`FlowNetwork` states of
+    :func:`mcmc_simulate` and is empty otherwise.
     """
 
     in_volumes: np.ndarray
@@ -123,6 +125,8 @@ class ChainRun:
     sum_series: np.ndarray
     n_proposals: int
     n_accepted: int
+    sum_ess: float
+    warnings: list
     networks: list = field(default_factory=list)
 
     # Every Poisson proposal is a valid count, so none is ever rejected as
@@ -134,12 +138,19 @@ class ChainRun:
         return self.n_accepted / self.n_proposals if self.n_proposals else 0.0
 
 
-def lag1_autocorrelation(series):
+def _ess(series):
+    """Effective sample size of one chain's series, at most its length m, by
+    Geyer's initial positive sequence. A series shorter than 4 or without
+    variance counts each value once."""
     x = np.asarray(series, dtype=np.float64)
-    if len(x) < 3 or x.std() == 0:
-        return 0.0
+    m = len(x)
+    if m < 4 or x.std() == 0:
+        return float(m)
     x = x - x.mean()
-    return float((x[:-1] @ x[1:]) / (x @ x))
+    acf = np.correlate(x, x, mode="full")[m - 1:] / (x @ x)
+    pairs = acf[:m - 1:2] + acf[1::2]  # acf(2t) + acf(2t + 1)
+    positive = pairs[:np.append(pairs <= 0, True).argmax()]  # up to the first <= 0
+    return m / max(2.0 * positive.sum() - 1.0, 1.0)
 
 
 def mcmc_simulate(model, theta, nodes, dyads, init, config):
@@ -331,11 +342,14 @@ def _chain(lam, dependence, init, config, keep_networks=False):
     chain's proposals and exponentials as one (chains, chunk) array. All
     chains record ceil(n_networks / chains) samples at the same steps, and
     chain k keeps its first q + (k < r) of them, q, r = divmod(n_networks,
-    chains); at most ``n_networks`` chains run.
+    chains); at most ``n_networks`` chains run. It warns when ``sum_ess`` is
+    below half the samples, and when ``burn_in``, or ``thin`` with 2 samples a
+    chain, is below a sweep; a sweep's dyads are distinct, so shares are exact.
     """
     n = init.n_nodes
     nn = n * n
-    burn_in, thin = config.resolved(n * (n - 1))
+    n_dyads = n * (n - 1)
+    burn_in, thin = config.resolved(n_dyads)
     n_chains = min(config.n_chains, config.n_networks)
     q, r = divmod(config.n_networks, n_chains)
     keep = [q + (k < r) for k in range(n_chains)]  # samples each chain keeps
@@ -373,9 +387,18 @@ def _chain(lam, dependence, init, config, keep_networks=False):
 
     kept = np.concatenate([volumes[:keep[c], c] for c in range(n_chains)])
     outs = kept[:, :n].copy()
-    return ChainRun(kept[:, n:].copy(), outs, outs.sum(axis=1).astype(np.float64),
+    sums = outs.sum(axis=1).astype(np.float64)
+    ess = sum(map(_ess, np.split(sums, np.cumsum(keep)[:-1])))
+    warnings = ["%s of %d proposals covers %.3g sweeps: at least %.1f%% of dyads go "
+                "unproposed within it" % (name, x, x / n_dyads, 100.0 - 100.0 * x / n_dyads)
+                for name, x in (("burn_in", burn_in), ("thin", thin if m > 1 else n_dyads))
+                if x < n_dyads]
+    if ess < 0.5 * len(sums):
+        warnings.append("Sum-statistic effective sample size %.3g of %d networks is "
+                        "below half; raise burn_in and thin" % (ess, len(sums)))
+    return ChainRun(kept[:, n:].copy(), outs, sums,
                     n_chains * total_steps, n_chains * total_steps - n_rejected,
-                    [net for nets in networks for net in nets])
+                    ess, warnings, [net for nets in networks for net in nets])
 
 
 # -- adequacy ------------------------------------------------------------------
@@ -405,7 +428,7 @@ class AdequacyReport:
     in_correlation: float
     out_correlation: float
     n_networks: int
-    sum_lag1_autocorr: float
+    sum_ess: float
     degenerate: bool
     warnings: list = field(default_factory=list)
 
@@ -425,7 +448,7 @@ class AdequacyReport:
             "nodes_outside_in_envelope": int(self.in_outside.sum()),
             "nodes_outside_out_envelope": int(self.out_outside.sum()),
             "n_nodes": len(self.node_ids),
-            "sum_lag1_autocorr": self.sum_lag1_autocorr,
+            "sum_ess": self.sum_ess,
             "degenerate": self.degenerate,
             "warnings": list(self.warnings),
         }
@@ -484,14 +507,8 @@ def adequacy_check(model, theta, nodes, dyads, observed, config):
     sim_in = run.in_volumes.astype(np.float64)
     sim_out = run.out_volumes.astype(np.float64)
 
-    warnings = []
     degenerate = bool(sim_in.std(axis=0).max() == 0 and sim_out.std(axis=0).max() == 0)
-    if degenerate:
-        warnings.append("degenerate chain: all simulated volumes identical")
-    autocorr = lag1_autocorrelation(run.sum_series)
-    if autocorr > 0.1:
-        warnings.append("Sum-statistic lag-1 autocorrelation %.3f exceeds 0.1; "
-                        "consider a larger thin" % autocorr)
+    warnings = ["degenerate chain: all simulated volumes identical"] if degenerate else []
 
     node_ids = observed.node_ids if observed.node_ids is not None else tuple(range(n))
     envelopes = {**_envelope("in", sim_in), **_envelope("out", sim_out)}
@@ -503,34 +520,25 @@ def adequacy_check(model, theta, nodes, dyads, observed, config):
         in_correlation=_pearson(observed.in_volumes(), envelopes["in_median"]),
         out_correlation=_pearson(observed.out_volumes(), envelopes["out_median"]),
         n_networks=len(run.sum_series),
-        sum_lag1_autocorr=autocorr,
+        sum_ess=run.sum_ess,
         degenerate=degenerate,
-        warnings=warnings,
+        warnings=warnings + run.warnings,
     )
 
 
 # -- expected totals and knockouts --------------------------------------------
 
-def _batch_means_se(series):
-    x = np.asarray(series, dtype=np.float64)
-    m = len(x)
-    if m < 2:
-        return float("nan")
-    b = max(2, int(math.sqrt(m)))
-    k = m // b
-    batches = x[: b * k].reshape(b, k).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(b))
-
-
 def expected_total_flow(model, theta, nodes, dyads, config, init):
-    """Monte-Carlo mean of total flow under the model, with batch-means SE.
-    Chains start at ``init``."""
+    """Monte-Carlo mean of total flow under the model, with its standard error
+    over the effective sample size (:func:`_mean_and_se`). Chains start at ``init``."""
     return _mean_and_se(_chain(*_resolve(model, theta, nodes, dyads, init), config))
 
 
 def _mean_and_se(run):
+    """(mean, sd(ddof=1) / sqrt(sum_ess)) of ``run``'s Sum series; NaN SE below 2."""
     sums = run.sum_series
-    return float(sums.mean()), _batch_means_se(sums)
+    se = sums.std(ddof=1) / math.sqrt(run.sum_ess) if len(sums) > 1 else math.nan
+    return float(sums.mean()), float(se)
 
 
 @dataclass
@@ -539,26 +547,22 @@ class KnockoutReport:
 
     Both scenarios run with the same chain configuration and seed, so
     knocking out an empty label set reproduces the baseline exactly.
+    ``warnings`` holds both runs' chain warnings, prefixed by their scenario.
     """
 
     zeroed_labels: tuple
     baseline_mean: float
     baseline_se: float
+    baseline_ess: float
     counterfactual_mean: float
     counterfactual_se: float
+    counterfactual_ess: float
     abs_diff: float
     pct_diff: float
+    warnings: list
 
     def to_json_dict(self):
-        return {
-            "zeroed_labels": list(self.zeroed_labels),
-            "baseline_mean": self.baseline_mean,
-            "baseline_se": self.baseline_se,
-            "counterfactual_mean": self.counterfactual_mean,
-            "counterfactual_se": self.counterfactual_se,
-            "abs_diff": self.abs_diff,
-            "pct_diff": self.pct_diff,
-        }
+        return asdict(self)
 
     def write_json(self, path):
         write_json(path, self.to_json_dict())
@@ -588,20 +592,26 @@ def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
 
     cs = _change_stats(model, init, nodes, dyads)
     rate = cs.linear_rate_matrix(theta_fitted)
-    base_mean, base_se = _mean_and_se(_chain(*_inputs(cs, theta_fitted, rate, init),
-                                             config))
+    base = _chain(*_inputs(cs, theta_fitted, rate, init), config)
     # the counterfactual rate lacks only the zeroed linear terms' share, and
     # equals the baseline's when no linear term is zeroed
     rate -= cs.linear_rate_matrix(zeroed)
-    cf_mean, cf_se = _mean_and_se(_chain(*_inputs(cs, theta_cf, rate, init), config))
+    cf = _chain(*_inputs(cs, theta_cf, rate, init), config)
+    base_mean, base_se = _mean_and_se(base)
+    cf_mean, cf_se = _mean_and_se(cf)
     diff = cf_mean - base_mean
     pct = 100.0 * diff / base_mean if base_mean != 0 else float("nan")
     return KnockoutReport(
         zeroed_labels=tuple(sorted(labels)),
         baseline_mean=base_mean,
         baseline_se=base_se,
+        baseline_ess=base.sum_ess,
         counterfactual_mean=cf_mean,
         counterfactual_se=cf_se,
+        counterfactual_ess=cf.sum_ess,
         abs_diff=diff,
         pct_diff=pct,
+        warnings=["%s: %s" % (scenario, message)
+                  for scenario, run in (("baseline", base), ("counterfactual", cf))
+                  for message in run.warnings],
     )

@@ -308,7 +308,7 @@ class TestKnockout:
                                             "dyad:rural_dissim"]
 
     def test_one_network_writes_strict_json(self, fitted, tmp_path):
-        # batch-means SEs are undefined for a single sample
+        # standard errors are undefined for a single sample
         cfg_path, fit_path = fitted
         config = json.loads(cfg_path.read_text())
         config["chain"] = dict(config["chain"], n_networks=1)
@@ -323,6 +323,27 @@ class TestKnockout:
         assert payload["baseline_mean"] > 0
         manifest = _strict_json(tmp_path / "ko" / "manifest.json")
         assert manifest["n_chains"] == 1
+
+
+@pytest.mark.parametrize("command", ["gof", "simulate", "knockout"])
+def test_chain_below_a_sweep_prints_its_warnings_and_exits_0(fitted, tmp_path, capsys,
+                                                              command):
+    cfg, fit_path = fitted
+    cfg = _with_chain(cfg, tmp_path, burn_in=1, thin=1)
+    argv = [command, "--config", str(cfg), "--fit", str(fit_path),
+            "--out", str(tmp_path / "out")]
+    if command == "knockout":
+        argv += ["--labels", "dyad:political_dissim"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    prefix = "warning: baseline: " if command == "knockout" else "warning: "
+    assert any(line.startswith(prefix + "burn_in of 1 proposals") for line in err), err
+    assert any(line.startswith(prefix + "thin of 1 proposals") for line in err), err
+    assert all(line.startswith("warning: ") for line in err), err
+    if command == "knockout":
+        warnings = json.loads((tmp_path / "out" / "knockout.json").read_text())["warnings"]
+        assert err == ["warning: " + w for w in warnings]
+        assert any(w.startswith("counterfactual: thin") for w in warnings)
 
 
 def _strict_json(path):

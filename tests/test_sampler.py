@@ -9,8 +9,7 @@ import ergmflow.sampler as sampler_mod
 import ergmflow.stats as stats_mod
 from ergmflow import (ChainConfig, ChangeStats, FlowNetwork, ModelSpec, TermSpec,
                       ValidationError, adequacy_check, expected_total_flow,
-                      knockout_experiment, lag1_autocorrelation,
-                      mcmc_simulate, statistic_vector)
+                      knockout_experiment, mcmc_simulate, statistic_vector)
 
 from oracles import exact_two_node_distribution, scalar_chain
 
@@ -406,7 +405,7 @@ class TestAdequacy:
             return sampler_mod.ChainRun(
                 np.tile(current.in_volumes(), (20, 1)),
                 np.tile(current.out_volumes(), (20, 1)),
-                np.full(20, float(current.total_flow)), 0, 0)
+                np.full(20, float(current.total_flow)), 0, 0, 20.0, [])
 
         monkeypatch.setattr(sampler_mod, "_chain", fake_chain)
         report = adequacy_check(model, theta, nodes, dyads, current,
@@ -547,10 +546,72 @@ class TestKnockout:
 
 
 class TestDiagnostics:
-    def test_lag1_autocorrelation(self):
+    def test_ess_of_ar1_matches_closed_form(self):
         rng = np.random.default_rng(0)
-        white = rng.normal(0, 1, 4000)
-        assert abs(lag1_autocorrelation(white)) < 0.06
-        walk = np.cumsum(white)
-        assert lag1_autocorrelation(walk) > 0.9
-        assert lag1_autocorrelation(np.ones(10)) == 0.0
+        m, rho = 4000, 0.5
+        noise = rng.normal(0, 1, m)
+        x = np.empty(m)
+        x[0] = noise[0] / math.sqrt(1 - rho ** 2)
+        for t in range(1, m):
+            x[t] = rho * x[t - 1] + noise[t]
+        expected = m * (1 - rho) / (1 + rho)
+        assert abs(sampler_mod._ess(x) - expected) <= 0.15 * expected
+
+    def test_ess_of_iid_noise_is_near_its_length(self):
+        m = 4000
+        ess = sampler_mod._ess(np.random.default_rng(0).normal(0, 1, m))
+        assert 0.8 * m <= ess <= m
+
+    def test_ess_of_alternating_series_is_capped_at_its_length(self):
+        assert sampler_mod._ess(np.tile([1.0, -1.0], 50)) == 100.0
+
+    def test_ess_counts_each_value_of_short_or_constant_series(self):
+        assert sampler_mod._ess(np.full(10, 3.0)) == 10.0
+        assert sampler_mod._ess(np.array([1.0, 5.0, 2.0])) == 3.0
+
+    def test_sum_ess_sums_each_chains_ess(self, knockout_data):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        cfg = ChainConfig(n_networks=10, burn_in=2000, thin=500, seed=6, n_chains=3)
+        run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        blocks = np.split(run.sum_series, [4, 7])  # the chains keep 4, 3 and 3
+        assert run.sum_ess == sum(sampler_mod._ess(b) for b in blocks)
+
+    def test_se_divides_the_sd_by_the_root_of_the_ess(self, knockout_data):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        cfg = ChainConfig(n_networks=12, burn_in=2000, thin=500, seed=6)
+        run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        mean, se = expected_total_flow(model, theta, nodes, dyads, cfg, init=current)
+        assert mean == run.sum_series.mean()
+        assert se == pytest.approx(run.sum_series.std(ddof=1) / math.sqrt(run.sum_ess))
+
+    def test_knockout_below_a_sweep_warns_for_both_scenarios(self, knockout_data):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        sweep = current.n_nodes * (current.n_nodes - 1)
+        cfg = ChainConfig(n_networks=4, burn_in=sweep // 4, thin=sweep // 10, seed=2)
+        report = knockout_experiment(model, theta, nodes, dyads, {"nonzero"}, cfg,
+                                     init=current)
+        for scenario in ("baseline", "counterfactual"):
+            warned = [w for w in report.warnings if w.startswith(scenario + ": ")]
+            assert any("burn_in of %d proposals covers 0.25 sweeps" % (sweep // 4) in w
+                       and "75.0% of dyads" in w for w in warned), report.warnings
+            assert any("thin of %d proposals covers 0.1 sweeps" % (sweep // 10) in w
+                       for w in warned), report.warnings
+        assert report.to_json_dict()["warnings"] == report.warnings
+
+    def test_thin_is_not_judged_with_one_sample_a_chain(self, knockout_data):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        cfg = ChainConfig(n_networks=2, burn_in=100, thin=1, seed=2, n_chains=2)
+        run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
+        assert [w.split(" ")[0] for w in run.warnings] == ["burn_in"]
+
+    def test_linear_model_at_default_config_warns_nothing(self, knockout_data):
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        keep = [k for k, t in enumerate(model.terms) if t.kind != "nonzero"]
+        linear = ModelSpec(terms=tuple(model.terms[k] for k in keep))
+        cfg = ChainConfig(seed=3)
+        adequacy = adequacy_check(linear, theta[keep], nodes, dyads, current, cfg)
+        knockout = knockout_experiment(linear, theta[keep], nodes, dyads,
+                                       {"dyad:political_dissim"}, cfg, init=current)
+        assert adequacy.warnings == []
+        assert knockout.warnings == []
+        assert knockout.baseline_ess >= 50 and knockout.counterfactual_ess >= 50
