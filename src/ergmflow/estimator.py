@@ -14,7 +14,13 @@ objective is unbiased for the full-census pseudo-log-likelihood.
 
 Per-dyad contributions are evaluated in vectorized chunks with a fixed
 chunk order, so values, gradients and Hessians are reproducible bit-for-bit
-for a given sample.
+for a given sample. A chunk stores what does not depend on theta: the
+observed counts, weights and nonlinear statistics, the linear design, and
+the segments, whose bounds and intercepts are integers kept as int32 (int64
+where a value does not fit) and whose slopes are int8. An evaluation adds a
+per-segment state (slope, log-probability, share of the normalizer) for
+every chunk, from which the derivatives are built; the Newton fit keeps at
+most one such state alive at a time.
 
 scipy is imported inside the functions that use it, so that importing the
 package, and every command but ``fit``, does not pay for loading it.
@@ -121,8 +127,9 @@ def stratified_dyad_sample(network, n_total, seed):
 
     take1 = np.sort(rng.choice(nz_codes, size=n1, replace=False)) if n1 else np.empty(0, np.int64)
     if n0:
-        zero_codes = np.setdiff1d(np.arange(total, dtype=np.int64), nz_codes,
-                                  assume_unique=True)
+        is_zero = np.ones(total, dtype=bool)
+        is_zero[nz_codes] = False
+        zero_codes = np.flatnonzero(is_zero)
         take0 = np.sort(rng.choice(zero_codes, size=n0, replace=False))
     else:
         take0 = np.empty(0, np.int64)
@@ -194,7 +201,7 @@ def _log_poisson_interval(a, lo, hi):
     return out
 
 
-def _segment_moments(a, lam, log_p, lo, hi):
+def _segment_moments(a, log_p, lo, hi):
     """Mean and variance of v within each segment, under weights e^{a v} / v!.
 
     With P_k = P(lo-k <= X <= hi-k), X ~ Poisson(lam = e^a), the mean is
@@ -205,6 +212,8 @@ def _segment_moments(a, lam, log_p, lo, hi):
     :func:`_log_poisson_interval`. Segments with log_p = -inf get zeros.
     """
     from scipy.special import gammaln
+    with np.errstate(over="ignore"):
+        lam = np.exp(a)
     live = log_p > -np.inf
     up = live & (lo > lam)
     rest = live & ~up
@@ -227,39 +236,57 @@ def _segment_moments(a, lam, log_p, lo, hi):
     return mean, var
 
 
+def _as_int(a):
+    """Integer-valued ``a`` in int32, or in int64 where some value does not
+    fit; both convert back to float64 exactly."""
+    wide = np.abs(a).max(initial=0.0) > np.iinfo(np.int32).max
+    return a.astype(np.int64 if wide else np.int32)
+
+
 class _Chunk:
-    """A block of dyads with all of their data that does not depend on theta."""
+    """A block of dyads with all of their data that does not depend on theta.
+
+    The segment bounds and intercepts of :meth:`ChangeStats.nonlinear_segments`
+    are volumes and counts, so they are kept as integers (``hi`` without its
+    final inf column) and :meth:`segments` gives them back as float64.
+    """
 
     def __init__(self, cs, ii, jj, w):
         self.lin, self.nl = cs.lin_pos, cs.nonlin_pos
         self.y = cs.network.values_at(ii, jj).astype(np.float64)
         self.w = w
         self.x = cs.linear_design(ii, jj)
-        self.lo, self.hi, self.c, d = cs.nonlinear_segments(ii, jj)
+        lo, hi, c, d = cs.nonlinear_segments(ii, jj)
         self.d = d.astype(np.int8)  # slopes are 0, 1 or 2
         rows = np.arange(len(self.y))
-        at = np.sum(self.hi < self.y[:, None], axis=1)  # the segment holding y
-        self.nl_obs = self.c[rows, at] + self.d[rows, at] * self.y[:, None]
+        at = np.sum(hi < self.y[:, None], axis=1)  # the segment holding y
+        self.nl_obs = c[rows, at] + self.d[rows, at] * self.y[:, None]
+        self.lo, self.hi, self.c = _as_int(lo), _as_int(hi[:, :-1]), _as_int(c)
+
+    def segments(self):
+        """(lo, hi, c) as float64, ``hi`` ending in its inf column."""
+        hi = np.column_stack([self.hi, np.full(len(self.y), np.inf)])
+        return self.lo.astype(np.float64), hi, self.c.astype(np.float64)
 
     def log_pmf(self, theta, v):
         """log P(y_ij = v | rest) per dyad (-inf or NaN where some e^a_s
-        overflows), and per segment (a, e^a, log P, share of the normalizer).
+        overflows), and per segment (a, log P, share of the normalizer).
         """
         from scipy.special import gammaln
+        lo, hi, c = self.segments()
         with np.errstate(over="ignore", invalid="ignore"):
             rate = self.x @ theta[self.lin]
-            intercept = self.c @ theta[self.nl]
+            intercept = c @ theta[self.nl]
             slope = rate[:, None] + self.d @ theta[self.nl]
-            lam = np.exp(slope)
-            log_p = _log_poisson_interval(slope, self.lo, self.hi)
-            log_z = intercept + lam + log_p
+            log_p = _log_poisson_interval(slope, lo, hi)
+            log_z = intercept + np.exp(slope) + log_p
             top = log_z.max(axis=1, keepdims=True)
             share = np.exp(log_z - top)
             total = share.sum(axis=1, keepdims=True)
             rows = np.arange(len(v))
-            at = np.sum(self.hi < v[:, None], axis=1)  # the segment holding v
+            at = np.sum(hi < v[:, None], axis=1)  # the segment holding v
             log_w = intercept[rows, at] + slope[rows, at] * v - gammaln(v + 1.0)
-            return log_w - (top + np.log(total))[:, 0], (slope, lam, log_p, share / total)
+            return log_w - (top + np.log(total))[:, 0], (slope, log_p, share / total)
 
 
 def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
@@ -327,11 +354,12 @@ def _derivatives(chunks, theta, state, ridge_lambda, want_hess=True):
     """
     grad = np.zeros(len(theta))
     hess = np.zeros((len(theta), len(theta)))
-    for ch, (slope, lam, log_p, q) in zip(chunks, state):
+    for ch, (slope, log_p, q) in zip(chunks, state):
         lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
-        m, s2 = _segment_moments(slope, lam, log_p, ch.lo, ch.hi)
+        lo, hi, c = ch.segments()
+        m, s2 = _segment_moments(slope, log_p, lo, hi)
         mean_v = np.sum(q * m, axis=1)
-        h = ch.c + d * m[:, :, None]
+        h = c + d * m[:, :, None]
         mean_nl = np.einsum("dsk,ds->dk", h, q)
         grad[lin] += x.T @ (w * (ch.y - mean_v))
         grad[nl] += w @ (ch.nl_obs - mean_nl)
@@ -463,10 +491,13 @@ def _newton(value_fn, derivatives_fn, theta, tol, max_iter, notes, stage=""):
     where the Hessian is not negative definite and halves each step until the
     value improves. Returns (theta, value, gradient, Hessian, steps)."""
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    # At most one objective state is alive: each is dropped once its
+    # derivatives are taken, or once its candidate is rejected.
     value, state = value_fn(theta)
     if not math.isfinite(value):
         raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
     grad, hess = derivatives_fn(theta, state)
+    state = None
     iterations = 0
     while iterations < max_iter and float(np.abs(grad).max()) >= tol:
         iterations += 1
@@ -481,15 +512,17 @@ def _newton(value_fn, derivatives_fn, theta, tol, max_iter, notes, stage=""):
         t = 1.0
         for _ in range(40):
             cand = theta + t * step
-            cand_value, cand_state = value_fn(cand)
+            cand_value, state = value_fn(cand)
             if cand_value >= value + 1e-4 * t * slope - 1e-12 * (1.0 + abs(value)):
                 break
+            state = None
             t *= 0.5
         else:
             notes.append("%sstep halving stalled at iteration %d" % (stage, iterations))
             break
         theta, value = cand, cand_value
-        grad, hess = derivatives_fn(theta, cand_state)
+        grad, hess = derivatives_fn(theta, state)
+        state = None
         if float(np.linalg.norm(theta)) > _THETA_NORM_GUARD:
             raise EstimationError(
                 "theta norm exceeded %g after %siteration %d; the model is "

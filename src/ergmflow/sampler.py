@@ -147,7 +147,10 @@ def _ess(series):
     if m < 4 or x.std() == 0:
         return float(m)
     x = x - x.mean()
-    acf = np.correlate(x, x, mode="full")[m - 1:] / (x @ x)
+    # autocovariance by FFT, zero-padded past 2m - 1 so no lag wraps around
+    size = 1 << (2 * m - 2).bit_length()
+    f = np.fft.rfft(x, size)
+    acf = np.fft.irfft(f.real ** 2 + f.imag ** 2, size)[:m] / (x @ x)
     pairs = acf[:m - 1:2] + acf[1::2]  # acf(2t) + acf(2t + 1)
     positive = pairs[:np.append(pairs <= 0, True).argmax()]  # up to the first <= 0
     return m / max(2.0 * positive.sum() - 1.0, 1.0)

@@ -206,6 +206,25 @@ def exact_two_node_distribution(theta_sum, theta_mutual, grid=60, theta_nonzero=
     return w / w.sum()
 
 
+def correlate_ess(series):
+    """Geyer initial-positive-sequence ESS with the autocorrelation taken
+    directly by ``np.correlate`` (quadratic in the length), capped at the
+    length; a series shorter than 4 or without variance counts each value."""
+    x = np.asarray(series, dtype=np.float64)
+    m = len(x)
+    if m < 4 or x.std() == 0:
+        return float(m)
+    x = x - x.mean()
+    acf = np.correlate(x, x, mode="full")[m - 1:] / (x @ x)
+    total = 0.0
+    for t in range(0, m - 1, 2):
+        pair = acf[t] + acf[t + 1]
+        if pair <= 0:
+            break
+        total += pair
+    return m / max(2.0 * total - 1.0, 1.0)
+
+
 # -- the per-proposal Metropolis-Hastings loop -----------------------------------
 
 def _dependence_changes(kind, v, vp, y_ji, out_i, in_i, out_j, in_j):

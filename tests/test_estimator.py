@@ -1,14 +1,17 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from ergmflow import (DyadCovariateSet, EstimationError,
+from ergmflow import (ChangeStats, DyadCovariateSet, EstimationError,
                       FlowNetwork, ModelSpec, TermSpec, ValidationError,
                       build_network, census_sample, conditional_log_pmf,
                       effect_multiplier, fit_mple, penalized_pseudo_loglik,
                       pseudo_bic, stratified_dyad_sample)
+from ergmflow.estimator import _Chunk, _chunks, _derivatives, _newton, _value
+from ergmflow.network import dyad_codes, dyads_of_codes
 
 from oracles import (brute_conditional_log_pmf, central_gradient,
                      central_hessian, grid_pseudo_loglik, irls_poisson,
@@ -87,6 +90,28 @@ class TestStratifiedSample:
         assert np.all(s.weights[:274_197] == 1.0)
         assert s.weights[-1] == pytest.approx(9_594_825 / 725_803)
         assert s.weights[-1] == pytest.approx(13.2196, abs=1e-4)
+
+    @pytest.mark.parametrize("n_total", [1, 40, 300, 1100])
+    def test_same_draw_as_setdiff_zero_stratum(self, n_total):
+        # the zero-dyad codes, built from a mask, are the array that
+        # np.setdiff1d gave, so the sample is the same draw
+        mat = np.random.default_rng(8).poisson(0.3, (34, 34))
+        np.fill_diagonal(mat, 0)
+        net = FlowNetwork.from_dense(mat)
+        total = net.n_dyads
+        src, dst, _ = net.edge_arrays()
+        nz_codes = np.sort(dyad_codes(src, dst, 34))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            heads = int(rng.binomial(n_total, 0.5))
+            n1 = min(len(nz_codes), heads + max(0, n_total - heads - (total - len(nz_codes))))
+            take1 = np.sort(rng.choice(nz_codes, size=n1, replace=False)) if n1 else nz_codes[:0]
+            zero_codes = np.setdiff1d(np.arange(total, dtype=np.int64), nz_codes,
+                                      assume_unique=True)
+            take0 = np.sort(rng.choice(zero_codes, size=n_total - n1, replace=False))
+            ii, jj = dyads_of_codes(np.concatenate([take1, take0]), 34)
+            s = stratified_dyad_sample(net, n_total, seed=seed)
+            assert np.array_equal(s.src, ii) and np.array_equal(s.dst, jj)
 
 
 class TestConditionalLogPmf:
@@ -268,7 +293,52 @@ class TestPenalizedPseudoLoglik:
             penalized_pseudo_loglik(model, np.zeros(5), net, nodes, dyads, sample)
 
 
+class TestChunkStorage:
+    MODEL = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero"),
+                             TermSpec("mutual_min"), TermSpec("waypoint_flow")))
+
+    @pytest.mark.parametrize("records, dtype", [
+        ([(0, 1, 3), (1, 0, 2), (1, 2, 5), (2, 3, 1), (3, 1, 4)], np.int32),
+        # volumes past 2**31 - 1 widen the storage
+        ([(0, 1, 3_000_000_000), (1, 0, 7), (1, 2, 5), (2, 0, 2_500_000_000)], np.int64),
+    ])
+    def test_segments_are_stored_exactly(self, records, dtype):
+        net = build_network(records, n_nodes=4)
+        sample = census_sample(net)
+        cs = ChangeStats(self.MODEL, net)
+        lo, hi, c, _d = cs.nonlinear_segments(sample.src, sample.dst)
+        chunk = _Chunk(cs, sample.src, sample.dst, sample.weights)
+        assert {chunk.lo.dtype, chunk.hi.dtype, chunk.c.dtype} == {np.dtype(dtype)}
+        got = chunk.segments()
+        assert np.all(np.isinf(got[1][:, -1]))
+        for g, want in zip(got, (lo, hi, c)):
+            assert g.dtype == np.float64 and np.array_equal(g, want)
+
+
 class TestFitMple:
+    def test_newton_holds_one_state_at_a_time(self, small_data):
+        # from theta_sum = -6 the full Newton step overshoots, so the line
+        # search halves; every state must be gone before the next is made
+        model, _theta, net, _lag, nodes, dyads = small_data
+        chunks = _chunks(model, net, nodes, dyads, stratified_dyad_sample(net, 400, seed=1))
+        states = []
+
+        class State(list):  # a list that takes weak references
+            pass
+
+        def value_fn(t):
+            assert all(r() is None for r in states)
+            value, state = _value(chunks, t, 0.01)
+            state = State(state)
+            states.append(weakref.ref(state))
+            return value, state
+
+        _theta, _value_at, grad, _hess, iterations = _newton(
+            value_fn, lambda t, state: _derivatives(chunks, t, state, 0.01),
+            np.array([-6.0, 0.0, 0.0, 0.0, 0.0]), 1e-6, 50, [])
+        assert float(np.abs(grad).max()) < 1e-6
+        assert len(states) > iterations + 1  # at least one halving
+
     def test_sum_only_recovers_log_mean(self):
         rng = np.random.default_rng(0)
         n = 15

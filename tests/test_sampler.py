@@ -11,7 +11,7 @@ from ergmflow import (ChainConfig, ChangeStats, FlowNetwork, ModelSpec, TermSpec
                       ValidationError, adequacy_check, expected_total_flow,
                       knockout_experiment, mcmc_simulate, statistic_vector)
 
-from oracles import exact_two_node_distribution, scalar_chain
+from oracles import correlate_ess, exact_two_node_distribution, scalar_chain
 
 SUM_ONLY = ModelSpec(terms=(TermSpec("sum"),))
 
@@ -568,6 +568,18 @@ class TestDiagnostics:
     def test_ess_counts_each_value_of_short_or_constant_series(self):
         assert sampler_mod._ess(np.full(10, 3.0)) == 10.0
         assert sampler_mod._ess(np.array([1.0, 5.0, 2.0])) == 3.0
+
+    @pytest.mark.parametrize("m", [4, 5, 17, 64, 999, 4096, 30_000])
+    def test_ess_matches_direct_correlation(self, m):
+        # the FFT autocorrelation, padded to a power of two, against the
+        # quadratic np.correlate one on AR(1) series
+        noise = np.random.default_rng(m).normal(0, 1, m)
+        for rho in (-0.5, 0.0, 0.6, 0.95):
+            x = np.empty(m)
+            x[0] = noise[0]
+            for t in range(1, m):
+                x[t] = rho * x[t - 1] + noise[t]
+            assert sampler_mod._ess(x) == pytest.approx(correlate_ess(x), rel=1e-12)
 
     def test_sum_ess_sums_each_chains_ess(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
