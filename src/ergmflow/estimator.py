@@ -10,7 +10,8 @@ segments the log-weight is ``A_s + a_s * v - log v!``, whose sum is
 and the moments behind the gradient and Hessian are exact, at a cost that
 does not grow with the counts. Dyads are drawn with a tie/no-tie stratified
 scheme and re-weighted by inverse inclusion probabilities, so the weighted
-objective is unbiased for the full-census pseudo-log-likelihood.
+objective is unbiased for the full-census pseudo-log-likelihood. The sampler
+codes dyad (i, j) as i * n + j, as the edge arrays and the chain state do.
 
 Per-dyad contributions are evaluated in vectorized chunks with a fixed
 chunk order, so values, gradients and Hessians are reproducible bit-for-bit
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._jsonio import write_json
 from .errors import EstimationError, ValidationError
-from .network import dyad_codes, dyads_of_codes
 from .stats import ChangeStats, ModelSpec, model_to_dict
 
 __all__ = [
@@ -70,7 +70,7 @@ class DyadSample:
     dst: np.ndarray
     weights: np.ndarray
     strata_counts: tuple[int, int, int, int]
-    seed: int | None = None
+    seed: int | None
 
     @property
     def n_dyads(self):
@@ -109,14 +109,15 @@ def stratified_dyad_sample(network, n_total, seed):
     n = network.n_nodes
     total = n * (n - 1)
     src, dst, _ = network.edge_arrays()
-    nz_codes = np.sort(dyad_codes(src, dst, n))
+    nz_codes = src * n + dst  # sorted, as the edge arrays are
     n1_total = len(nz_codes)
     n0_total = total - n1_total
     rng = np.random.default_rng(seed)
+    candidates = np.ones(n * n, dtype=bool)
+    candidates[::n + 1] = False  # the diagonal holds no dyad
 
     if n_total >= total:
-        codes = np.arange(total, dtype=np.int64)
-        ii, jj = dyads_of_codes(codes, n)
+        ii, jj = np.divmod(np.flatnonzero(candidates), n)
         return DyadSample(ii, jj, np.ones(total), (n1_total, n0_total, n1_total, n0_total),
                           seed=seed)
 
@@ -127,10 +128,8 @@ def stratified_dyad_sample(network, n_total, seed):
 
     take1 = np.sort(rng.choice(nz_codes, size=n1, replace=False)) if n1 else np.empty(0, np.int64)
     if n0:
-        is_zero = np.ones(total, dtype=bool)
-        is_zero[nz_codes] = False
-        zero_codes = np.flatnonzero(is_zero)
-        take0 = np.sort(rng.choice(zero_codes, size=n0, replace=False))
+        candidates[nz_codes] = False
+        take0 = np.sort(rng.choice(np.flatnonzero(candidates), size=n0, replace=False))
     else:
         take0 = np.empty(0, np.int64)
 
@@ -139,7 +138,7 @@ def stratified_dyad_sample(network, n_total, seed):
         np.full(n1, n1_total / n1 if n1 else 1.0),
         np.full(n0, n0_total / n0 if n0 else 1.0),
     ])
-    ii, jj = dyads_of_codes(codes, n)
+    ii, jj = np.divmod(codes, n)
     return DyadSample(ii, jj, weights, (n1_total, n0_total, int(n1), int(n0)), seed=seed)
 
 
@@ -430,7 +429,7 @@ class FitResult:
     ridge_lambda: float
     sample_meta: dict
     model: ModelSpec
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @property
     def labels(self):
@@ -607,18 +606,15 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
     return fit
 
 
-def pseudo_bic(fit, effective_n=None):
-    """-2 * unpenalized weighted pseudo-log-likelihood + k * log(n).
-
-    ``effective_n`` defaults to the weighted dyad total of the fit's sample.
-    """
+def pseudo_bic(fit):
+    """-2 * unpenalized weighted pseudo-log-likelihood + k * log(n), where n
+    is the weighted dyad total of the fit's sample."""
     if not fit.converged:
         raise EstimationError("pseudo_bic requires a converged fit")
-    if effective_n is None:
-        effective_n = fit.sample_meta["weight_total"]
-    if effective_n <= 1:
-        raise ValidationError("effective_n must exceed 1")
-    return -2.0 * fit.unpenalized_pll + fit.model.n_terms * math.log(effective_n)
+    n = fit.sample_meta["weight_total"]
+    if n <= 1:
+        raise ValidationError("pseudo_bic needs a sample weight total above 1")
+    return -2.0 * fit.unpenalized_pll + fit.model.n_terms * math.log(n)
 
 
 def effect_multiplier(coef, delta, kind):

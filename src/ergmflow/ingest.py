@@ -4,10 +4,8 @@ seed-deterministic synthetic data generator.
 File formats (all CSV, UTF-8, locale-independent numerals):
 
 * flows:     ``origin,destination,count``
-* nodes:     ``id,state,region,population,density,psr,pct_hispanic,
-             pct_black,pct_asian,pct_white,pct_other,pct_renter,
-             pct_highered,pct_unemployment,pct_rural,pct_democrat_2008,
-             immigrant_inflow``
+* nodes:     ``id,state,region``, then the node-file columns of
+             :data:`ergmflow.network.NODE_COLUMNS` in its order
 * distances: ``id_a,id_b,km`` (symmetric; one direction is sufficient)
 
 Loaders stream a file in blocks of a few thousand rows. Each block becomes
@@ -33,7 +31,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ValidationError
-from .network import (RACIAL_CATEGORIES, DyadCovariateSet, FlowNetwork,
+from .network import (NODE_COLUMNS, REGIONS, DyadCovariateSet, FlowNetwork,
                       NodeTable)
 from .sampler import ChainConfig, mcmc_simulate
 from .stats import ModelSpec
@@ -254,55 +252,50 @@ def load_flows(path):
     return records
 
 
-_NODE_COLUMNS = ("id", "state", "region", "population", "density", "psr",
-                 "pct_hispanic", "pct_black", "pct_asian", "pct_white",
-                 "pct_other", "pct_renter", "pct_highered",
-                 "pct_unemployment", "pct_rural", "pct_democrat_2008",
-                 "immigrant_inflow")
-_RACIAL_COLUMNS = tuple("pct_" + cat for cat in RACIAL_CATEGORIES)
+# (field, node-file columns, dtype) of each entry of NODE_COLUMNS
+_NODE_FIELDS = [(f, (c,) if isinstance(c, str) else c, t) for f, c, t, _ in NODE_COLUMNS]
+_NODE_HEADER = ("id", "state", "region") + tuple(c for _, cs, _ in _NODE_FIELDS for c in cs)
 
 
 def load_nodes(path):
     """Read a node covariate table into a validated :class:`NodeTable`.
 
-    Racial percentage columns must sum to 100 per node (they become shares
-    summing to 1); violations are rejected naming the node.
+    Integer columns must hold whole numbers. Racial percentage columns must
+    sum to 100 per node (they become shares summing to 1); violations are
+    rejected naming the node.
     """
     seen = {}
-    table = {c: [] for c in _NODE_COLUMNS}
-    for first_row, cells in _read_blocks(path, _NODE_COLUMNS):
-        cells = dict(zip(_NODE_COLUMNS, cells))
+    table = {c: [] for c in _NODE_HEADER}
+    for first_row, cells in _read_blocks(path, _NODE_HEADER):
+        cells = dict(zip(_NODE_HEADER, cells))
         ids = cells["id"]
         repeated, earlier = _repeats(ids, seen, first_row)
         checks = [(repeated, lambda r: "duplicate node id %r (first at row %d)"
                    % (ids[r], earlier[r]))]
-        for col in _NODE_COLUMNS[3:]:
-            convert = int if col in ("population", "immigrant_inflow") else float
-            raw = cells[col]
-            cells[col], bad = _parse(raw, convert)
-            checks.append((bad, _non_numeric(col, raw)))
-            if col == _RACIAL_COLUMNS[-1]:
-                total = list(map(sum, zip(*(cells[c] for c in _RACIAL_COLUMNS))))
+        for _, cols, dtype in _NODE_FIELDS:
+            for col in cols:
+                raw = cells[col]
+                cells[col], bad = _parse(raw, int if dtype is np.int64 else float)
+                checks.append((bad, _non_numeric(col, raw)))
+            if len(cols) > 1:
+                total = list(map(sum, zip(*(cells[c] for c in cols))))
                 off = np.abs(np.array(total) - 100.0) > 1e-7 * 100.0
                 checks.append((off, lambda r: "racial percentages for node %r sum "
                                "to %.6f, expected 100" % (ids[r], total[r])))
         _raise_first(path, first_row, checks)
         seen.update(zip(ids, range(first_row, first_row + len(ids))))
-        for col in _NODE_COLUMNS:
+        for col in _NODE_HEADER:
             table[col].extend(cells[col])
     if not table["id"]:
         raise ValidationError("%s contains no data rows" % path)
-    shares = np.column_stack([table[c] for c in _RACIAL_COLUMNS]) / 100.0
-    shares = shares / shares.sum(axis=1, keepdims=True)
-    return NodeTable(ids=table["id"], state=table["state"], region=table["region"],
-                     population=table["population"], density=table["density"],
-                     psr=table["psr"], racial_shares=shares,
-                     renter_pct=table["pct_renter"],
-                     highered_pct=table["pct_highered"],
-                     unemployment_pct=table["pct_unemployment"],
-                     rural_pct=table["pct_rural"],
-                     democrat_poll_pct=table["pct_democrat_2008"],
-                     immigrant_inflow=table["immigrant_inflow"])
+    columns = {}
+    for field, cols, _ in _NODE_FIELDS:
+        if len(cols) == 1:
+            columns[field] = table[cols[0]]
+        else:
+            shares = np.column_stack([table[c] for c in cols]) / 100.0
+            columns[field] = shares / shares.sum(axis=1, keepdims=True)
+    return NodeTable(ids=table["id"], state=table["state"], region=table["region"], **columns)
 
 
 def load_distances(path, node_ids):
@@ -380,20 +373,18 @@ def write_flows_csv(path, network):
 def write_nodes_csv(path, nodes):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(_NODE_COLUMNS))
+        writer.writerow(_NODE_HEADER)
         for k in range(nodes.n_nodes):
-            pct = [repr(float(100.0 * s)) for s in nodes.racial_shares[k]]
-            writer.writerow([
-                nodes.ids[k], nodes.state[k], nodes.region[k],
-                int(nodes.population[k]), repr(float(nodes.density[k])),
-                repr(float(nodes.psr[k])), *pct,
-                repr(float(nodes.renter_pct[k])),
-                repr(float(nodes.highered_pct[k])),
-                repr(float(nodes.unemployment_pct[k])),
-                repr(float(nodes.rural_pct[k])),
-                repr(float(nodes.democrat_poll_pct[k])),
-                int(nodes.immigrant_inflow[k]),
-            ])
+            row = [nodes.ids[k], nodes.state[k], nodes.region[k]]
+            for field, cols, dtype in _NODE_FIELDS:
+                value = getattr(nodes, field)[k]
+                if dtype is np.int64:
+                    row.append(int(value))
+                elif len(cols) == 1:
+                    row.append(repr(float(value)))
+                else:
+                    row.extend(repr(float(100.0 * s)) for s in value)
+            writer.writerow(row)
 
 
 def write_distances_csv(path, km, node_ids):
@@ -489,23 +480,13 @@ def synthetic_generate(n_nodes, model, theta_true, seed):
 
     n_states = max(2, n_nodes // 8)
     state_of_node = rng.integers(0, n_states, n_nodes)
-    region_of_state = rng.choice(("Northeast", "South", "West", "Midwest"), n_states)
+    region_of_state = rng.choice(REGIONS, n_states)
     ids = ["n%04d" % k for k in range(n_nodes)]
     nodes = NodeTable(
         ids=ids,
         state=["s%03d" % s for s in state_of_node],
         region=[region_of_state[s] for s in state_of_node],
-        population=dists["population"](rng, n_nodes),
-        density=dists["density"](rng, n_nodes),
-        psr=dists["psr"](rng, n_nodes),
-        racial_shares=dists["racial_shares"](rng, n_nodes),
-        renter_pct=dists["renter_pct"](rng, n_nodes),
-        highered_pct=dists["highered_pct"](rng, n_nodes),
-        unemployment_pct=dists["unemployment_pct"](rng, n_nodes),
-        rural_pct=dists["rural_pct"](rng, n_nodes),
-        democrat_poll_pct=dists["democrat_poll_pct"](rng, n_nodes),
-        immigrant_inflow=dists["immigrant_inflow"](rng, n_nodes),
-    )
+        **{f: draw(rng, n_nodes) for f, draw in dists.items() if f != "coords"})
     coords = dists["coords"](rng, n_nodes)
     diff = coords[:, None, :] - coords[None, :, :]
     km = np.sqrt((diff ** 2).sum(axis=2))

@@ -10,11 +10,15 @@ positive integer (``from_dense`` does not round fractional flows). Nodes are
 dense 0-based indices, optionally carrying a sidecar list of external ids
 (e.g. FIPS codes). Instances are immutable after construction and safe to
 share across threads; simulation code mutates only private dense copies.
+
+A :class:`NodeTable` holds the node covariates; :data:`NODE_COLUMNS` names
+its numeric columns once, for the table's checks and the node-file loader
+and writer. A :class:`DyadCovariateSet` derives dyad covariates from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,22 +33,16 @@ __all__ = [
     "summarize",
     "REGIONS",
     "RACIAL_CATEGORIES",
+    "NODE_COLUMNS",
 ]
 
 REGIONS = ("Northeast", "South", "West", "Midwest")
 RACIAL_CATEGORIES = ("hispanic", "black", "asian", "white", "other")
 
 
-def dyad_codes(src, dst, n):
-    """Index of each ordered dyad (src, dst) among the n (n - 1) pairs of
-    distinct nodes, row-major with the diagonal removed."""
-    return src * (n - 1) + dst - (dst > src)
-
-
-def dyads_of_codes(codes, n):
-    """The (origin, destination) index arrays of :func:`dyad_codes`."""
-    ii, rr = np.divmod(codes, n - 1)
-    return ii.astype(np.intp), (rr + (rr >= ii)).astype(np.intp)
+def _check_node(node, n_nodes):
+    if not (0 <= int(node) < n_nodes):
+        raise ValidationError("node %r out of range for %d nodes" % (node, n_nodes))
 
 
 class FlowNetwork:
@@ -176,8 +174,8 @@ class FlowNetwork:
 
     def value(self, i, j):
         """Flow on the ordered dyad (i, j); absent entries are 0."""
-        self._check_node(i)
-        self._check_node(j)
+        _check_node(i, self.n_nodes)
+        _check_node(j, self.n_nodes)
         return int(self.values_at(int(i), int(j)))
 
     def values_at(self, ii, jj):
@@ -190,11 +188,11 @@ class FlowNetwork:
         return np.where(self._codes[k] == codes, self._val[k], 0)
 
     def in_volume(self, node):
-        self._check_node(node)
+        _check_node(node, self.n_nodes)
         return int(self._in_vol[node])
 
     def out_volume(self, node):
-        self._check_node(node)
+        _check_node(node, self.n_nodes)
         return int(self._out_vol[node])
 
     def in_volumes(self):
@@ -230,10 +228,6 @@ class FlowNetwork:
     def copy(self):
         return FlowNetwork._from_arrays(self.n_nodes, self._src, self._dst, self._val,
                                         self.period_label, self.node_ids)
-
-    def _check_node(self, node):
-        if not (0 <= int(node) < self.n_nodes):
-            raise ValidationError("node %r out of range for %d nodes" % (node, self.n_nodes))
 
     def __eq__(self, other):
         if not isinstance(other, FlowNetwork):
@@ -317,19 +311,10 @@ class SummaryReport:
     total_flow: int
     mean_flow_per_node: float
     mean_flow_per_edge: float
-    period_label: str = ""
+    period_label: str
 
     def to_dict(self):
-        return {
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "density": self.density,
-            "mean_degree": self.mean_degree,
-            "total_flow": self.total_flow,
-            "mean_flow_per_node": self.mean_flow_per_node,
-            "mean_flow_per_edge": self.mean_flow_per_edge,
-            "period_label": self.period_label,
-        }
+        return asdict(self)
 
 
 def summarize(network):
@@ -352,78 +337,78 @@ def summarize(network):
 
 # -- covariate tables --------------------------------------------------------
 
-_PCT_FIELDS = ("renter_pct", "highered_pct", "unemployment_pct", "rural_pct",
-               "democrat_poll_pct")
+# The numeric node columns in node-file order: (field, node-file column, dtype,
+# allowed range). ``racial_shares`` spans one pct_<category> column per
+# racial category, which a node file gives in percent and the table holds as
+# shares summing to 1. Values are checked as float64, so the integer columns
+# stop at 2**63 - 1024, the largest float64 that an int64 holds.
+NODE_COLUMNS = (
+    ("population", "population", np.int64, (1, 2 ** 63 - 1024)),
+    ("density", "density", np.float64, (0, np.inf)),
+    ("psr", "psr", np.float64, (0, np.inf)),
+    ("racial_shares", tuple("pct_" + c for c in RACIAL_CATEGORIES), np.float64, (0, np.inf)),
+    ("renter_pct", "pct_renter", np.float64, (0, 100)),
+    ("highered_pct", "pct_highered", np.float64, (0, 100)),
+    ("unemployment_pct", "pct_unemployment", np.float64, (0, 100)),
+    ("rural_pct", "pct_rural", np.float64, (0, 100)),
+    ("democrat_poll_pct", "pct_democrat_2008", np.float64, (0, 100)),
+    ("immigrant_inflow", "immigrant_inflow", np.int64, (0, 2 ** 63 - 1024)),
+)
 
 
 class NodeTable:
     """Per-node covariates, indexed like the network's nodes.
 
-    Percent fields are stored on the 0..100 scale they arrive in; model
-    covariates derived from them (see :meth:`covariate`) are proportions in
-    [0, 1] so that coefficient magnitudes stay comparable across terms.
-    Racial shares are ordered (hispanic, black, asian, white, other) and
-    must sum to 1 per node.
+    Takes ``ids``, ``state``, ``region`` and one keyword per field of
+    :data:`NODE_COLUMNS`, whose values must be finite, in range and, in an
+    integer column, whole. Percent fields are stored on the 0..100 scale;
+    model covariates derived from them (see :meth:`covariate`) are
+    proportions in [0, 1] so that coefficient magnitudes stay comparable
+    across terms. Racial shares are ordered as :data:`RACIAL_CATEGORIES`
+    and must sum to 1 per node.
     """
 
-    def __init__(self, ids, state, region, population, density, psr,
-                 racial_shares, renter_pct, highered_pct, unemployment_pct,
-                 rural_pct, democrat_poll_pct, immigrant_inflow):
+    def __init__(self, ids, state, region, **columns):
         self.ids = tuple(str(x) for x in ids)
         n = len(self.ids)
         if len(set(self.ids)) != n:
             raise ValidationError("duplicate node ids in node table")
+        if set(columns) != {f for f, *_ in NODE_COLUMNS}:
+            raise TypeError("NodeTable takes one keyword per field of NODE_COLUMNS, "
+                            "got %s" % ", ".join(sorted(columns)))
         self.state = np.asarray([str(s) for s in state], dtype=object)
         self.region = np.asarray([str(r) for r in region], dtype=object)
-        self.population = np.asarray(population, dtype=np.int64)
-        self.density = np.asarray(density, dtype=np.float64)
-        self.psr = np.asarray(psr, dtype=np.float64)
-        self.racial_shares = np.asarray(racial_shares, dtype=np.float64)
-        self.renter_pct = np.asarray(renter_pct, dtype=np.float64)
-        self.highered_pct = np.asarray(highered_pct, dtype=np.float64)
-        self.unemployment_pct = np.asarray(unemployment_pct, dtype=np.float64)
-        self.rural_pct = np.asarray(rural_pct, dtype=np.float64)
-        self.democrat_poll_pct = np.asarray(democrat_poll_pct, dtype=np.float64)
-        self.immigrant_inflow = np.asarray(immigrant_inflow, dtype=np.int64)
-
-        for name in ("state", "region", "population", "density", "psr",
-                     "renter_pct", "highered_pct", "unemployment_pct",
-                     "rural_pct", "democrat_poll_pct", "immigrant_inflow"):
+        for name in ("state", "region"):
             if len(getattr(self, name)) != n:
                 raise ValidationError("column %s has %d rows for %d nodes"
                                       % (name, len(getattr(self, name)), n))
-        if self.racial_shares.shape != (n, 5):
-            raise ValidationError("racial_shares must be (n, 5), got %r"
-                                  % (self.racial_shares.shape,))
         bad_region = [r for r in set(self.region) if r not in REGIONS]
         if bad_region:
             raise ValidationError("unknown region values %r; expected %r"
                                   % (sorted(bad_region), list(REGIONS)))
-        if np.any(self.population < 1):
-            raise ValidationError("population must be a positive integer for every node")
-        if np.any(self.density < 0) or np.any(self.psr < 0):
-            raise ValidationError("density and psr must be non-negative")
-        if np.any(self.immigrant_inflow < 0):
-            raise ValidationError("immigrant_inflow must be non-negative")
-        if np.any(self.racial_shares < 0):
-            raise ValidationError("racial shares must be non-negative")
+        for field, column, dtype, (lo, hi) in NODE_COLUMNS:
+            col = np.asarray(columns[field], dtype=np.float64)
+            shape = (n,) if isinstance(column, str) else (n, len(column))
+            if col.shape != shape:
+                raise ValidationError("column %s has shape %r, expected %r"
+                                      % (field, col.shape, shape))
+            rows = col.reshape(n, -1)
+            checks = [(np.isfinite(rows), "be finite")]
+            if dtype is np.int64:
+                checks.append((rows == np.floor(rows), "be a whole number"))
+            checks.append(((rows >= lo) & (rows <= hi), "lie in [%.19g, %.19g]" % (lo, hi)))
+            for good, problem in checks:
+                if not np.all(good):
+                    k = int(np.argmin(np.all(good, axis=1)))
+                    raise ValidationError("%s must %s; first offending node %r"
+                                          % (field, problem, self.ids[k]))
+            setattr(self, field, np.asarray(columns[field], dtype=dtype))
         sums = self.racial_shares.sum(axis=1)
         off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
         if len(off):
             raise ValidationError(
                 "racial shares must sum to 1; offending nodes: %s"
                 % ", ".join("%s (sum=%.6f)" % (self.ids[k], sums[k]) for k in off[:10]))
-        for name in _PCT_FIELDS:
-            col = getattr(self, name)
-            if np.any((col < 0) | (col > 100)):
-                raise ValidationError("%s must lie in [0, 100]" % name)
-        # NaN passes every range check above
-        for name in ("density", "psr", "racial_shares") + _PCT_FIELDS:
-            bad = ~np.isfinite(getattr(self, name))
-            if bad.any():
-                k = int(np.argmax(bad.reshape(n, -1).any(axis=1)))
-                raise ValidationError("%s must be finite; first offending node %r"
-                                      % (name, self.ids[k]))
 
     @property
     def n_nodes(self):
@@ -435,48 +420,42 @@ class NodeTable:
         except ValueError:
             raise ValidationError("unknown node id %r" % (node_id,)) from None
 
-    _COVARIATES = (
-        "log_population", "log_density", "psr", "population", "density",
-        "share_hispanic", "share_black", "share_asian", "share_white",
-        "share_other", "renter", "highered", "unemployment", "rural",
-        "democrat", "log_immigrant_inflow", "immigrant_inflow",
-        "northeast", "south", "west", "midwest",
-    )
-
     def covariate(self, name):
-        """Resolve a model covariate by name.
+        """Resolve a model covariate by name (a key of ``_COVARIATE_RULES``)."""
+        if name not in _COVARIATE_RULES:
+            raise ValidationError("unknown node covariate %r; known names: %s"
+                                  % (name, ", ".join(_COVARIATE_RULES)))
+        return _COVARIATE_RULES[name](self)
 
-        Percent fields become proportions; ``log_immigrant_inflow`` uses
-        log(1 + x) because zero inflows occur; region names give 0/1
-        dummies.
-        """
-        if name == "log_population":
-            return np.log(self.population.astype(np.float64))
-        if name == "log_density":
-            if np.any(self.density <= 0):
-                bad = np.flatnonzero(self.density <= 0)[:10]
-                raise ValidationError(
-                    "log_density needs positive density; offending nodes: %s"
-                    % ", ".join(self.ids[k] for k in bad))
-            return np.log(self.density)
-        if name in ("psr", "population", "density"):
-            return np.asarray(getattr(self, name), dtype=np.float64)
-        if name.startswith("share_"):
-            cat = name[len("share_"):]
-            if cat in RACIAL_CATEGORIES:
-                return self.racial_shares[:, RACIAL_CATEGORIES.index(cat)]
-        if name in ("renter", "highered", "unemployment", "rural", "democrat"):
-            field = "democrat_poll_pct" if name == "democrat" else name + "_pct"
-            return getattr(self, field) / 100.0
-        if name == "log_immigrant_inflow":
-            return np.log1p(self.immigrant_inflow.astype(np.float64))
-        if name == "immigrant_inflow":
-            return self.immigrant_inflow.astype(np.float64)
-        if name in ("northeast", "south", "west", "midwest"):
-            return (self.region == name.capitalize()).astype(np.float64)
-        raise ValidationError(
-            "unknown node covariate %r; known names: %s"
-            % (name, ", ".join(self._COVARIATES)))
+
+def _log_density(nodes):
+    bad = np.flatnonzero(nodes.density <= 0)[:10]
+    if len(bad):
+        raise ValidationError("log_density needs positive density; offending nodes: %s"
+                              % ", ".join(nodes.ids[k] for k in bad))
+    return np.log(nodes.density)
+
+
+# Model covariates of a NodeTable by name. Percent fields become proportions;
+# log_immigrant_inflow uses log(1 + x) because zero inflows occur; region
+# names give 0/1 dummies.
+_COVARIATE_RULES = {
+    "log_population": lambda t: np.log(t.population.astype(np.float64)),
+    "log_density": _log_density,
+    "psr": lambda t: t.psr,
+    "population": lambda t: t.population.astype(np.float64),
+    "density": lambda t: t.density,
+    **{"share_" + c: (lambda t, k=k: t.racial_shares[:, k])
+       for k, c in enumerate(RACIAL_CATEGORIES)},
+    "renter": lambda t: t.renter_pct / 100.0,
+    "highered": lambda t: t.highered_pct / 100.0,
+    "unemployment": lambda t: t.unemployment_pct / 100.0,
+    "rural": lambda t: t.rural_pct / 100.0,
+    "democrat": lambda t: t.democrat_poll_pct / 100.0,
+    "log_immigrant_inflow": lambda t: np.log1p(t.immigrant_inflow.astype(np.float64)),
+    "immigrant_inflow": lambda t: t.immigrant_inflow.astype(np.float64),
+    **{r.lower(): (lambda t, r=r: (t.region == r).astype(np.float64)) for r in REGIONS},
+}
 
 
 _SYMMETRIC_DYAD = ("political_dissim", "rural_dissim", "racial_dissim",
@@ -524,11 +503,11 @@ class DyadCovariateSet:
         columns of a :class:`NodeTable` and on a lagged network, as rules."""
         dyads = cls(nodes.n_nodes, matrices)
         dyads._covariates.update({
-            "political_dissim": ("abs_diff", nodes.democrat_poll_pct / 100.0),
-            "rural_dissim": ("abs_diff", nodes.rural_pct / 100.0),
+            "political_dissim": ("abs_diff", nodes.covariate("democrat")),
+            "rural_dissim": ("abs_diff", nodes.covariate("rural")),
             "racial_dissim": ("half_l1", nodes.racial_shares),
             "same_state": ("same", np.unique(nodes.state, return_inverse=True)[1]),
-            "unemp_diff": ("diff", nodes.unemployment_pct / 100.0),
+            "unemp_diff": ("diff", nodes.covariate("unemployment")),
         })
         if lagged is not None:
             dyads._covariates["lagged_log_flow"] = ("log1p_flow", lagged)
@@ -572,5 +551,7 @@ class DyadCovariateSet:
         return m
 
     def value(self, name, i, j):
+        _check_node(i, self.n_nodes)
+        _check_node(j, self.n_nodes)
         v = self.values_at(name, i, j)
         return 0.0 if i == j else float(v)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class ChainRun:
     n_accepted: int
     sum_ess: float
     warnings: list
-    networks: list = field(default_factory=list)
+    networks: list
 
     # Every Poisson proposal is a valid count, so none is ever rejected as
     # invalid; the attribute stays readable for callers that report it.
@@ -433,7 +433,7 @@ class AdequacyReport:
     n_networks: int
     sum_ess: float
     degenerate: bool
-    warnings: list = field(default_factory=list)
+    warnings: list
 
     @property
     def in_outside(self):

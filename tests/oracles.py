@@ -225,6 +225,45 @@ def correlate_ess(series):
     return m / max(2.0 * total - 1.0, 1.0)
 
 
+# -- dyad sampling over the n (n - 1) off-diagonal codes ------------------------
+
+def offdiag_codes(src, dst, n):
+    """Index of each ordered dyad (src, dst) among the n (n - 1) pairs of
+    distinct nodes, row-major with the diagonal removed."""
+    return src * (n - 1) + dst - (dst > src)
+
+
+def offdiag_dyads(codes, n):
+    """The (origin, destination) index arrays of :func:`offdiag_codes`."""
+    ii, rr = np.divmod(codes, n - 1)
+    return ii.astype(np.intp), (rr + (rr >= ii)).astype(np.intp)
+
+
+def offdiag_stratified_sample(network, n_total, seed):
+    """(src, dst, weights, strata counts) of the tie/no-tie stratified sample,
+    drawn over the off-diagonal codes with the zero stratum built by
+    ``np.setdiff1d``."""
+    n = network.n_nodes
+    total = n * (n - 1)
+    src, dst, _ = network.edge_arrays()
+    nz = np.sort(offdiag_codes(src, dst, n))
+    n1_total, n0_total = len(nz), total - len(nz)
+    if n_total >= total:
+        ii, jj = offdiag_dyads(np.arange(total, dtype=np.int64), n)
+        return ii, jj, np.ones(total), (n1_total, n0_total, n1_total, n0_total)
+    rng = np.random.default_rng(seed)
+    heads = int(rng.binomial(n_total, 0.5))
+    n1 = min(n1_total, heads + max(0, n_total - heads - n0_total))
+    n0 = n_total - n1
+    take1 = np.sort(rng.choice(nz, size=n1, replace=False)) if n1 else nz[:0]
+    zero = np.setdiff1d(np.arange(total, dtype=np.int64), nz, assume_unique=True)
+    take0 = np.sort(rng.choice(zero, size=n0, replace=False)) if n0 else nz[:0]
+    weights = np.concatenate([np.full(n1, n1_total / n1 if n1 else 1.0),
+                              np.full(n0, n0_total / n0 if n0 else 1.0)])
+    ii, jj = offdiag_dyads(np.concatenate([take1, take0]), n)
+    return ii, jj, weights, (n1_total, n0_total, n1, n0)
+
+
 # -- the per-proposal Metropolis-Hastings loop -----------------------------------
 
 def _dependence_changes(kind, v, vp, y_ji, out_i, in_i, out_j, in_j):

@@ -1,15 +1,18 @@
-"""A guard on the number of user-facing knobs.
+"""Guards on the number of user-facing knobs and on the size of the source.
 
 Counts the optional parameters (those with a default) of every callable
-that ``ergmflow`` exports. A new knob must raise the bound here, so that it
-shows up as a deliberate test edit.
+that ``ergmflow`` exports, and the lines of the package's modules
+(``cat src/ergmflow/*.py | wc -l``). A new knob, or growth of the source,
+must raise a bound here, so that it shows up as a deliberate test edit.
 """
 
 import inspect
+from pathlib import Path
 
 import ergmflow
 
-MAX_OPTIONAL_PARAMETERS = 31
+MAX_OPTIONAL_PARAMETERS = 25
+MAX_SOURCE_LINES = 3294
 
 
 def test_optional_parameter_count_is_bounded():
@@ -25,3 +28,9 @@ def test_optional_parameter_count_is_bounded():
         found += ["%s(%s)" % (name, p.name) for p in params
                   if p.default is not inspect.Parameter.empty]
     assert len(found) <= MAX_OPTIONAL_PARAMETERS, found
+
+
+def test_source_line_count_is_bounded():
+    modules = sorted(Path(ergmflow.__file__).parent.glob("*.py"))
+    lines = sum(p.read_bytes().count(b"\n") for p in modules)
+    assert lines <= MAX_SOURCE_LINES, lines

@@ -15,10 +15,10 @@ from ergmflow import (ModelSpec, NodeTable, TermSpec,
                       load_nodes, racial_dissimilarity, scalar_dissimilarity,
                       synthetic_generate, write_distances_csv,
                       write_flows_csv, write_nodes_csv)
-from ergmflow.network import REGIONS, FlowNetwork, dyads_of_codes
+from ergmflow.network import REGIONS, FlowNetwork
 from oracles import (ROWLOOP_NODE_COLUMNS, dense_dyad_covariates,
-                     rowloop_load_distances, rowloop_load_flows,
-                     rowloop_load_nodes)
+                     offdiag_dyads, rowloop_load_distances,
+                     rowloop_load_flows, rowloop_load_nodes)
 
 compositions = st.lists(st.floats(min_value=0.0, max_value=1000.0),
                         min_size=5, max_size=5).filter(lambda x: sum(x) > 1e-6)
@@ -162,7 +162,7 @@ class TestOnDemandCovariates:
         assert dyads.names == tuple(sorted(want))
         off = ~np.eye(n, dtype=bool)
         every = np.arange(n)
-        ii, jj = dyads_of_codes(np.random.default_rng(6).integers(0, n * (n - 1), 5000), n)
+        ii, jj = offdiag_dyads(np.random.default_rng(6).integers(0, n * (n - 1), 5000), n)
         for name, m in want.items():
             bits = m.view(np.int64)
             full = dyads.matrix(name)

@@ -230,6 +230,29 @@ class TestNodeTable:
         with pytest.raises(ValidationError, match="duplicate"):
             make_nodes(ids=["a", "a", "b", "c"])
 
+    @pytest.mark.parametrize("field", ["population", "immigrant_inflow"])
+    def test_integer_column_rejects_fractions(self, field):
+        # integral floats such as 3.0 are whole numbers and stay accepted
+        kept = getattr(make_nodes(**{field: [2.0, 3.0, 7.0, 1.0]}), field)
+        assert kept.dtype == np.int64 and kept.tolist() == [2, 3, 7, 1]
+        with pytest.raises(ValidationError,
+                           match="%s must be a whole number; first offending node 'n1'" % field):
+            make_nodes(**{field: [2.0, 2.7, 7.0, 1.9]})
+        # an int64 cannot hold 1e300
+        with pytest.raises(ValidationError,
+                           match=r"%s must lie in \[\d, 9223372036854774784\]; first offending "
+                           "node 'n2'" % field):
+            make_nodes(**{field: np.array([2.0, 3.0, 1e300, 1.0])})
+        big = [2, 3, 2 ** 62 + 1, 2 ** 63 - 1024]
+        assert getattr(make_nodes(**{field: big}), field).tolist() == big
+
+    def test_columns_are_the_node_columns(self):
+        with pytest.raises(TypeError, match="NODE_COLUMNS"):
+            make_nodes(favorite_color=[1.0] * 4)
+        kw = dict(ids=["a"], state=["s"], region=["South"])
+        with pytest.raises(TypeError, match="NODE_COLUMNS"):
+            NodeTable(**kw, population=[1])
+
 
 class TestDyadCovariateSet:
     def test_symmetry_enforced(self):
@@ -259,3 +282,11 @@ class TestDyadCovariateSet:
     def test_shape_checked(self):
         with pytest.raises(ValidationError, match="shape"):
             DyadCovariateSet(3, {"custom": np.zeros((2, 2))})
+
+    @pytest.mark.parametrize("i,j,bad", [(-1, 0, -1), (0, 3, 3), (5, 1, 5)])
+    def test_value_checks_its_nodes(self, i, j, bad):
+        nodes = make_nodes(n=3, immigrant_inflow=[0, 5, 10])
+        dyads = DyadCovariateSet._of_nodes(nodes, {"custom": np.ones((3, 3))})
+        for name in ("political_dissim", "custom"):
+            with pytest.raises(ValidationError, match=r"node %d out of range for 3 nodes" % bad):
+                dyads.value(name, i, j)

@@ -188,10 +188,11 @@ class TestPoissonTarget:
         # short version of the acceptance run: 200k proposals, once without
         # and once with a nonzero term, whose delta is otherwise unchecked
         def two_node_tv(model, theta, exact):
-            # every state after burn-in; on 2 nodes the out-volumes are the state
+            # every state after each chain's burn-in, over 8 chains as in c06;
+            # on 2 nodes the out-volumes are the state
             burn = 5000
             steps = 200_000
-            cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=5)
+            cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=5, n_chains=8)
             run = sampler_mod._chain(*sampler_mod._resolve(
                 model, theta, None, None, FlowNetwork.empty(2)), cfg)
             a, b = run.out_volumes.T
@@ -405,7 +406,7 @@ class TestAdequacy:
             return sampler_mod.ChainRun(
                 np.tile(current.in_volumes(), (20, 1)),
                 np.tile(current.out_volumes(), (20, 1)),
-                np.full(20, float(current.total_flow)), 0, 0, 20.0, [])
+                np.full(20, float(current.total_flow)), 0, 0, 20.0, [], [])
 
         monkeypatch.setattr(sampler_mod, "_chain", fake_chain)
         report = adequacy_check(model, theta, nodes, dyads, current,
