@@ -18,10 +18,10 @@ chunk order, so values, gradients and Hessians are reproducible bit-for-bit
 for a given sample. A chunk stores what does not depend on theta: the
 observed counts, weights and nonlinear statistics, the linear design, and
 the segments, whose bounds and intercepts are integers kept as int32 (int64
-where a value does not fit) and whose slopes are int8. An evaluation adds a
-per-segment state (slope, log-probability, share of the normalizer) for
-every chunk, from which the derivatives are built; the Newton fit keeps at
-most one such state alive at a time.
+where a value does not fit) and whose slopes are int8. An evaluation takes
+each chunk's value, gradient and Hessian in one pass from a per-segment
+state (slope, log-probability, share of the normalizer) that is dropped
+before the next chunk, so no state outlives its chunk.
 
 scipy is imported inside the functions that use it, so that importing the
 package, and every command but ``fit``, does not pay for loading it.
@@ -315,8 +315,8 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
 # -- weighted pseudo-likelihood ----------------------------------------------
 #
 # The sample is split into chunks of a fixed size and order, which bounds
-# memory and makes the reductions deterministic. _value keeps each chunk's
-# per-segment state, from which _derivatives builds the gradient and Hessian.
+# memory and makes the reductions deterministic. _objective takes each
+# chunk's value and derivatives in one pass, so no chunk's state outlives it.
 
 def _chunks(model, network, nodes, dyads, sample):
     if sample.n_dyads == 0:
@@ -329,20 +329,11 @@ def _chunks(model, network, nodes, dyads, sample):
             for k in range(0, len(w), _CHUNK_DYADS)]
 
 
-def _value(chunks, theta, ridge_lambda):
-    """(penalized objective, per-chunk state); the objective is NaN or -inf
-    where a normalizer overflows."""
-    value = 0.0
-    state = []
-    for ch in chunks:
-        log_pmf, st = ch.log_pmf(theta, ch.y)
-        value += float(ch.w @ log_pmf)
-        state.append(st)
-    return value - ridge_lambda * float(theta @ theta), state
-
-
-def _derivatives(chunks, theta, state, ridge_lambda, want_hess=True):
-    """Gradient and (optionally) Hessian from the state of :func:`_value`.
+def _objective(chunks, theta, ridge_lambda, order):
+    """(penalized objective, gradient, Hessian), where ``order`` 0, 1 or 2
+    asks for the value alone, with the gradient, or with both; what is not
+    asked for is None. A non-finite value (NaN or -inf where a normalizer
+    overflows) comes back with no derivatives.
 
     Each dyad's conditional is a mixture over segments with weights q_s;
     within segment s, v has mean m_s and variance s2_s (see
@@ -351,9 +342,13 @@ def _derivatives(chunks, theta, state, ridge_lambda, want_hess=True):
     Covariances are summed as within-segment plus between-segment parts,
     each around its own mean, so no large raw moments cancel.
     """
-    grad = np.zeros(len(theta))
-    hess = np.zeros((len(theta), len(theta)))
-    for ch, (slope, log_p, q) in zip(chunks, state):
+    value = 0.0
+    grad, hess = np.zeros(len(theta)), np.zeros((len(theta), len(theta)))
+    for ch in chunks:
+        log_pmf, (slope, log_p, q) = ch.log_pmf(theta, ch.y)
+        value += float(ch.w @ log_pmf)
+        if not (order and math.isfinite(value)):
+            continue
         lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
         lo, hi, c = ch.segments()
         m, s2 = _segment_moments(slope, log_p, lo, hi)
@@ -362,7 +357,7 @@ def _derivatives(chunks, theta, state, ridge_lambda, want_hess=True):
         mean_nl = np.einsum("dsk,ds->dk", h, q)
         grad[lin] += x.T @ (w * (ch.y - mean_v))
         grad[nl] += w @ (ch.nl_obs - mean_nl)
-        if not want_hess:
+        if order < 2:
             continue
         dm = m - mean_v[:, None]
         dev = h - mean_nl[:, None, :]
@@ -376,9 +371,12 @@ def _derivatives(chunks, theta, state, ridge_lambda, want_hess=True):
         hess[np.ix_(lin, nl)] -= block
         hess[np.ix_(nl, lin)] -= block.T
         hess[np.ix_(nl, nl)] -= dev.T @ (dev * wq) + d.T @ (d * (wq * s2.reshape(-1, 1)))
+    value -= ridge_lambda * float(theta @ theta)
+    if not math.isfinite(value):
+        return value, None, None
     grad -= 2.0 * ridge_lambda * theta
     hess -= 2.0 * ridge_lambda * np.eye(len(theta))
-    return grad, (hess if want_hess else None)
+    return value, (grad if order else None), (hess if order == 2 else None)
 
 
 def penalized_pseudo_loglik(model, theta, network, nodes, dyads, sample,
@@ -395,15 +393,11 @@ def penalized_pseudo_loglik(model, theta, network, nodes, dyads, sample,
         raise ValidationError("ridge_lambda must be >= 0")
     theta = model.check_theta(theta)
     chunks = _chunks(model, network, nodes, dyads, sample)
-    value, state = _value(chunks, theta, ridge_lambda)
+    order = 2 if hessian else 1 if gradient else 0
+    value, grad, hess = _objective(chunks, theta, ridge_lambda, order)
     if not math.isfinite(value):
         raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
-    if not (gradient or hessian):
-        return value
-    grad, hess = _derivatives(chunks, theta, state, ridge_lambda, want_hess=hessian)
-    if hessian:
-        return value, grad, hess
-    return value, grad
+    return (value, grad, hess)[:order + 1] if order else value
 
 
 # -- fitting -----------------------------------------------------------------
@@ -468,7 +462,7 @@ class FitResult:
 
 
 def _poisson(chunks, theta_lin, ridge_lambda):
-    """:func:`_value` with every dependence term at 0, where each conditional
+    """:func:`_objective` with every dependence term at 0, where each conditional
     is Poisson(e^eta), eta = x . theta_lin: the sum of w (y eta - e^eta)
     less the ridge (log y! dropped), and its (gradient, Hessian)."""
     value = -ridge_lambda * float(theta_lin @ theta_lin)
@@ -481,28 +475,24 @@ def _poisson(chunks, theta_lin, ridge_lambda):
             value += float(ch.w @ (ch.y * eta - lam))
             grad += ch.x.T @ (ch.w * (ch.y - lam))
             hess -= ch.x.T @ (ch.x * (ch.w * lam)[:, None])
-    return value, (grad, hess)
+    return value, grad, hess
 
 
-def _newton(value_fn, derivatives_fn, theta, tol, max_iter, notes, stage=""):
+def _newton(objective, theta, tol, max_iter, notes, stage=""):
     """Damped Newton ascent from ``theta`` until the gradient max-norm is
-    below ``tol`` or after ``max_iter`` steps. Takes a scaled gradient step
-    where the Hessian is not negative definite and halves each step until the
-    value improves. Returns (theta, value, gradient, Hessian, steps)."""
+    below ``tol`` or after ``max_iter`` steps. ``objective(theta)`` returns
+    (value, gradient, Hessian). Takes a scaled gradient step where the
+    Hessian is not negative definite and halves each step until the value
+    improves. Returns (theta, value, gradient, Hessian, steps)."""
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
-    # At most one objective state is alive: each is dropped once its
-    # derivatives are taken, or once its candidate is rejected.
-    value, state = value_fn(theta)
+    value, grad, hess = objective(theta)
     if not math.isfinite(value):
         raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
-    grad, hess = derivatives_fn(theta, state)
-    state = None
     iterations = 0
     while iterations < max_iter and float(np.abs(grad).max()) >= tol:
         iterations += 1
         try:
-            factor = cho_factor(-hess)
-            step = cho_solve(factor, grad)
+            step = cho_solve(cho_factor(-hess), grad)
         except LinAlgError:
             scale = max(1.0, float(np.abs(np.diag(hess)).max()))
             step = grad / scale
@@ -511,17 +501,19 @@ def _newton(value_fn, derivatives_fn, theta, tol, max_iter, notes, stage=""):
         t = 1.0
         for _ in range(40):
             cand = theta + t * step
-            cand_value, state = value_fn(cand)
+            # a rejected candidate's derivatives may overflow; an accepted one's are checked
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand_value, cand_grad, cand_hess = objective(cand)
             if cand_value >= value + 1e-4 * t * slope - 1e-12 * (1.0 + abs(value)):
                 break
-            state = None
             t *= 0.5
         else:
             notes.append("%sstep halving stalled at iteration %d" % (stage, iterations))
             break
-        theta, value = cand, cand_value
-        grad, hess = derivatives_fn(theta, state)
-        state = None
+        theta, value, grad, hess = cand, cand_value, cand_grad, cand_hess
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            raise EstimationError("non-finite pseudo-likelihood derivatives at theta=%r after "
+                                  "%siteration %d" % (theta, stage, iterations))
         if float(np.linalg.norm(theta)) > _THETA_NORM_GUARD:
             raise EstimationError(
                 "theta norm exceeded %g after %siteration %d; the model is "
@@ -557,14 +549,12 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
     start_iterations = 0
     if len(lin):
         theta[lin], _, grad, _, start_iterations = _newton(
-            lambda t: _poisson(chunks, t, ridge_lambda), lambda t, derivatives: derivatives,
-            theta[lin], tol, max_iter, notes, "Poisson start ")
+            lambda t: _poisson(chunks, t, ridge_lambda), theta[lin], tol, max_iter, notes,
+            "Poisson start ")
         if float(np.abs(grad).max()) >= tol:
             notes.append("Poisson start not converged; the full fit continues from it")
     theta, value, grad, hess, iterations = _newton(
-        lambda t: _value(chunks, t, ridge_lambda),
-        lambda t, state: _derivatives(chunks, t, state, ridge_lambda),
-        theta, tol, max_iter, notes)
+        lambda t: _objective(chunks, t, ridge_lambda, 2), theta, tol, max_iter, notes)
     gmax = float(np.abs(grad).max())
     converged = gmax < tol
 

@@ -223,8 +223,20 @@ def _raise_first(path, first_row, checks):
         raise ValidationError("%s row %d: %s" % (path, first_row + r, message(r)))
 
 
-def _non_numeric(col, cells):
-    return lambda r: "non-numeric %s value %r" % (col, cells[r])
+def _non_numeric(col, cells, whole=False):
+    text = "%s value %r is not a whole number" if whole else "non-numeric %s value %r"
+    return lambda r: text % (col, cells[r])
+
+
+def _whole(cell):
+    """An integer literal as an int, exact at any size, or a whole decimal (12.0, 1e3)."""
+    try:
+        return int(cell)
+    except ValueError:
+        value = float(cell)
+        if value.is_integer():
+            return int(value)
+        raise
 
 
 def load_flows(path):
@@ -260,9 +272,9 @@ _NODE_HEADER = ("id", "state", "region") + tuple(c for _, cs, _ in _NODE_FIELDS 
 def load_nodes(path):
     """Read a node covariate table into a validated :class:`NodeTable`.
 
-    Integer columns must hold whole numbers. Racial percentage columns must
-    sum to 100 per node (they become shares summing to 1); violations are
-    rejected naming the node.
+    Integer columns must hold whole numbers (``12``, ``12.0`` or ``1e3``).
+    Racial percentage columns must sum to 100 per node (they become shares
+    summing to 1); violations are rejected naming the node.
     """
     seen = {}
     table = {c: [] for c in _NODE_HEADER}
@@ -274,9 +286,9 @@ def load_nodes(path):
                    % (ids[r], earlier[r]))]
         for _, cols, dtype in _NODE_FIELDS:
             for col in cols:
-                raw = cells[col]
-                cells[col], bad = _parse(raw, int if dtype is np.int64 else float)
-                checks.append((bad, _non_numeric(col, raw)))
+                raw, whole = cells[col], dtype is np.int64
+                cells[col], bad = _parse(raw, _whole if whole else float)
+                checks.append((bad, _non_numeric(col, raw, whole)))
             if len(cols) > 1:
                 total = list(map(sum, zip(*(cells[c] for c in cols))))
                 off = np.abs(np.array(total) - 100.0) > 1e-7 * 100.0

@@ -414,12 +414,6 @@ class NodeTable:
     def n_nodes(self):
         return len(self.ids)
 
-    def index_of(self, node_id):
-        try:
-            return self.ids.index(str(node_id))
-        except ValueError:
-            raise ValidationError("unknown node id %r" % (node_id,)) from None
-
     def covariate(self, name):
         """Resolve a model covariate by name (a key of ``_COVARIATE_RULES``)."""
         if name not in _COVARIATE_RULES:

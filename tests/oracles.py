@@ -348,6 +348,22 @@ def _rowloop_num(row, col, rownum, path, convert=float):
                               % (path, rownum, col, raw)) from None
 
 
+def _rowloop_whole(row, col, rownum, path):
+    raw = row[col]
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        pass
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not value.is_integer():
+        raise ValidationError("%s row %d: %s value %r is not a whole number"
+                              % (path, rownum, col, raw))
+    return int(value)
+
+
 def rowloop_load_flows(path):
     rows = _rowloop_rows(path, ("origin", "destination", "count"))
     records = []
@@ -390,7 +406,7 @@ def rowloop_load_nodes(path):
         ids.append(node_id)
         state.append(row["state"])
         region.append(row["region"])
-        population.append(_rowloop_num(row, "population", k, path, convert=int))
+        population.append(_rowloop_whole(row, "population", k, path))
         density.append(_rowloop_num(row, "density", k, path))
         psr.append(_rowloop_num(row, "psr", k, path))
         pct = [_rowloop_num(row, "pct_" + cat, k, path)
@@ -405,7 +421,7 @@ def rowloop_load_nodes(path):
         unemp.append(_rowloop_num(row, "pct_unemployment", k, path))
         rural.append(_rowloop_num(row, "pct_rural", k, path))
         democrat.append(_rowloop_num(row, "pct_democrat_2008", k, path))
-        immig.append(_rowloop_num(row, "immigrant_inflow", k, path, convert=int))
+        immig.append(_rowloop_whole(row, "immigrant_inflow", k, path))
     shares = np.asarray(shares)
     shares = shares / shares.sum(axis=1, keepdims=True)
     return NodeTable(ids=ids, state=state, region=region, population=population,

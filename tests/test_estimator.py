@@ -1,6 +1,6 @@
 import json
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from ergmflow import (ChangeStats, DyadCovariateSet, EstimationError,
                       build_network, census_sample, conditional_log_pmf,
                       effect_multiplier, fit_mple, penalized_pseudo_loglik,
                       pseudo_bic, stratified_dyad_sample)
-from ergmflow.estimator import _Chunk, _chunks, _derivatives, _newton, _value
+import ergmflow.estimator as estimator_mod
+from ergmflow.estimator import _Chunk, _chunks, _newton, _objective
 
 from oracles import (brute_conditional_log_pmf, central_gradient,
                      central_hessian, grid_pseudo_loglik, irls_poisson,
@@ -201,6 +202,15 @@ class TestConditionalLogPmf:
         with pytest.raises(ValidationError, match="non-finite"):
             conditional_log_pmf(model, np.array([np.inf]), net, None, None, (0, 1), 0)
 
+    @pytest.mark.parametrize("dyad, v, match", [
+        ((0, 1), -1, "non-negative integer"), ((0, 1), 1.5, "non-negative integer"),
+        ((1, 1), 0, "self-loop")])
+    def test_bad_count_or_dyad_rejected(self, dyad, v, match):
+        model = ModelSpec(terms=(TermSpec("sum"),))
+        net = FlowNetwork.empty(3)
+        with pytest.raises(ValidationError, match=match):
+            conditional_log_pmf(model, np.array([0.0]), net, None, None, dyad, v)
+
 
 class TestPenalizedPseudoLoglik:
     def test_all_zero_network_value(self):
@@ -297,6 +307,24 @@ class TestPenalizedPseudoLoglik:
         with pytest.raises(EstimationError, match="empty"):
             penalized_pseudo_loglik(model, np.zeros(5), net, nodes, dyads, sample)
 
+    @pytest.mark.parametrize("shape", [{}, {"gradient": True}, {"hessian": True},
+                                       {"gradient": True, "hessian": True}])
+    def test_non_finite_value_raises_for_every_return_shape(self, small_data, shape):
+        # e^800 overflows every normalizer
+        model, _theta, net, _lag, nodes, dyads = small_data
+        sample = stratified_dyad_sample(net, 100, seed=0)
+        theta = np.array([800.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(EstimationError, match="non-finite"):
+            penalized_pseudo_loglik(model, theta, net, nodes, dyads, sample, **shape)
+
+    def test_negative_ridge_rejected(self, small_data):
+        model, _theta, net, _lag, nodes, dyads = small_data
+        sample = stratified_dyad_sample(net, 100, seed=0)
+        with pytest.raises(ValidationError, match="ridge_lambda"):
+            penalized_pseudo_loglik(model, np.zeros(5), net, nodes, dyads, sample, -0.1)
+        with pytest.raises(ValidationError, match="ridge_lambda"):
+            fit_mple(model, net, nodes, dyads, sample, ridge_lambda=-0.1)
+
 
 class TestChunkStorage:
     MODEL = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero"),
@@ -321,28 +349,55 @@ class TestChunkStorage:
 
 
 class TestFitMple:
-    def test_newton_holds_one_state_at_a_time(self, small_data):
+    def test_newton_halves_an_overshooting_step(self, small_data):
         # from theta_sum = -6 the full Newton step overshoots, so the line
-        # search halves; every state must be gone before the next is made
+        # search halves; the rejected candidate's derivatives overflow, which
+        # must not warn (CI runs the suite with -W error)
         model, _theta, net, _lag, nodes, dyads = small_data
         chunks = _chunks(model, net, nodes, dyads, stratified_dyad_sample(net, 400, seed=1))
-        states = []
+        calls = []
 
-        class State(list):  # a list that takes weak references
-            pass
+        def objective(t):
+            calls.append(t)
+            return _objective(chunks, t, 0.01, 2)
 
-        def value_fn(t):
-            assert all(r() is None for r in states)
-            value, state = _value(chunks, t, 0.01)
-            state = State(state)
-            states.append(weakref.ref(state))
-            return value, state
-
-        _theta, _value_at, grad, _hess, iterations = _newton(
-            value_fn, lambda t, state: _derivatives(chunks, t, state, 0.01),
-            np.array([-6.0, 0.0, 0.0, 0.0, 0.0]), 1e-6, 50, [])
+        _theta, _value, grad, _hess, iterations = _newton(
+            objective, np.array([-6.0, 0.0, 0.0, 0.0, 0.0]), 1e-6, 50, [])
         assert float(np.abs(grad).max()) < 1e-6
-        assert len(states) > iterations + 1  # at least one halving
+        assert len(calls) > iterations + 1  # at least one halving
+
+    def test_newton_rejects_non_finite_derivatives_at_an_accepted_step(self):
+        def objective(t):  # value -(t - 1)^2, whose Hessian is NaN off the start
+            hess = np.full((1, 1), -2.0 if t[0] == 0.0 else np.nan)
+            return -float((t - 1.0) @ (t - 1.0)), -2.0 * (t - 1.0), hess
+
+        with pytest.raises(EstimationError, match="non-finite .* derivatives"):
+            _newton(objective, np.zeros(1), 1e-6, 5, [])
+
+    def test_objective_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
+        # value and derivatives are taken chunk by chunk, so one evaluation
+        # holds one chunk's state whatever the number of chunks
+        monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 512)
+        rng = np.random.default_rng(3)
+        mat = rng.poisson(0.6, (150, 150))
+        np.fill_diagonal(mat, 0)
+        net = FlowNetwork.from_dense(mat)
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero"),
+                                 TermSpec("mutual_min"), TermSpec("waypoint_flow")))
+        chunks = _chunks(model, net, None, None, stratified_dyad_sample(net, 40 * 512, seed=2))
+        assert len(chunks) == 40
+        theta = np.array([-0.5, 0.2, 0.1, -0.01])
+        _objective(chunks[:1], theta, 0.01, 2)  # loads scipy and its caches
+
+        def peak(part):
+            tracemalloc.start()
+            try:
+                _objective(part, theta, 0.01, 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(chunks) <= 1.25 * peak(chunks[:2])
 
     def test_sum_only_recovers_log_mean(self):
         rng = np.random.default_rng(0)
@@ -520,6 +575,13 @@ class TestPseudoBic:
         fit = fit_mple(model, net, nodes, dyads, sample)
         fit.converged = False
         with pytest.raises(EstimationError):
+            pseudo_bic(fit)
+
+    def test_weight_total_of_one_rejected(self, small_data):
+        model, _theta, net, _lag, nodes, dyads = small_data
+        fit = fit_mple(model, net, nodes, dyads, stratified_dyad_sample(net, 400, seed=11))
+        fit.sample_meta["weight_total"] = 1.0
+        with pytest.raises(ValidationError, match="weight total above 1"):
             pseudo_bic(fit)
 
     def test_not_reported_for_unconverged_fit(self, small_data, tmp_path):

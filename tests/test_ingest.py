@@ -289,6 +289,26 @@ class TestLoaders:
         off = ~np.eye(nodes.n_nodes, dtype=bool)
         assert np.allclose(km2[off], km[off], rtol=1e-12)
 
+    @pytest.mark.parametrize("cell, want", [
+        ("12", 12), ("12.0", 12), ("1e3", 1000), (" +7 ", 7),
+        ("9007199254740993", 2 ** 53 + 1)])  # a literal stays exact past 2**53
+    def test_integer_columns_take_whole_numbers(self, tmp_path, cell, want):
+        p = _write(tmp_path, "\n".join([NODE_HEADER, _node_line("a", population=cell),
+                                        _node_line("b", immigrant_inflow=cell)]) + "\n")
+        nodes = load_nodes(p)
+        assert nodes.population[0] == want and nodes.immigrant_inflow[1] == want
+
+    @pytest.mark.parametrize("column, cell", [
+        ("population", "12.5"), ("immigrant_inflow", "0.1"), ("population", "inf"),
+        ("population", "x"), ("immigrant_inflow", "")])
+    def test_integer_columns_reject_other_cells(self, tmp_path, column, cell):
+        p = _write(tmp_path, "\n".join([NODE_HEADER, _node_line("a"),
+                                        _node_line("b", **{column: cell})]) + "\n")
+        with pytest.raises(ValidationError) as info:
+            load_nodes(p)
+        assert str(info.value) == ("%s row 3: %s value %r is not a whole number"
+                                   % (p, column, cell))
+
     def test_distance_unknown_id(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("id_a,id_b,km\nX,Y,5\n")
@@ -484,14 +504,18 @@ FLOW_LOADS = {"short_row_valid", "valid"}
 
 NODE_CORPUS = {
     "duplicate_id": [_node_line("a"), _node_line("b"), _node_line("a")],
-    "non_numeric_population": [_node_line("a", population="1e3")],
+    "non_numeric_population": [_node_line("a", population="12 000")],
+    "fractional_population": [_node_line("a"), _node_line("b", population="12.5")],
+    "whole_decimals": [_node_line("a", population="12.0", immigrant_inflow="1e3")],
+    "large_integer_population": [_node_line("a", population="9007199254740993")],
     "non_numeric_pct": [_node_line("a"), _node_line("b", pct_asian="?")],
     "bad_sum": [_node_line("a", pct_white="58.0")],
     "bad_sum_before_bad_renter": [_node_line("a", pct_white="58.0", pct_renter="?")],
     "bad_renter_then_bad_sum": [_node_line("a", pct_renter="?"),
                                 _node_line("b", pct_white="58.0")],
     "bad_sum_then_duplicate": [_node_line("a", pct_white="58.0"), _node_line("a")],
-    "non_numeric_inflow": [_node_line("a", immigrant_inflow="1.5")],
+    "non_numeric_inflow": [_node_line("a", immigrant_inflow="n/a")],
+    "fractional_inflow": [_node_line("a", immigrant_inflow="1.5")],
     "negative_density": [_node_line("a", density="-1")],
     "bad_region": [_node_line("a", region="Atlantis")],
     "short_row": [_node_line("a"), "b,s1,West,10"],
@@ -499,7 +523,7 @@ NODE_CORPUS = {
     "blank_lines": ["", _node_line("a"), "", _node_line("a", psr="x")],
     "no_rows": [],
 }
-NODE_LOADS = {"quoted_ids"}
+NODE_LOADS = {"quoted_ids", "whole_decimals", "large_integer_population"}
 
 
 def _write(tmp_path, text, name="in.csv"):

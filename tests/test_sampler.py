@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -66,6 +67,8 @@ class TestChainBasics:
             ChainConfig(n_networks=0)
         with pytest.raises(ValidationError):
             ChainConfig(n_networks=1, burn_in=0)
+        with pytest.raises(ValidationError, match="thin"):
+            ChainConfig(n_networks=1, thin=0)
         with pytest.raises(ValidationError, match="n_chains"):
             ChainConfig(n_chains=0)
 
@@ -455,6 +458,21 @@ class TestAdequacy:
         assert len(lines) == current.n_nodes + 1
         report.write_json(tmp_path / "adequacy.json")
         assert (tmp_path / "adequacy.json").exists()
+        with pytest.raises(ValidationError, match="direction"):
+            report.write_volume_csv(tmp_path / "x.csv", "sideways")
+
+    def test_constant_observed_volumes_give_a_null_correlation(self, tmp_path):
+        # every node of a complete unit-flow network has the same volumes,
+        # so the correlation with the simulated medians is undefined
+        unit = np.ones((4, 4), dtype=np.int64)
+        np.fill_diagonal(unit, 0)
+        observed = FlowNetwork.from_dense(unit)
+        report = adequacy_check(SUM_ONLY, np.array([0.0]), None, None, observed,
+                                ChainConfig(n_networks=5, seed=1))
+        assert math.isnan(report.in_correlation) and math.isnan(report.out_correlation)
+        report.write_json(tmp_path / "adequacy.json")
+        got = json.loads((tmp_path / "adequacy.json").read_text())
+        assert got["in_correlation"] is None and got["out_correlation"] is None
 
 
 class TestExpectedTotalFlow:
