@@ -410,7 +410,7 @@ class FitResult:
     penalized Hessian; they carry no design-based correction for dyad
     subsampling. NaN entries mean the Hessian was not invertible.
     ``pseudo_bic`` is :func:`pseudo_bic` of the fit, or NaN when the fit did
-    not converge.
+    not converge or its sample's weight total is at most 1.
     """
 
     theta: np.ndarray
@@ -591,7 +591,7 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
             "notes": notes,
         },
     )
-    if converged:
+    if converged and sample.weight_total > 1:
         fit.pseudo_bic = pseudo_bic(fit)
     return fit
 

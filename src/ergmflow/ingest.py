@@ -10,11 +10,14 @@ File formats (all CSV, UTF-8, locale-independent numerals):
 
 Loaders stream a file in blocks of a few thousand rows. Each block becomes
 typed columns and is validated before the next is read, so a loader needs
-one block of memory beyond what it returns. A malformed file is rejected
-naming its first offending row in file order. Rows are numbered from 2 for
-the first data row (the header is row 1), and blank lines are skipped
-without being counted, so in a file without blank lines the row number is
-the line number.
+one block of memory beyond what it returns. The distance loader parses a
+block with ``np.loadtxt`` if it has no quote, NUL or blank line; the first
+block that has one, fails to parse or has a bad row, and every block after
+it, go through :mod:`csv`. A malformed file is rejected naming its first
+offending row in file order. Rows are numbered from 2 for the first data
+row (the header is row 1), and blank lines are skipped without being
+counted, so in a file without blank lines the row number is the line
+number.
 
 Covariate scaling: dissimilarities and percent-derived covariates are
 proportions in [0, 1]; logged covariates of counts use log(1 + x) because
@@ -27,6 +30,7 @@ import csv
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,7 +133,7 @@ def build_dyad_covariates(nodes, distance, lagged=None):
 _BLOCK_ROWS = 8192
 
 
-def _read_blocks(path, columns):
+def _read_blocks(path, columns, fast=None):
     """Stream a CSV file as blocks of text columns.
 
     Yields ``(first_row, cells)``: ``cells[c]`` lists the block's values in
@@ -137,6 +141,9 @@ def _read_blocks(path, columns):
     block's first row. As in :class:`csv.DictReader`, blank lines are
     skipped and not counted, a repeated column name means its last
     occurrence, and a short row has None in the cells it lacks.
+
+    ``fast(lines, picks)``, if given, gets each block's lines and the
+    columns' positions first; csv reads the block it refuses and the rest.
     """
     # unreadable paths surface as OSError (an I/O failure, not a validation
     # failure); only malformed content raises ValidationError
@@ -149,8 +156,14 @@ def _read_blocks(path, columns):
                                   % (path, ", ".join(missing)))
         position = {name: k for k, name in enumerate(header)}
         picks = [position[c] for c in columns]
-        rows = filter(None, reader)
         first_row = 2
+        if fast is not None:
+            for lines in iter(lambda: list(itertools.islice(fh, _BLOCK_ROWS)), []):
+                if not fast(lines, picks):
+                    reader = csv.reader(itertools.chain(lines, fh))
+                    break
+                first_row += len(lines)
+        rows = filter(None, reader)
         while True:
             block = list(itertools.islice(rows, _BLOCK_ROWS))
             if not block:
@@ -242,19 +255,21 @@ def _whole(cell):
 def load_flows(path):
     """Read a flow edge list; returns (origin, destination, count) records.
 
-    Counts must be non-negative integers; duplicate ordered pairs are
-    rejected with their row number.
+    Counts must be non-negative whole numbers (``3``, ``3.0`` or ``1e3``);
+    duplicate ordered pairs are rejected with their row number.
     """
     records = []
     seen = {}
     for first_row, (origin, destination, raw) in _read_blocks(
             path, ("origin", "destination", "count")):
-        count, non_numeric = _parse(raw, int)
+        count, non_whole = _parse(raw, int)
+        if non_whole is not None:
+            count, non_whole = _parse(raw, _whole)
         negative = np.array([c < 0 for c in count]) if min(count) < 0 else None
         keys = list(zip(origin, destination))
         repeated, earlier = _repeats(keys, seen, first_row)
         _raise_first(path, first_row, [
-            (non_numeric, _non_numeric("count", raw)),
+            (non_whole, _non_numeric("count", raw, whole=True)),
             (negative, lambda r: "negative count %d" % count[r]),
             (repeated, lambda r: "duplicate ordered pair %r (first at row %d)"
              % (keys[r], earlier[r])),
@@ -323,7 +338,32 @@ def load_distances(path, node_ids):
     n = len(node_ids)
     km = np.full((n, n), np.nan)
     np.fill_diagonal(km, 0.0)
-    for first_row, (id_a, id_b, raw) in _read_blocks(path, ("id_a", "id_b", "km")):
+    # sorted ids for the block parser; numpy's str drops trailing NULs, so ids
+    # with one go to csv, and width (longest + 1) keeps a cut file id unknown
+    known = {x: k for x, k in index.items() if "\0" not in x}
+    names = np.array(sorted(known), dtype="U%d" % (max(map(len, known), default=0) + 1))
+    codes = np.array([known[x] for x in sorted(known)], dtype=np.intp)
+
+    def store(lines, picks):
+        if (not known or '"' in (text := "".join(lines)) or "\0" in text
+                or not {"\n", "\r\n", "\r"}.isdisjoint(lines)):
+            return False
+        try:
+            rows = np.loadtxt(lines, dtype=[("ids", names.dtype, 2), ("km", np.float64)],
+                              delimiter=",", comments=None, usecols=picks, ndmin=1)
+        except ValueError:
+            return False
+        ids, d = rows["ids"].T, rows["km"]
+        pos = np.minimum(np.searchsorted(names, ids), len(names) - 1)
+        i, j = np.where(names[pos] == ids, codes[pos], -1)
+        with np.errstate(invalid="ignore"):
+            valid = (i >= 0) & (j >= 0) & (i != j) & (d > 0) & np.isfinite(d)
+        if not valid.all() or _conflicts(km, i, j, d, valid).any():
+            return False
+        km[i, j] = km[j, i] = d
+        return True
+
+    for first_row, (id_a, id_b, raw) in _read_blocks(path, ("id_a", "id_b", "km"), store):
         size = len(raw)
         i = np.fromiter(map(index.get, id_a, itertools.repeat(-1)), np.intp, size)
         j = np.fromiter(map(index.get, id_b, itertools.repeat(-1)), np.intp, size)
@@ -347,8 +387,7 @@ def load_distances(path, node_ids):
         checks.append((conflict, lambda r: "conflicting distance for (%r, %r)"
                        % (id_a[r], id_b[r])))
         _raise_first(path, first_row, checks)
-        km[i, j] = d
-        km[j, i] = d
+        km[i, j] = km[j, i] = d
     return km
 
 
@@ -400,14 +439,14 @@ def write_nodes_csv(path, nodes):
 
 
 def write_distances_csv(path, km, node_ids):
-    node_ids = [str(x) for x in node_ids]
+    ids = []  # each id as csv.writer quotes it in a two-field row; alone, "" is '""'
+    csv.writer(SimpleNamespace(write=ids.append)).writerows((str(x), "") for x in node_ids)
+    ids, km = [x[:-3] for x in ids], np.asarray(km, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id_a", "id_b", "km"])
-        n = len(node_ids)
-        for i in range(n):
-            for j in range(i + 1, n):
-                writer.writerow([node_ids[i], node_ids[j], repr(float(km[i, j]))])
+        fh.write("id_a,id_b,km\r\n")
+        for i, a in enumerate(ids):
+            fh.write("".join(["%s,%s,%r\r\n" % (a, b, d) for b, d in
+                              zip(ids[i + 1:], km[i, i + 1:len(ids)].tolist(), strict=True)]))
 
 
 # -- group-flow aggregation ------------------------------------------------------

@@ -325,7 +325,9 @@ def scalar_chain(dense, dependence, src, dst, proposed, expo, record_at):
 # by data-row ordinal + 1, blank lines skipped. They differ from the package
 # on purpose in one way only: a NaN or infinite distance loads here.
 # ``rowloop_load_nodes`` returns the package's own NodeTable, so the parity
-# tests compare the loaders alone.
+# tests compare the loaders alone. ``rowloop_write_distances_csv`` writes
+# one ``csv.writer`` row per pair, as the package did before it wrote a
+# block of rows per call.
 
 def _rowloop_rows(path, required):
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -339,10 +341,10 @@ def _rowloop_rows(path, required):
     return rows
 
 
-def _rowloop_num(row, col, rownum, path, convert=float):
+def _rowloop_num(row, col, rownum, path):
     raw = row[col]
     try:
-        return convert(raw)
+        return float(raw)
     except (TypeError, ValueError):
         raise ValidationError("%s row %d: non-numeric %s value %r"
                               % (path, rownum, col, raw)) from None
@@ -369,7 +371,7 @@ def rowloop_load_flows(path):
     records = []
     seen = {}
     for k, row in enumerate(rows, start=2):
-        count = _rowloop_num(row, "count", k, path, convert=int)
+        count = _rowloop_whole(row, "count", k, path)
         if count < 0:
             raise ValidationError("%s row %d: negative count %d" % (path, k, count))
         key = (row["origin"], row["destination"])
@@ -458,6 +460,17 @@ def rowloop_load_distances(path, node_ids):
                                       % (path, k, a, b))
             km[x, yy] = d
     return km
+
+
+def rowloop_write_distances_csv(path, km, node_ids):
+    node_ids = [str(x) for x in node_ids]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id_a", "id_b", "km"])
+        n = len(node_ids)
+        for i in range(n):
+            for j in range(i + 1, n):
+                writer.writerow([node_ids[i], node_ids[j], repr(float(km[i, j]))])
 
 
 # -- dense dyad covariates -------------------------------------------------------

@@ -584,6 +584,16 @@ class TestPseudoBic:
         with pytest.raises(ValidationError, match="weight total above 1"):
             pseudo_bic(fit)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_not_reported_for_weight_total_of_one(self, seed):
+        # one dyad of a two-node network: its stratum's total is the weight total
+        net = build_network([(1, 0, 2)], n_nodes=2)
+        sample = stratified_dyad_sample(net, 1, seed)
+        assert sample.weight_total == 1.0
+        fit = fit_mple(ModelSpec(terms=(TermSpec("sum"),)), net, None, None, sample)
+        assert fit.converged and np.all(np.isfinite(fit.theta))
+        assert math.isnan(fit.pseudo_bic)
+
     def test_not_reported_for_unconverged_fit(self, small_data, tmp_path):
         model, _theta, net, _lag, nodes, dyads = small_data
         sample = stratified_dyad_sample(net, 400, seed=11)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ergmflow import (ModelSpec, NodeTable, TermSpec,
                       ValidationError, build_dyad_covariates, build_network,
@@ -18,7 +19,8 @@ from ergmflow import (ModelSpec, NodeTable, TermSpec,
 from ergmflow.network import REGIONS, FlowNetwork
 from oracles import (ROWLOOP_NODE_COLUMNS, dense_dyad_covariates,
                      offdiag_dyads, rowloop_load_distances,
-                     rowloop_load_flows, rowloop_load_nodes)
+                     rowloop_load_flows, rowloop_load_nodes,
+                     rowloop_write_distances_csv)
 
 compositions = st.lists(st.floats(min_value=0.0, max_value=1000.0),
                         min_size=5, max_size=5).filter(lambda x: sum(x) > 1e-6)
@@ -481,12 +483,23 @@ DISTANCE_CORPUS = {
     "empty_file": "",
     "blank_header": "\nid_a,id_b,km\nA,B,5\n",
     "repeated_column": "id_a,id_b,km,km\nA,B,5,6\nA,B,6\n",
+    "id_longer_than_every_node_id": "id_a,id_b,km\nA,B,5\nDDDDDDDD,B,5\n",
+    "km_underscore": "id_a,id_b,km\nA,B,1_0\n",
+    "km_arabic_indic_digit": "id_a,id_b,km\nA,B,\u0663\n",
+    "km_spaces": "id_a,id_b,km\nA,B, 5 \n",
+    "km_plus": "id_a,id_b,km\nA,B,+5\n",
+    "km_trailing_point": "id_a,id_b,km\nA,B,5.\n",
+    "km_leading_point": "id_a,id_b,km\nA,B,.5\n",
+    "km_underflow": "id_a,id_b,km\nA,B,1e-400\n",
+    "km_hex": "id_a,id_b,km\nA,B,0x10\n",
 }
-DISTANCE_LOADS = {"same_value_duplicate"}
+DISTANCE_LOADS = {"same_value_duplicate", "km_underscore", "km_arabic_indic_digit",
+                  "km_spaces", "km_plus", "km_trailing_point", "km_leading_point"}
 
 FLOW_CORPUS = {
     "non_numeric": "origin,destination,count\nA,B,many\n",
-    "fractional": "origin,destination,count\nA,B,2\nA,C,3.0\n",
+    "fractional": "origin,destination,count\nA,B,2\nA,C,3.5\n",
+    "whole_decimals": "origin,destination,count\nA,B,2.0\nA,C,1e3\nB,C,4\n",
     "negative": "origin,destination,count\nA,B,-2\n",
     "duplicate": "origin,destination,count\nA,B,3\nC,D,1\nA,B,3\n",
     "negative_then_duplicate": "origin,destination,count\nA,B,-1\nA,B,1\nA,B,1\n",
@@ -500,7 +513,7 @@ FLOW_CORPUS = {
     "missing_column": "origin,count\nA,3\n",
     "valid": "origin,destination,count\nA,B,1\nB,A,0\n C , D ,+7\n",
 }
-FLOW_LOADS = {"short_row_valid", "valid"}
+FLOW_LOADS = {"short_row_valid", "valid", "whole_decimals"}
 
 NODE_CORPUS = {
     "duplicate_id": [_node_line("a"), _node_line("b"), _node_line("a")],
@@ -566,6 +579,17 @@ class TestLoaderParity:
         if new[0] == "ok":
             _assert_same_nodes(table, rowloop_load_nodes(p))
 
+    @pytest.mark.parametrize("text", ["id_a,id_b,km\nA,B,5\n",
+                                      "id_a,id_b,km\nA\0,B,5\n"])
+    def test_node_id_holding_nul(self, tmp_path, text):
+        p = _write(tmp_path, text)
+        ids = ["A\0", "B"]
+        new = _outcome(load_distances, p, ids)
+        old = _outcome(rowloop_load_distances, p, ids)
+        km = _assert_same_outcome(new, old)
+        if new[0] == "ok":
+            assert np.array_equal(km, old[1], equal_nan=True)
+
     def test_valid_files_match(self, tmp_path, small_data):
         _m, _t, current, lagged, nodes, dyads = small_data
         fp, lp, np_, dp = (tmp_path / x for x in ("f.csv", "l.csv", "n.csv", "d.csv"))
@@ -618,6 +642,38 @@ class TestLoaderParity:
         assert new[0] == "error" and ("row %d:" % (k + 1)) in new[1]
         _assert_same_outcome(new, _outcome(rowloop_load_distances, p, ids))
 
+    @pytest.mark.parametrize("later_fault", [False, True])
+    @pytest.mark.parametrize("odd", ["quote", "nul", "bare_cr", "whitespace_line",
+                                     "blank_line", "long_id"])
+    def test_second_block_read_as_csv(self, tmp_path, odd, later_fault):
+        # a line the block parser must leave to csv in the second block, and
+        # maybe a bad row in the third, which csv must number as the row loop
+        ids, lines = _long_distances(190)  # 17,955 rows: three blocks
+        assert len(lines) - 1 > 2 * ingest._BLOCK_ROWS
+        k = ingest._BLOCK_ROWS + 500
+        if later_fault:
+            a, b, _d = lines[k + ingest._BLOCK_ROWS].split(",")
+            lines[k + ingest._BLOCK_ROWS] = "%s,%s,n/a" % (a, b)
+        if odd == "quote":  # a quoted line break in an extra column hides a row
+            lines[k] += ',"x'
+            lines[k + 1] += ',"'
+        elif odd == "nul":  # numpy's str type would drop it
+            lines[k] = lines[k].replace(",", "\0,", 1)
+        elif odd == "bare_cr":
+            lines[k:k + 2] = [lines[k] + "\r" + lines[k + 1]]
+        elif odd == "long_id":  # cut to the longest id's width, "n0011" is "n001"
+            lines[k] = lines[k].replace(",", "1,", 1)
+        else:
+            lines.insert(k, " " if odd == "whitespace_line" else "")
+        p = _write(tmp_path, "\n".join(lines) + "\n")
+        new = _outcome(load_distances, p, ids)
+        old = _outcome(rowloop_load_distances, p, ids)
+        assert new[0] == ("ok" if odd in ("quote", "bare_cr", "blank_line")
+                          and not later_fault else "error")
+        km = _assert_same_outcome(new, old)
+        if new[0] == "ok":
+            assert np.array_equal(km.view(np.int64), old[1].view(np.int64))
+
     def test_flow_duplicate_across_blocks(self, tmp_path):
         lines = _long_flows(ingest._BLOCK_ROWS + 100)
         lines.append(lines[5])
@@ -642,6 +698,7 @@ class TestNonFiniteRejected:
         ("id_a,id_b,km\nA,C,2\nA,B,nan\nA,B,5\n", 3, "nan", 5.0),
         ("id_a,id_b,km\nA,B,inf\n", 2, "inf", math.inf),
         ("id_a,id_b,km\nA,B,Infinity\n", 2, "inf", math.inf),
+        ("id_a,id_b,km\nA,B,infinity\n", 2, "inf", math.inf),
         ("id_a,id_b,km\nA,B,1e999\n", 2, "inf", math.inf),
     ])
     def test_distance(self, tmp_path, text, row, shown, rowloop_km):
@@ -720,6 +777,19 @@ def _round_trip(write, written, load, *load_args):
         path = Path(tmp) / "round_trip.csv"
         write(path, *written)
         return load(path, *load_args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=_NODE_IDS, empty_id=st.booleans(), data=st.data(),
+       dtype=st.sampled_from([np.float64, np.float32, np.int64]))
+def test_distance_writer_matches_row_loop(ids, empty_id, data, dtype):
+    ids = ids + [""] * empty_id
+    km = data.draw(arrays(dtype, (len(ids), len(ids))))
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        write_distances_csv(new, km, ids)
+        rowloop_write_distances_csv(old, km, ids)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestRoundTrips:
