@@ -13,24 +13,30 @@ scheme and re-weighted by inverse inclusion probabilities, so the weighted
 objective is unbiased for the full-census pseudo-log-likelihood. The sampler
 codes dyad (i, j) as i * n + j, as the edge arrays and the chain state do.
 
-Per-dyad contributions are evaluated in vectorized chunks with a fixed
-chunk order, so values, gradients and Hessians are reproducible bit-for-bit
-for a given sample. A chunk stores what does not depend on theta: the
-observed counts, weights and nonlinear statistics, the linear design, and
-the segments, whose bounds and intercepts are integers kept as int32 (int64
-where a value does not fit) and whose slopes are int8. An evaluation takes
-each chunk's value, gradient and Hessian in one pass from a per-segment
-state (slope, log-probability, share of the normalizer) that is dropped
-before the next chunk, so no state outlives its chunk.
+Per-dyad contributions are evaluated in vectorized chunks. Each pass over
+the chunks (building them, the Poisson start, the objective) runs on a
+thread pool of min(CPUs this process may use, number of chunks) workers,
+created and shut down inside the call, and the caller adds up the chunks'
+results in chunk order, so values, gradients and Hessians are reproducible
+bit-for-bit for a given sample whatever the CPU count. A chunk stores what
+does not depend on theta: the observed counts, weights and nonlinear
+statistics, the linear design, and the segments, whose bounds and
+intercepts are integers kept as int32 (int64 where a value does not fit)
+and whose slopes are int8. An evaluation takes each chunk's value,
+gradient and Hessian in one pass from a per-segment state (slope,
+log-probability, share of the normalizer) that its worker drops before
+its next chunk, so no state outlives its chunk.
 
-scipy is imported inside the functions that use it, so that importing the
-package, and every command but ``fit``, does not pay for loading it.
+scipy and the thread pool are imported inside the functions that use them,
+so that importing the package, and every command but ``fit``, does not pay
+for loading them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,6 +324,29 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
 # memory and makes the reductions deterministic. _objective takes each
 # chunk's value and derivatives in one pass, so no chunk's state outlives it.
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(fn, items):
+    """[fn(item) for item in items], one item per chunk, on a thread pool of
+    min(CPUs, items) workers that lives only for this call. Each worker runs
+    under the caller's numpy error state, which threads do not inherit."""
+    from concurrent.futures import ThreadPoolExecutor
+    err = np.geterr()
+
+    def call(item):
+        with np.errstate(**err):
+            return fn(item)
+
+    with ThreadPoolExecutor(max_workers=min(_cpus(), len(items))) as pool:
+        return list(pool.map(call, items))
+
+
 def _chunks(model, network, nodes, dyads, sample):
     if sample.n_dyads == 0:
         raise EstimationError("dyad sample is empty")
@@ -325,8 +354,43 @@ def _chunks(model, network, nodes, dyads, sample):
     ii = np.asarray(sample.src, dtype=np.intp)
     jj = np.asarray(sample.dst, dtype=np.intp)
     w = np.asarray(sample.weights, dtype=np.float64)
-    return [_Chunk(cs, ii[k:k + _CHUNK_DYADS], jj[k:k + _CHUNK_DYADS], w[k:k + _CHUNK_DYADS])
-            for k in range(0, len(w), _CHUNK_DYADS)]
+    return _map_chunks(lambda k: _Chunk(cs, ii[k:k + _CHUNK_DYADS], jj[k:k + _CHUNK_DYADS],
+                                        w[k:k + _CHUNK_DYADS]),
+                       range(0, len(w), _CHUNK_DYADS))
+
+
+def _chunk_objective(ch, theta, order):
+    """One chunk's unpenalized (value, gradient, Hessian) for :func:`_objective`;
+    no derivatives where the value is not finite."""
+    log_pmf, (slope, log_p, q) = ch.log_pmf(theta, ch.y)
+    value = float(ch.w @ log_pmf)
+    if not (order and math.isfinite(value)):
+        return value, None, None
+    lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
+    lo, hi, c = ch.segments()
+    m, s2 = _segment_moments(slope, log_p, lo, hi)
+    mean_v = np.sum(q * m, axis=1)
+    h = c + d * m[:, :, None]
+    mean_nl = np.einsum("dsk,ds->dk", h, q)
+    grad = np.zeros(len(theta))
+    grad[lin] = x.T @ (w * (ch.y - mean_v))
+    grad[nl] = w @ (ch.nl_obs - mean_nl)
+    if order < 2:
+        return value, grad, None
+    dm = m - mean_v[:, None]
+    dev = h - mean_nl[:, None, :]
+    var_v = np.sum(q * (dm * dm + s2), axis=1)
+    cov_lin_nl = np.einsum("ds,dsk->dk", q, dm[:, :, None] * dev + s2[:, :, None] * d)
+    wq = (w[:, None] * q).reshape(-1, 1)
+    dev = dev.reshape(len(wq), -1)
+    d = d.reshape(dev.shape)
+    hess = np.zeros((len(theta), len(theta)))
+    hess[np.ix_(lin, lin)] = x.T @ (x * (w * var_v)[:, None])
+    block = x.T @ (w[:, None] * cov_lin_nl)
+    hess[np.ix_(lin, nl)] = block
+    hess[np.ix_(nl, lin)] = block.T
+    hess[np.ix_(nl, nl)] = dev.T @ (dev * wq) + d.T @ (d * (wq * s2.reshape(-1, 1)))
+    return value, grad, hess
 
 
 def _objective(chunks, theta, ridge_lambda, order):
@@ -340,37 +404,17 @@ def _objective(chunks, theta, ridge_lambda, order):
     :func:`_segment_moments`). A linear term changes by x * v, a
     nonlinear one by h_s + d_s * (v - m_s) with h_s = c_s + d_s * m_s.
     Covariances are summed as within-segment plus between-segment parts,
-    each around its own mean, so no large raw moments cancel.
+    each around its own mean, so no large raw moments cancel. Each term
+    of the gradient and Hessian is a sum over chunks, taken in chunk order.
     """
     value = 0.0
     grad, hess = np.zeros(len(theta)), np.zeros((len(theta), len(theta)))
-    for ch in chunks:
-        log_pmf, (slope, log_p, q) = ch.log_pmf(theta, ch.y)
-        value += float(ch.w @ log_pmf)
-        if not (order and math.isfinite(value)):
-            continue
-        lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
-        lo, hi, c = ch.segments()
-        m, s2 = _segment_moments(slope, log_p, lo, hi)
-        mean_v = np.sum(q * m, axis=1)
-        h = c + d * m[:, :, None]
-        mean_nl = np.einsum("dsk,ds->dk", h, q)
-        grad[lin] += x.T @ (w * (ch.y - mean_v))
-        grad[nl] += w @ (ch.nl_obs - mean_nl)
-        if order < 2:
-            continue
-        dm = m - mean_v[:, None]
-        dev = h - mean_nl[:, None, :]
-        var_v = np.sum(q * (dm * dm + s2), axis=1)
-        cov_lin_nl = np.einsum("ds,dsk->dk", q, dm[:, :, None] * dev + s2[:, :, None] * d)
-        wq = (w[:, None] * q).reshape(-1, 1)
-        dev = dev.reshape(len(wq), -1)
-        d = d.reshape(dev.shape)
-        hess[np.ix_(lin, lin)] -= x.T @ (x * (w * var_v)[:, None])
-        block = x.T @ (w[:, None] * cov_lin_nl)
-        hess[np.ix_(lin, nl)] -= block
-        hess[np.ix_(nl, lin)] -= block.T
-        hess[np.ix_(nl, nl)] -= dev.T @ (dev * wq) + d.T @ (d * (wq * s2.reshape(-1, 1)))
+    for v, g, h in _map_chunks(lambda ch: _chunk_objective(ch, theta, order), chunks):
+        value += v
+        if order and math.isfinite(value):
+            grad += g
+            if order == 2:
+                hess -= h
     value -= ridge_lambda * float(theta @ theta)
     if not math.isfinite(value):
         return value, None, None
@@ -465,16 +509,20 @@ def _poisson(chunks, theta_lin, ridge_lambda):
     """:func:`_objective` with every dependence term at 0, where each conditional
     is Poisson(e^eta), eta = x . theta_lin: the sum of w (y eta - e^eta)
     less the ridge (log y! dropped), and its (gradient, Hessian)."""
+    def terms(ch):
+        eta = ch.x @ theta_lin
+        lam = np.exp(eta)
+        return (float(ch.w @ (ch.y * eta - lam)), ch.x.T @ (ch.w * (ch.y - lam)),
+                ch.x.T @ (ch.x * (ch.w * lam)[:, None]))
+
     value = -ridge_lambda * float(theta_lin @ theta_lin)
     grad = -2.0 * ridge_lambda * theta_lin
     hess = -2.0 * ridge_lambda * np.eye(len(theta_lin))
     with np.errstate(over="ignore", invalid="ignore"):
-        for ch in chunks:
-            eta = ch.x @ theta_lin
-            lam = np.exp(eta)
-            value += float(ch.w @ (ch.y * eta - lam))
-            grad += ch.x.T @ (ch.w * (ch.y - lam))
-            hess -= ch.x.T @ (ch.x * (ch.w * lam)[:, None])
+        for v, g, h in _map_chunks(terms, chunks):
+            value += v
+            grad += g
+            hess -= h
     return value, grad, hess
 
 

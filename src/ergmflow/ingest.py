@@ -144,12 +144,17 @@ def _read_blocks(path, columns, fast=None):
 
     ``fast(lines, picks)``, if given, gets each block's lines and the
     columns' positions first; csv reads the block it refuses and the rest.
+    A row csv cannot read, such as one with a field over csv's size limit,
+    raises ValidationError naming it.
     """
     # unreadable paths surface as OSError (an I/O failure, not a validation
     # failure); only malformed content raises ValidationError
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:
+            raise ValidationError("%s row 1: %s" % (path, exc)) from None
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValidationError("%s is missing columns: %s"
@@ -165,7 +170,12 @@ def _read_blocks(path, columns, fast=None):
                 first_row += len(lines)
         rows = filter(None, reader)
         while True:
-            block = list(itertools.islice(rows, _BLOCK_ROWS))
+            block = []
+            try:  # extend keeps the rows read before a failing one
+                block.extend(itertools.islice(rows, _BLOCK_ROWS))
+            except csv.Error as exc:
+                raise ValidationError("%s row %d: %s"
+                                      % (path, first_row + len(block), exc)) from None
             if not block:
                 return
             try:

@@ -386,6 +386,12 @@ class TestSummarizeAndDissim:
     def test_summarize_missing_file_exits_4(self, tmp_path):
         assert main(["summarize", "--flows", str(tmp_path / "none.csv")]) == 4
 
+    def test_summarize_oversized_field_exits_2_naming_the_row(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("origin,destination,count\n%s,A,1\n" % ("x" * 140_000))
+        assert main(["summarize", "--flows", str(flows)]) == 2
+        assert "%s row 2: field larger than field limit" % flows in capsys.readouterr().err
+
 
 _CHAIN = {"n_networks": 10, "burn_in": 4000, "thin": 1000}
 

@@ -1,6 +1,8 @@
 import json
 import math
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -376,8 +378,10 @@ class TestFitMple:
 
     def test_objective_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
         # value and derivatives are taken chunk by chunk, so one evaluation
-        # holds one chunk's state whatever the number of chunks
+        # holds one chunk's state per worker whatever the number of chunks;
+        # one worker, because the host's CPU count sets how many run at once
         monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 512)
+        monkeypatch.setattr(estimator_mod, "_cpus", lambda: 1)
         rng = np.random.default_rng(3)
         mat = rng.poisson(0.6, (150, 150))
         np.fill_diagonal(mat, 0)
@@ -398,6 +402,42 @@ class TestFitMple:
                 tracemalloc.stop()
 
         assert peak(chunks) <= 1.25 * peak(chunks[:2])
+
+    @pytest.mark.parametrize("theta", [[-0.9, 0.3, 0.1, -0.8, 0.25],
+                                       [400.0, -400.0, 0.0, 0.0, 0.0]])  # overflows
+    def test_objective_bytes_do_not_depend_on_the_worker_count(self, small_data, monkeypatch,
+                                                                theta):
+        # the chunks' terms are added in chunk order whatever the pool's size,
+        # and each worker keeps the caller's error state, so the overflowing
+        # theta stays silent under the error filter
+        model, _theta, net, _lag, nodes, dyads = small_data
+        monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 128)
+        chunks = _chunks(model, net, nodes, dyads, stratified_dyad_sample(net, 400, seed=1))
+        assert len(chunks) >= 3
+
+        def evaluations(workers):
+            monkeypatch.setattr(estimator_mod, "_cpus", lambda: workers)
+            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                warnings.simplefilter("error")
+                return [[None if part is None else np.asarray(part).tobytes()
+                         for part in _objective(chunks, np.array(theta), 0.01, order)]
+                        for order in (0, 1, 2)]
+
+        assert evaluations(1) == evaluations(3)
+
+    def test_fit_bytes_do_not_depend_on_the_worker_count(self, small_data, monkeypatch):
+        model, _theta, net, _lag, nodes, dyads = small_data
+        monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 128)
+        sample = stratified_dyad_sample(net, 400, seed=1)
+        threads = threading.active_count()
+
+        def fit(workers):
+            monkeypatch.setattr(estimator_mod, "_cpus", lambda: workers)
+            result = fit_mple(model, net, nodes, dyads, sample)
+            assert threading.active_count() == threads  # no worker outlives the fit
+            return json.dumps(result.to_json_dict()), result.theta.tobytes()
+
+        assert fit(1) == fit(3)
 
     def test_sum_only_recovers_log_mean(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
-"""Only fitting loads scipy, and nothing loads a process pool: every chain
-count runs in one process.
+"""Only fitting loads scipy and a thread pool, and nothing loads a process
+pool: every chain count runs in one process, and the fit's chunk passes run
+on threads.
 
 Each check runs in a fresh interpreter, because by the time these tests run
 other tests have already imported scipy into this one.
@@ -15,7 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# prints the loaded modules of scipy and of the two process-pool packages
+# prints the loaded modules of scipy and of the two packages with worker pools
 _PRINT_WATCHED = """
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing"))))
@@ -71,6 +72,13 @@ def test_fit_succeeds_from_a_cold_interpreter(cold_runs):
     out, _cfg, runs = cold_runs
     assert "scipy" in runs["fit"]  # the probe sees scipy where it is used
     assert json.loads((out / "fit" / "fit.json").read_text())["converged"]
+
+
+def test_fit_loads_no_process_pool(cold_runs):
+    loaded = cold_runs[2]["fit"]
+    assert "concurrent.futures.thread" in loaded  # the probe sees the thread pool
+    assert [m for m in loaded if m == "concurrent.futures.process"
+            or m.split(".")[0] == "multiprocessing"] == []
 
 
 @pytest.mark.parametrize("command", ["synth", "summarize", "dissim", "gof",

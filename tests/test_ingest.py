@@ -311,6 +311,20 @@ class TestLoaders:
         assert str(info.value) == ("%s row 3: %s value %r is not a whole number"
                                    % (p, column, cell))
 
+    @pytest.mark.parametrize("loader", ["flows", "nodes"])
+    def test_oversized_field_named(self, tmp_path, loader):
+        # a field over csv's 131,072-character limit in the third row
+        big = "x" * 140_000
+        if loader == "flows":
+            text, load = "origin,destination,count\nA,B,3\n\n%s,A,1\n" % big, load_flows
+        else:
+            text = "\n".join([NODE_HEADER, _node_line("a"), "", _node_line(big)]) + "\n"
+            load = load_nodes
+        p = _write(tmp_path, text)
+        with pytest.raises(ValidationError) as info:
+            load(p)
+        assert str(info.value).startswith("%s row 3: field larger than field limit" % p)
+
     def test_distance_unknown_id(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("id_a,id_b,km\nX,Y,5\n")
