@@ -13,19 +13,17 @@ scheme and re-weighted by inverse inclusion probabilities, so the weighted
 objective is unbiased for the full-census pseudo-log-likelihood. The sampler
 codes dyad (i, j) as i * n + j, as the edge arrays and the chain state do.
 
-Per-dyad contributions are evaluated in vectorized chunks. Each pass over
-the chunks (building them, the Poisson start, the objective) runs on a
-thread pool of min(CPUs this process may use, number of chunks) workers,
-created and shut down inside the call, and the caller adds up the chunks'
-results in chunk order, so values, gradients and Hessians are reproducible
-bit-for-bit for a given sample whatever the CPU count. A chunk stores what
-does not depend on theta: the observed counts, weights and nonlinear
-statistics, the linear design, and the segments, whose bounds and
-intercepts are integers kept as int32 (int64 where a value does not fit)
-and whose slopes are int8. An evaluation takes each chunk's value,
-gradient and Hessian in one pass from a per-segment state (slope,
-log-probability, share of the normalizer) that its worker drops before
-its next chunk, so no state outlives its chunk.
+Per-dyad contributions are evaluated in vectorized chunks with a fixed
+chunk order. A chunk stores what does not depend on theta: the observed
+counts, weights and nonlinear statistics, the linear design, and the
+segments, whose bounds and intercepts are integers kept as int32 (int64
+where a value does not fit) and whose slopes are int8. Building the chunks
+and evaluating each one run on a thread pool of the CPUs that BLAS leaves
+idle, created and shut down inside the call. An evaluation's workers take
+a block of a chunk's rows each, and the calling thread takes every sum
+over the chunk's dyads and drops its state before the next chunk, so no
+state outlives its chunk and values, gradients and Hessians are
+reproducible bit-for-bit for a given sample whatever the number of workers.
 
 scipy and the thread pool are imported inside the functions that use them,
 so that importing the package, and every command but ``fit``, does not pay
@@ -37,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,9 @@ __all__ = [
 ]
 
 _CHUNK_DYADS = 16384
+# the fewest dyads a worker takes of a chunk at once; the per-dyad functions
+# cost some 0.1 ms per call, a tenth of a block of this size
+_BLOCK_ROWS = 2048
 _THETA_NORM_GUARD = 1e4
 
 
@@ -277,21 +279,33 @@ class _Chunk:
         """log P(y_ij = v | rest) per dyad (-inf or NaN where some e^a_s
         overflows), and per segment (a, log P, share of the normalizer).
         """
-        from scipy.special import gammaln
         lo, hi, c = self.segments()
         with np.errstate(over="ignore", invalid="ignore"):
             rate = self.x @ theta[self.lin]
-            intercept = c @ theta[self.nl]
-            slope = rate[:, None] + self.d @ theta[self.nl]
-            log_p = _log_poisson_interval(slope, lo, hi)
-            log_z = intercept + np.exp(slope) + log_p
-            top = log_z.max(axis=1, keepdims=True)
-            share = np.exp(log_z - top)
-            total = share.sum(axis=1, keepdims=True)
-            rows = np.arange(len(v))
-            at = np.sum(hi < v[:, None], axis=1)  # the segment holding v
-            log_w = intercept[rows, at] + slope[rows, at] * v - gammaln(v + 1.0)
-            return log_w - (top + np.log(total))[:, 0], (slope, log_p, share / total)
+        out = [np.empty(len(v))] + [np.empty(lo.shape) for _ in range(3)]
+        _log_pmf(theta[self.nl], rate, self.d, lo, hi, c, v, out)
+        return out[0], out[1:]
+
+
+def _log_pmf(theta_nl, rate, d, lo, hi, c, v, out):
+    """:meth:`_Chunk.log_pmf` from the dyads' linear predictors ``rate`` and
+    segments, row by row, written into ``out``: log P(y_ij = v) per dyad,
+    then a, log P and share per segment."""
+    from scipy.special import gammaln
+    log_pmf, slope, log_p, q = out
+    with np.errstate(over="ignore", invalid="ignore"):
+        intercept = c @ theta_nl
+        np.add(rate[:, None], d @ theta_nl, out=slope)
+        log_p[...] = _log_poisson_interval(slope, lo, hi)
+        log_z = intercept + np.exp(slope) + log_p
+        top = log_z.max(axis=1, keepdims=True)
+        share = np.exp(log_z - top)
+        total = share.sum(axis=1, keepdims=True)
+        rows = np.arange(len(v))
+        at = np.sum(hi < v[:, None], axis=1)  # the segment holding v
+        log_w = intercept[rows, at] + slope[rows, at] * v - gammaln(v + 1.0)
+        np.subtract(log_w, (top + np.log(total))[:, 0], out=log_pmf)
+        np.divide(share, total, out=q)
 
 
 def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
@@ -321,30 +335,59 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
 # -- weighted pseudo-likelihood ----------------------------------------------
 #
 # The sample is split into chunks of a fixed size and order, which bounds
-# memory and makes the reductions deterministic. _objective takes each
-# chunk's value and derivatives in one pass, so no chunk's state outlives it.
+# memory and makes the reductions deterministic. _objective evaluates one
+# chunk at a time, so no chunk's state outlives it.
 
 def _cpus():
-    """The number of CPUs this process may run on."""
+    """The CPUs this process may run on that numpy's BLAS leaves idle: BLAS
+    runs one thread per CPU unless OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or
+    OMP_NUM_THREADS (the first one set) fixes the count, and its threads
+    spin for a while after each product, holding their CPUs."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus - int(value) + 1)
+    return 1
 
 
-def _map_chunks(fn, items):
-    """[fn(item) for item in items], one item per chunk, on a thread pool of
-    min(CPUs, items) workers that lives only for this call. Each worker runs
-    under the caller's numpy error state, which threads do not inherit."""
+@contextmanager
+def _thread_map():
+    """A ``map(fn, items)`` that returns ``[fn(item) for item in items]``,
+    computed on a thread pool of :func:`_cpus` workers that lives as long as
+    the ``with`` block, or in the calling thread where there is one worker
+    or one item. Each call runs under the numpy error state of the map's
+    caller, which threads do not inherit."""
     from concurrent.futures import ThreadPoolExecutor
-    err = np.geterr()
+    workers = _cpus()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        def thread_map(fn, items):
+            if workers == 1 or len(items) == 1:
+                return [fn(item) for item in items]
+            err = np.geterr()
 
-    def call(item):
-        with np.errstate(**err):
-            return fn(item)
+            def call(item):
+                with np.errstate(**err):
+                    return fn(item)
+            return list(pool.map(call, items))
+        yield thread_map
 
-    with ThreadPoolExecutor(max_workers=min(_cpus(), len(items))) as pool:
-        return list(pool.map(call, items))
+
+def _by_rows(thread_map, fn, n, *shapes):
+    """Float64 arrays of shapes (n,) + ``shapes``, which ``fn(rows, out)``
+    fills, ``out`` being their ``rows``: one block of at least _BLOCK_ROWS
+    rows for each of up to :func:`_cpus` workers. ``fn`` works row by row,
+    so the bytes do not depend on the blocks, and the blocks' temporaries
+    add up to about those of one call over all n rows."""
+    out = [np.empty((n,) + shape) for shape in shapes]
+    blocks = max(1, min(_cpus(), n // _BLOCK_ROWS))
+    cuts = [n * i // blocks for i in range(blocks + 1)]
+    thread_map(lambda rows: fn(rows, [whole[rows] for whole in out]),
+               [slice(a, b) for a, b in zip(cuts, cuts[1:])])
+    return out
 
 
 def _chunks(model, network, nodes, dyads, sample):
@@ -354,43 +397,36 @@ def _chunks(model, network, nodes, dyads, sample):
     ii = np.asarray(sample.src, dtype=np.intp)
     jj = np.asarray(sample.dst, dtype=np.intp)
     w = np.asarray(sample.weights, dtype=np.float64)
-    return _map_chunks(lambda k: _Chunk(cs, ii[k:k + _CHUNK_DYADS], jj[k:k + _CHUNK_DYADS],
-                                        w[k:k + _CHUNK_DYADS]),
-                       range(0, len(w), _CHUNK_DYADS))
+    with _thread_map() as thread_map:
+        return thread_map(lambda k: _Chunk(cs, ii[k:k + _CHUNK_DYADS], jj[k:k + _CHUNK_DYADS],
+                                           w[k:k + _CHUNK_DYADS]),
+                          range(0, len(w), _CHUNK_DYADS))
 
 
-def _chunk_objective(ch, theta, order):
-    """One chunk's unpenalized (value, gradient, Hessian) for :func:`_objective`;
-    no derivatives where the value is not finite."""
-    log_pmf, (slope, log_p, q) = ch.log_pmf(theta, ch.y)
-    value = float(ch.w @ log_pmf)
-    if not (order and math.isfinite(value)):
-        return value, None, None
-    lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
-    lo, hi, c = ch.segments()
-    m, s2 = _segment_moments(slope, log_p, lo, hi)
+def _dyad_terms(ch, rows, slope, log_p, q, lo, hi, c, order, out):
+    """Writes into ``out`` the per-dyad terms of :func:`_objective`'s sums
+    over the chunk's ``rows``: w (y - E v) and E nonlinear; with ``order`` 2
+    also x w var(v), w cov(v, nonlinear), the deviations h_s - E nonlinear,
+    those times w q_s, and the slopes times w q_s s2_s. Row by row."""
+    w, d, q = ch.w[rows], ch.d[rows], q[rows]
+    m, s2 = _segment_moments(slope[rows], log_p[rows], lo[rows], hi[rows])
     mean_v = np.sum(q * m, axis=1)
-    h = c + d * m[:, :, None]
+    h = c[rows] + d * m[:, :, None]
     mean_nl = np.einsum("dsk,ds->dk", h, q)
-    grad = np.zeros(len(theta))
-    grad[lin] = x.T @ (w * (ch.y - mean_v))
-    grad[nl] = w @ (ch.nl_obs - mean_nl)
+    np.multiply(w, ch.y[rows] - mean_v, out=out[0])
+    np.subtract(ch.nl_obs[rows], mean_nl, out=out[1])
     if order < 2:
-        return value, grad, None
+        return
+    x_var, w_cov, dev, dev_wq, d_wq_s2 = out[2:]
     dm = m - mean_v[:, None]
-    dev = h - mean_nl[:, None, :]
+    np.subtract(h, mean_nl[:, None, :], out=dev)
     var_v = np.sum(q * (dm * dm + s2), axis=1)
     cov_lin_nl = np.einsum("ds,dsk->dk", q, dm[:, :, None] * dev + s2[:, :, None] * d)
-    wq = (w[:, None] * q).reshape(-1, 1)
-    dev = dev.reshape(len(wq), -1)
-    d = d.reshape(dev.shape)
-    hess = np.zeros((len(theta), len(theta)))
-    hess[np.ix_(lin, lin)] = x.T @ (x * (w * var_v)[:, None])
-    block = x.T @ (w[:, None] * cov_lin_nl)
-    hess[np.ix_(lin, nl)] = block
-    hess[np.ix_(nl, lin)] = block.T
-    hess[np.ix_(nl, nl)] = dev.T @ (dev * wq) + d.T @ (d * (wq * s2.reshape(-1, 1)))
-    return value, grad, hess
+    wq = w[:, None] * q
+    np.multiply(ch.x[rows], (w * var_v)[:, None], out=x_var)
+    np.multiply(w[:, None], cov_lin_nl, out=w_cov)
+    np.multiply(dev, wq[:, :, None], out=dev_wq)
+    np.multiply(d, (wq * s2)[:, :, None], out=d_wq_s2)
 
 
 def _objective(chunks, theta, ridge_lambda, order):
@@ -404,17 +440,43 @@ def _objective(chunks, theta, ridge_lambda, order):
     :func:`_segment_moments`). A linear term changes by x * v, a
     nonlinear one by h_s + d_s * (v - m_s) with h_s = c_s + d_s * m_s.
     Covariances are summed as within-segment plus between-segment parts,
-    each around its own mean, so no large raw moments cancel. Each term
-    of the gradient and Hessian is a sum over chunks, taken in chunk order.
+    each around its own mean, so no large raw moments cancel.
+
+    Workers take the per-dyad terms a block of rows each (:func:`_by_rows`);
+    the calling thread takes every sum over a chunk's dyads, in chunk
+    order, so the bytes do not depend on the number of workers.
     """
     value = 0.0
     grad, hess = np.zeros(len(theta)), np.zeros((len(theta), len(theta)))
-    for v, g, h in _map_chunks(lambda ch: _chunk_objective(ch, theta, order), chunks):
-        value += v
-        if order and math.isfinite(value):
-            grad += g
-            if order == 2:
-                hess -= h
+    with _thread_map() as thread_map:
+        for ch in chunks:
+            lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
+            n, s, k = d.shape
+            lo, hi, c = ch.segments()
+            with np.errstate(over="ignore", invalid="ignore"):
+                rate = x @ theta[lin]
+            log_pmf, slope, log_p, q = _by_rows(
+                thread_map, lambda rows, out: _log_pmf(theta[nl], rate[rows], d[rows], lo[rows],
+                                                       hi[rows], c[rows], ch.y[rows], out),
+                n, (), (s,), (s,), (s,))
+            value += float(w @ log_pmf)
+            if not (order and math.isfinite(value)):
+                continue
+            lin_terms, nl_terms, *second = _by_rows(
+                thread_map, lambda rows, out: _dyad_terms(ch, rows, slope, log_p, q, lo, hi, c,
+                                                          order, out),
+                n, (), (k,), *([(len(lin),), (k,), (s, k), (s, k), (s, k)] if order == 2 else []))
+            grad[lin] += x.T @ lin_terms
+            grad[nl] += w @ nl_terms
+            if order < 2:
+                continue
+            x_var, w_cov, dev, dev_wq, d_wq_s2 = second
+            hess[np.ix_(lin, lin)] -= x.T @ x_var
+            block = x.T @ w_cov
+            hess[np.ix_(lin, nl)] -= block
+            hess[np.ix_(nl, lin)] -= block.T
+            dev, dev_wq, d_wq_s2, d = (a.reshape(n * s, k) for a in (dev, dev_wq, d_wq_s2, d))
+            hess[np.ix_(nl, nl)] -= dev.T @ dev_wq + d.T @ d_wq_s2
     value -= ridge_lambda * float(theta @ theta)
     if not math.isfinite(value):
         return value, None, None
@@ -509,20 +571,16 @@ def _poisson(chunks, theta_lin, ridge_lambda):
     """:func:`_objective` with every dependence term at 0, where each conditional
     is Poisson(e^eta), eta = x . theta_lin: the sum of w (y eta - e^eta)
     less the ridge (log y! dropped), and its (gradient, Hessian)."""
-    def terms(ch):
-        eta = ch.x @ theta_lin
-        lam = np.exp(eta)
-        return (float(ch.w @ (ch.y * eta - lam)), ch.x.T @ (ch.w * (ch.y - lam)),
-                ch.x.T @ (ch.x * (ch.w * lam)[:, None]))
-
     value = -ridge_lambda * float(theta_lin @ theta_lin)
     grad = -2.0 * ridge_lambda * theta_lin
     hess = -2.0 * ridge_lambda * np.eye(len(theta_lin))
     with np.errstate(over="ignore", invalid="ignore"):
-        for v, g, h in _map_chunks(terms, chunks):
-            value += v
-            grad += g
-            hess -= h
+        for ch in chunks:
+            eta = ch.x @ theta_lin
+            lam = np.exp(eta)
+            value += float(ch.w @ (ch.y * eta - lam))
+            grad += ch.x.T @ (ch.w * (ch.y - lam))
+            hess -= ch.x.T @ (ch.x * (ch.w * lam)[:, None])
     return value, grad, hess
 
 

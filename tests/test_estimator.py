@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -378,10 +379,8 @@ class TestFitMple:
 
     def test_objective_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
         # value and derivatives are taken chunk by chunk, so one evaluation
-        # holds one chunk's state per worker whatever the number of chunks;
-        # one worker, because the host's CPU count sets how many run at once
+        # holds one chunk's state whatever the number of chunks
         monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 512)
-        monkeypatch.setattr(estimator_mod, "_cpus", lambda: 1)
         rng = np.random.default_rng(3)
         mat = rng.poisson(0.6, (150, 150))
         np.fill_diagonal(mat, 0)
@@ -403,15 +402,43 @@ class TestFitMple:
 
         assert peak(chunks) <= 1.25 * peak(chunks[:2])
 
+    @pytest.mark.parametrize("workers", [3, 8])
+    def test_objective_memory_does_not_grow_with_the_worker_count(self, monkeypatch, workers):
+        # the workers share one chunk's rows, so together they hold about
+        # one chunk's state, as one worker does
+        monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 512)
+        monkeypatch.setattr(estimator_mod, "_BLOCK_ROWS", 32)
+        rng = np.random.default_rng(3)
+        mat = rng.poisson(0.6, (150, 150))
+        np.fill_diagonal(mat, 0)
+        net = FlowNetwork.from_dense(mat)
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero"),
+                                 TermSpec("mutual_min"), TermSpec("waypoint_flow")))
+        chunks = _chunks(model, net, None, None, stratified_dyad_sample(net, 40 * 512, seed=2))
+        theta = np.array([-0.5, 0.2, 0.1, -0.01])
+        _objective(chunks[:1], theta, 0.01, 2)  # loads scipy and its caches
+
+        def peak(part, cpus):
+            monkeypatch.setattr(estimator_mod, "_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                _objective(part, theta, 0.01, 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(chunks, workers) <= 1.25 * peak(chunks[:2], 1)
+
     @pytest.mark.parametrize("theta", [[-0.9, 0.3, 0.1, -0.8, 0.25],
                                        [400.0, -400.0, 0.0, 0.0, 0.0]])  # overflows
     def test_objective_bytes_do_not_depend_on_the_worker_count(self, small_data, monkeypatch,
                                                                 theta):
-        # the chunks' terms are added in chunk order whatever the pool's size,
-        # and each worker keeps the caller's error state, so the overflowing
-        # theta stays silent under the error filter
+        # every sum over dyads is taken over a whole chunk whatever the
+        # blocks, and each worker keeps the caller's error state, so the
+        # overflowing theta stays silent under the error filter
         model, _theta, net, _lag, nodes, dyads = small_data
         monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 128)
+        monkeypatch.setattr(estimator_mod, "_BLOCK_ROWS", 16)
         chunks = _chunks(model, net, nodes, dyads, stratified_dyad_sample(net, 400, seed=1))
         assert len(chunks) >= 3
 
@@ -423,11 +450,19 @@ class TestFitMple:
                          for part in _objective(chunks, np.array(theta), 0.01, order)]
                         for order in (0, 1, 2)]
 
-        assert evaluations(1) == evaluations(3)
+        one = evaluations(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads swap often, so a lost write would show
+        try:
+            assert evaluations(3) == one
+            assert evaluations(8) == one
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_fit_bytes_do_not_depend_on_the_worker_count(self, small_data, monkeypatch):
         model, _theta, net, _lag, nodes, dyads = small_data
         monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 128)
+        monkeypatch.setattr(estimator_mod, "_BLOCK_ROWS", 16)
         sample = stratified_dyad_sample(net, 400, seed=1)
         threads = threading.active_count()
 
