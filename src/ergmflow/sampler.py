@@ -18,17 +18,23 @@ is a sequence of blocks of n // 2 dyads that share no node. A dyad's
 acceptance reads only y_ij, y_ji and the in- and out-volumes of i and j,
 none of which another dyad of its block changes, so each block is updated
 in one vectorized step with exactly the result of updating its dyads one by
-one (Besag's coding sets). Chain lengths stay counted in proposals; a block
-is cut short where a sample is recorded. The random draws are made per chunk
-of about ``_RNG_BLOCK`` proposals, so the chain's temporaries do not grow
-with the network.
+one (Besag's coding sets). Every term's dlp piece is affine in those six
+numbers, so a block costs a fixed number of numpy calls whatever the terms:
+one gather, one matmul for every piece, and one put. Chain lengths stay
+counted in proposals; a block is cut short where a sample is recorded. The
+random draws are made per chunk of about ``_RNG_BLOCK`` proposals, so the
+chain's temporaries do not grow with the network.
 
-Every simulation is resolved once into the Poisson means and the active
-(theta_k, kind) dependence terms, and runs through :func:`_chain`. Its
-``ChainConfig.n_chains`` chains run side by side in one state array, one
-row per chain, from one random stream: they share the sweep schedule,
-which reads no state, so each is still an exact Metropolis-Hastings chain,
-and each block of every chain is updated in one numpy pass.
+Every simulation is resolved once into the Poisson means and the
+(theta_k, kind) dependence terms, and runs through :func:`_chain` as one or
+more row groups: one for a simulation, two for a knockout's baseline and
+counterfactual. Each group's ``ChainConfig.n_chains`` chains run side by
+side in one state array, one row per chain, from one random stream: every
+row follows the same sweep schedule, which reads no state, so each is still
+an exact Metropolis-Hastings chain, and each block of every row is updated
+in one numpy pass. The groups also share the exponentials, and a later
+group's proposals are the first group's thinned and superposed to its own
+means (common random numbers), so the knockout's difference is paired.
 
 Every chain records, per sample, the Sum statistic and the per-node in- and
 out-volume vectors from its running state (:class:`ChainRun`). Only
@@ -64,8 +70,9 @@ __all__ = [
 ]
 
 _RNG_BLOCK = 1 << 16
-# The largest mean numpy's Generator.poisson accepts (int64 max less 10 sd).
-_POISSON_MAX = np.iinfo("l").max - 10 * np.sqrt(np.iinfo("l").max)
+# The largest total Poisson mean: the counts and volumes of a chain then stay
+# far below 2^53, where the acceptance's float64 arithmetic is exact.
+_POISSON_MAX = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -77,13 +84,19 @@ class ChainConfig:
     every proposal is an exact independent draw of its dyad, so a dyad is
     stationary once it has been proposed. A run warns when either is
     shorter than one sweep, and when the effective sample size of its Sum
-    statistic is below half its samples; raise both then.
+    statistic is below half its samples; raise both then. Without dependence
+    terms and with ``thin`` of at least 2 sweeps, every sample is an
+    independent exact draw, and the effective sample size is their number.
 
     The ``n_networks`` samples are split as evenly as possible over
     ``n_chains`` chains (the config key ``chain.n_chains``), at most one
     chain per sample. The chains run side by side in one process, all from
     one random stream at ``seed``, so results depend on ``n_chains``. More
-    chains buy diagnostics, not cores: they never run in parallel.
+    chains buy diagnostics, not cores: they never run in parallel. A
+    knockout runs ``n_chains`` chains per scenario in the same pass, and
+    couples its counterfactual through a second stream spawned from
+    ``seed``, so its baseline is the chain that a simulation at the same
+    config runs.
     """
 
     n_networks: int = 100
@@ -114,10 +127,13 @@ class ChainRun:
     acceptance counts.
 
     ``in_volumes`` and ``out_volumes`` are (samples, n_nodes) int64 arrays,
-    ``sum_series`` the total flow of each sample, ``sum_ess`` the sum of
-    each chain's :func:`_ess` of it, ``warnings`` those of :func:`_chain`.
-    ``networks`` holds the sampled :class:`FlowNetwork` states of
-    :func:`mcmc_simulate` and is empty otherwise.
+    ``sum_series`` the total flow of each sample, ``warnings`` those of
+    :func:`_chain`. ``networks`` holds the sampled :class:`FlowNetwork`
+    states of :func:`mcmc_simulate` and is empty otherwise. The samples
+    come from chains of ``chain_sizes`` consecutive samples each;
+    ``independent`` is set when they are independent exact draws.
+    ``sum_ess`` is then their number, and otherwise the sum of each chain's
+    :func:`_ess` of ``sum_series``.
     """
 
     in_volumes: np.ndarray
@@ -128,6 +144,8 @@ class ChainRun:
     sum_ess: float
     warnings: list
     networks: list
+    chain_sizes: tuple
+    independent: bool
 
     # Every Poisson proposal is a valid count, so none is ever rejected as
     # invalid; the attribute stays readable for callers that report it.
@@ -167,15 +185,15 @@ def mcmc_simulate(model, theta, nodes, dyads, init, config):
     (seed, config, theta) always reproduce the identical sequence.
     """
     return _chain(*_resolve(model, theta, nodes, dyads, init), config,
-                  keep_networks=True)
+                  keep_networks=True)[0]
 
 
 def _proposal_means(rate, node_ids):
     """exp(rate) off the diagonal, each checked to be a usable Poisson mean.
 
-    A mean may be at most the largest one numpy's Poisson sampler accepts,
-    divided by the number of dyads, so that the total flow and every volume
-    the chain keeps fit in int64. The diagonal holds no dyad and is skipped.
+    A mean may be at most ``_POISSON_MAX`` divided by the number of dyads,
+    so that the total flow and every volume the chain keeps stay integers
+    that float64 holds exactly. The diagonal holds no dyad and is skipped.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         lam = np.exp(rate)
@@ -200,18 +218,19 @@ def _change_stats(model, init, nodes, dyads):
     return ChangeStats(model, init, nodes, dyads)
 
 
-def _inputs(cs, theta, rate, init):
+def _inputs(cs, theta, rate):
     """(Poisson means of the linear log-rate ``rate``, [(theta_k, kind)] of
-    the nonzero dependence terms, init), all that a chain reads."""
-    dependence = [(float(theta[pos]), kind) for pos, kind in cs.nonlin if theta[pos] != 0.0]
-    return _proposal_means(rate, init.node_ids), dependence, init
+    every dependence term), all that a row group of :func:`_chain` reads."""
+    dependence = [(float(theta[pos]), kind) for pos, kind in cs.nonlin]
+    return _proposal_means(rate, cs.network.node_ids), dependence
 
 
 def _resolve(model, theta, nodes, dyads, init):
-    """Check theta and ``init`` and return a chain's :func:`_inputs`."""
+    """Check theta and ``init`` and return the arguments of a one-group
+    :func:`_chain` before its config: ([:func:`_inputs`], init)."""
     theta = model.check_theta(theta)
     cs = _change_stats(model, init, nodes, dyads)
-    return _inputs(cs, theta, cs.linear_rate_matrix(theta), init)
+    return [_inputs(cs, theta, cs.linear_rate_matrix(theta))], init
 
 
 def _rounds(n, rounds, perms):
@@ -266,66 +285,87 @@ def _schedule(n, n_steps, rng, n_chains):
         first = (first + count) % per_sweep
 
 
-def _run_blocks(state, n, dependence, src, dst, proposed, expo, cuts, record):
-    """Propose value ``proposed[c, t]`` for dyad (src[t], dst[t]) of chain c,
-    t in order, and accept it with probability min(1, exp(dlp)) as
-    ``expo[c, t]`` >= -dlp, where dlp sums theta_k [g_k(v') - g_k(y_ij)]
-    over ``dependence``.
-
-    ``state`` is the (chains, n² + 2n) buffer of :func:`_dense_state`. Runs
-    of n // 2 dyads from the start, cut after every position in ``cuts``,
-    must be node-disjoint: each run is updated at once in every chain,
-    which is exact because a dyad's acceptance reads only y_ij, y_ji and the
-    volumes of i and j of its own chain. The chain axis is folded into the
-    dyad axis, position-major, so that a run of every chain is one slice.
-    ``record()`` is called after each cut. Returns the number of rejected
-    proposals of each chain.
+def _pieces(dependences):
+    """(slope, const, theta) of the pieces (p, q) of :func:`dependence_pieces`
+    of every term that is nonzero in some row group. ``dependences`` holds
+    each group's [(theta_k, kind)] over the same terms in the same order. A
+    piece's c = q - p is affine in s = (y_ij, out_i, in_j, y_ji, in_i, out_j),
+    so it is read off at the origin and the six unit vectors: c = slope @ s +
+    const. theta[g, k] is group g's coefficient of piece k's term.
     """
-    n_chains, width = state.shape
+    theta = np.array([[th for th, _kind in dep] for dep in dependences],
+                     dtype=np.float64).reshape(len(dependences), -1)
+    y_ij, out_i, in_j, y_ji, in_i, out_j = np.vstack([np.zeros(6), np.eye(6)]).T
+    maps, owner = [], []
+    for k, (_th, kind) in enumerate(dependences[0]):
+        if theta[:, k].any():
+            for p, q in dependence_pieces(kind, y_ij, y_ji, out_i, in_i, out_j, in_j):
+                maps.append(np.broadcast_to(q - p, 7))
+                owner.append(k)
+    maps = np.reshape(np.array(maps, dtype=np.float64), (-1, 7))
+    return (np.ascontiguousarray(maps[:, 1:] - maps[:, :1]), maps[:, :1],
+            theta[:, np.array(owner, dtype=np.intp)])
+
+
+def _run_blocks(state, n, pieces, src, dst, proposed, expo, cuts, record):
+    """Propose value ``proposed[g, c, t]`` for dyad (src[t], dst[t]) of chain
+    c of row group g, t in order, and accept it with probability
+    min(1, exp(dlp)) as ``expo[c, t]`` >= -dlp, where dlp sums, over the
+    :func:`_pieces` ``pieces``, theta[g, k] [min(v', c_k) - min(y_ij, c_k)].
+    Every group shares the exponentials.
+
+    ``state`` is the (groups, chains, n² + 2n) array of :func:`_dense_state`.
+    Runs of n // 2 dyads from the start, cut after every position in
+    ``cuts``, must be node-disjoint: each run is updated at once in every
+    row, which is exact because a dyad's acceptance reads only y_ij, y_ji
+    and the volumes of i and j of its own row. A run is one gather through
+    an index that every row shares, one matmul for every piece's c and one
+    put. ``record()`` is called after each cut. Returns the (groups, chains)
+    numbers of rejected proposals.
+    """
+    slope, const, theta = pieces
+    theta = theta[:, None, :, None]
     nn = n * n
-    size = len(src)
     flat = state.reshape(-1)
-    rows = np.arange(0, n_chains * width, width)  # each chain's offset in flat
+    rows = np.arange(0, flat.size, state.shape[2]).reshape(state.shape[:2] + (1, 1))
     # y_ij, out_i and in_j, which an accepted change moves, then y_ji, in_i, out_j
-    at = np.empty((6, size, n_chains), dtype=np.intp)
-    np.add((src * n + dst)[:, None], rows, out=at[0])
-    np.add((dst * n + src)[:, None], rows, out=at[3])
-    np.add(src[:, None], rows + nn, out=at[1])
-    np.add(src[:, None], rows + (nn + n), out=at[4])
-    np.add(dst[:, None], rows + (nn + n), out=at[2])
-    np.add(dst[:, None], rows + nn, out=at[5])
-    at = at.reshape(6, -1)
-    stops = np.union1d(np.append(np.arange(n // 2, size, n // 2), size), cuts)
-    stops = (stops * n_chains).tolist()
-    cuts = set((cuts * n_chains).tolist())
-    proposed = proposed.T.ravel()
-    neg_e = np.negative(expo.T, order="C").ravel()
-    rejected = np.empty(size * n_chains, dtype=bool)
+    at = np.empty((6, len(src)), dtype=np.intp)
+    np.add(src * n, dst, out=at[0])
+    np.add(dst * n, src, out=at[3])
+    for row, ends, offset in ((1, src, nn), (2, dst, nn + n), (4, src, nn + n), (5, dst, nn)):
+        np.add(ends, offset, out=at[row])
+    stops = np.union1d(np.append(np.arange(n // 2, len(src), n // 2), len(src)), cuts)
+    cuts = set(cuts.tolist())
+    proposed = proposed[:, :, None]  # (groups, chains, 1, proposals)
+    neg_e = np.negative(expo)[:, None]
+    accepted = np.ones(proposed.shape, dtype=bool)
     start = 0
-    for stop in stops:
-        s = flat.take(at[:, start:stop])
-        v, out_i, in_j, y_ji, in_i, out_j = s
-        vp = proposed[start:stop]
-        dlp = 0.0
-        for th, kind in dependence:
-            for p, q in dependence_pieces(kind, v, y_ji, out_i, in_i, out_j, in_j):
-                c = q - p  # min(p + x, q) is p + min(x, q - p)
-                dlp = dlp + th * (np.minimum(vp, c) - np.minimum(v, c))
-        rej = np.less(dlp, neg_e[start:stop], out=rejected[start:stop])
-        flat.put(at[:3, start:stop], s[:3] + np.where(rej, 0, vp - v))
+    for stop in stops.tolist():
+        s = state.take(at[:, start:stop], axis=2)  # (groups, chains, 6, run)
+        vp = proposed[..., start:stop]
+        change = vp - s[:, :, :1]
+        if len(slope):
+            c = np.matmul(slope, s)  # min(p + x, q) is p + min(x, q - p)
+            c += const
+            d = np.minimum(vp, c)
+            d -= np.minimum(s[:, :, :1], c)
+            d *= theta
+            change *= np.greater_equal(np.add.reduce(d, axis=2, keepdims=True),
+                                       neg_e[..., start:stop], out=accepted[..., start:stop])
+        flat.put(rows + at[:3, start:stop], s[:, :, :3] + change)
         if stop in cuts:
             record()
         start = stop
-    return np.count_nonzero(rejected.reshape(size, n_chains), axis=0)
+    return accepted.shape[-1] - np.count_nonzero(accepted, axis=(2, 3))
 
 
-def _dense_state(network, n_chains):
-    """The state of ``n_chains`` chains started at ``network``: per chain,
-    one int64 row holding y row-major, then the out- and in-volumes, so that
-    one gather reads all a block's acceptance needs."""
+def _dense_state(network, n_rows):
+    """The state of ``n_rows`` chains started at ``network``: per chain, one
+    int64 row holding y row-major, then the out- and in-volumes, so that one
+    gather reads all a block's acceptance needs."""
     n = network.n_nodes
     nn = n * n
-    state = np.zeros((n_chains, nn + 2 * n), dtype=np.int64)
+    state = np.zeros((n_rows, nn + 2 * n), dtype=np.int64)
     src, dst, val = network.edge_arrays()
     state[0, src * n + dst] = val
     state[0, nn:nn + n] = network.out_volumes()
@@ -334,20 +374,65 @@ def _dense_state(network, n_chains):
     return state
 
 
-def _chain(lam, dependence, init, config, keep_networks=False):
-    """Run the ``config.n_chains`` chains of one simulation over
-    :func:`_resolve`'s inputs and merge them, in chain order, into one
-    :class:`ChainRun`, which holds the network snapshots only when
-    ``keep_networks`` is set.
+def _draws(groups, src, dst, size, rng, coupling):
+    """A chunk's proposals, (groups, chains, chunk), and exponentials,
+    (chains, chunk). Group 0's proposals and the exponentials come from
+    ``rng`` as a lone chain draws them. Group g's proposal is group 0's
+    v ~ Poisson(lam) thinned to Binomial(v, lam_g / lam) where lam_g < lam,
+    plus a Poisson(lam_g - lam) draw where lam_g > lam, both from
+    ``coupling``: a Poisson(lam_g) draw that moves with v (Lewis & Shedler
+    1979)."""
+    lam = groups[0][0][src, dst]
+    proposed = [rng.poisson(lam, size)]
+    expo = rng.standard_exponential(size)
+    for lam_g, _dependence in groups[1:]:
+        lam_g = lam_g[src, dst]
+        v = proposed[0].copy()
+        fall = lam_g < lam
+        if fall.any():
+            v[:, fall] = coupling.binomial(v[:, fall], lam_g[fall] / lam[fall])
+        if (lam_g > lam).any():
+            v += coupling.poisson(np.maximum(lam_g - lam, 0.0), size)
+        proposed.append(v)
+    return np.stack(proposed) if len(groups) > 1 else proposed[0][None], expo
 
-    The chains share one state array, started at ``init``, one random stream
-    at ``config.seed`` and the sweep schedule; each chunk draws every
-    chain's proposals and exponentials as one (chains, chunk) array. All
-    chains record ceil(n_networks / chains) samples at the same steps, and
-    chain k keeps its first q + (k < r) of them, q, r = divmod(n_networks,
-    chains); at most ``n_networks`` chains run. It warns when ``sum_ess`` is
-    below half the samples, and when ``burn_in``, or ``thin`` with 2 samples a
-    chain, is below a sweep; a sweep's dyads are distinct, so shares are exact.
+
+def _coupling_stream(seed):
+    """The first child of the SeedSequence of ``seed``, which is left as it was."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.default_rng(np.random.SeedSequence(
+        seq.entropy, spawn_key=seq.spawn_key + (0,), pool_size=seq.pool_size))
+
+
+def _sum_ess(series, sizes, independent):
+    """Sum over the chains, which hold ``sizes`` consecutive values of
+    ``series`` each, of each one's :func:`_ess`; the length of ``series``
+    when its values are ``independent`` exact draws."""
+    if independent:
+        return float(len(series))
+    return sum(map(_ess, np.split(series, np.cumsum(sizes)[:-1])))
+
+
+def _chain(groups, init, config, keep_networks=False):
+    """Run the ``config.n_chains`` chains of each row group in ``groups``, a
+    list of :func:`_inputs` (lam, dependence) pairs, and return one
+    :class:`ChainRun` per group, its chains merged in chain order, holding
+    the network snapshots only when ``keep_networks`` is set.
+
+    Every chain of every group starts at ``init`` in one state array and
+    follows one sweep schedule. Group 0 draws its proposals and the
+    exponentials from one random stream at ``config.seed``, each chunk as
+    one (chains, chunk) array, so it is the same chain whatever the groups;
+    every other group shares the exponentials and couples its proposals to
+    group 0's through a stream spawned from ``config.seed`` (:func:`_draws`).
+    All chains record ceil(n_networks / chains) samples at the same steps,
+    and chain k keeps its first q + (k < r) of them, q, r = divmod(n_networks,
+    chains); at most ``n_networks`` chains run. A group without dependence
+    accepts every proposal, so with a ``thin`` of 2 sweeps, which holds a
+    whole sweep of fresh draws, its samples are independent exact draws. A
+    group warns when ``sum_ess`` is below half the samples, and when
+    ``burn_in``, or ``thin`` with 2 samples a chain, is below a sweep; a
+    sweep's dyads are distinct, so shares are exact.
     """
     n = init.n_nodes
     nn = n * n
@@ -357,22 +442,25 @@ def _chain(lam, dependence, init, config, keep_networks=False):
     q, r = divmod(config.n_networks, n_chains)
     keep = [q + (k < r) for k in range(n_chains)]  # samples each chain keeps
     m = keep[0]  # samples each chain records
+    n_groups = len(groups)
+    pieces = _pieces([dependence for _lam, dependence in groups])
     rng = np.random.default_rng(config.seed)
+    coupling = _coupling_stream(config.seed) if n_groups > 1 else None
 
-    state = _dense_state(init, n_chains)
+    state = _dense_state(init, n_groups * n_chains).reshape(n_groups, n_chains, -1)
 
-    networks = [[] for _ in range(n_chains)]
-    volumes = np.empty((m, n_chains, 2 * n), dtype=np.int64)  # out-, then in-volumes
+    networks = [[[] for _ in range(n_chains)] for _ in range(n_groups)]
+    volumes = np.empty((m, n_groups, n_chains, 2 * n), dtype=np.int64)  # out-, in-volumes
     k = 0
 
     def record():
         nonlocal k
         if keep_networks:
-            for c in range(n_chains):
+            for g, c in np.ndindex(n_groups, n_chains):
                 if k < keep[c]:
-                    networks[c].append(FlowNetwork.from_dense(
-                        state[c, :nn].reshape(n, n), node_ids=init.node_ids))
-        volumes[k] = state[:, nn:]
+                    networks[g][c].append(FlowNetwork.from_dense(
+                        state[g, c, :nn].reshape(n, n), node_ids=init.node_ids))
+        volumes[k] = state[:, :, nn:]
         k += 1
 
     total_steps = burn_in + thin * m
@@ -380,28 +468,31 @@ def _chain(lam, dependence, init, config, keep_networks=False):
     n_rejected = 0
     step = 0
     for src, dst in _schedule(n, total_steps, rng, n_chains):
-        size = (n_chains, len(src))
-        proposed = rng.poisson(lam[src, dst], size)
-        expo = rng.standard_exponential(size)
+        proposed, expo = _draws(groups, src, dst, (n_chains, len(src)), rng, coupling)
         lo, hi = np.searchsorted(record_at, (step, step + len(src)), side="right")
-        n_rejected += int(_run_blocks(state, n, dependence, src, dst, proposed, expo,
-                                      record_at[lo:hi] - step, record).sum())
+        n_rejected += _run_blocks(state, n, pieces, src, dst, proposed, expo,
+                                  record_at[lo:hi] - step, record)
         step += len(src)
 
-    kept = np.concatenate([volumes[:keep[c], c] for c in range(n_chains)])
-    outs = kept[:, :n].copy()
-    sums = outs.sum(axis=1).astype(np.float64)
-    ess = sum(map(_ess, np.split(sums, np.cumsum(keep)[:-1])))
-    warnings = ["%s of %d proposals covers %.3g sweeps: at least %.1f%% of dyads go "
-                "unproposed within it" % (name, x, x / n_dyads, 100.0 - 100.0 * x / n_dyads)
-                for name, x in (("burn_in", burn_in), ("thin", thin if m > 1 else n_dyads))
-                if x < n_dyads]
-    if ess < 0.5 * len(sums):
-        warnings.append("Sum-statistic effective sample size %.3g of %d networks is "
-                        "below half; raise burn_in and thin" % (ess, len(sums)))
-    return ChainRun(kept[:, n:].copy(), outs, sums,
-                    n_chains * total_steps, n_chains * total_steps - n_rejected,
-                    ess, warnings, [net for nets in networks for net in nets])
+    sweeps = ["%s of %d proposals covers %.3g sweeps: at least %.1f%% of dyads go "
+              "unproposed within it" % (name, x, x / n_dyads, 100.0 - 100.0 * x / n_dyads)
+              for name, x in (("burn_in", burn_in), ("thin", thin if m > 1 else n_dyads))
+              if x < n_dyads]
+    runs = []
+    for g, (_lam, dependence) in enumerate(groups):
+        kept = np.concatenate([volumes[:keep[c], g, c] for c in range(n_chains)])
+        outs = kept[:, :n].copy()
+        sums = outs.sum(axis=1).astype(np.float64)
+        independent = not any(th for th, _kind in dependence) and thin >= 2 * n_dyads
+        ess = _sum_ess(sums, keep, independent)
+        warnings = list(sweeps)
+        if ess < 0.5 * len(sums):
+            warnings.append("Sum-statistic effective sample size %.3g of %d networks is "
+                            "below half; raise burn_in and thin" % (ess, len(sums)))
+        runs.append(ChainRun(kept[:, n:].copy(), outs, sums, n_chains * total_steps,
+                             n_chains * total_steps - int(n_rejected[g].sum()), ess,
+                             warnings, sum(networks[g], []), tuple(keep), independent))
+    return runs
 
 
 # -- adequacy ------------------------------------------------------------------
@@ -505,7 +596,7 @@ def adequacy_check(model, theta, nodes, dyads, observed, config):
     with per-node envelopes, outside-envelope flags, and the two
     observed-versus-simulated-median correlations.
     """
-    run = _chain(*_resolve(model, theta, nodes, dyads, observed), config)
+    run = _chain(*_resolve(model, theta, nodes, dyads, observed), config)[0]
     n = observed.n_nodes
     sim_in = run.in_volumes.astype(np.float64)
     sim_out = run.out_volumes.astype(np.float64)
@@ -534,23 +625,30 @@ def adequacy_check(model, theta, nodes, dyads, observed, config):
 def expected_total_flow(model, theta, nodes, dyads, config, init):
     """Monte-Carlo mean of total flow under the model, with its standard error
     over the effective sample size (:func:`_mean_and_se`). Chains start at ``init``."""
-    return _mean_and_se(_chain(*_resolve(model, theta, nodes, dyads, init), config))
+    run = _chain(*_resolve(model, theta, nodes, dyads, init), config)[0]
+    return _mean_and_se(run.sum_series, run.sum_ess)
 
 
-def _mean_and_se(run):
-    """(mean, sd(ddof=1) / sqrt(sum_ess)) of ``run``'s Sum series; NaN SE below 2."""
-    sums = run.sum_series
-    se = sums.std(ddof=1) / math.sqrt(run.sum_ess) if len(sums) > 1 else math.nan
-    return float(sums.mean()), float(se)
+def _mean_and_se(series, ess):
+    """(mean, sd(ddof=1) / sqrt(ess)) of ``series``; NaN SE below 2 values."""
+    se = series.std(ddof=1) / math.sqrt(ess) if len(series) > 1 else math.nan
+    return float(series.mean()), float(se)
 
 
 @dataclass
 class KnockoutReport:
     """Expected totals with selected coefficients zeroed versus as fitted.
 
-    Both scenarios run with the same chain configuration and seed, so
-    knocking out an empty label set reproduces the baseline exactly.
-    ``warnings`` holds both runs' chain warnings, prefixed by their scenario.
+    The baseline and the counterfactual run as two row groups of one chain
+    pass, with the same chain configuration and seed. The baseline is the
+    chain that :func:`expected_total_flow` runs at the fitted theta. The
+    counterfactual shares its sweep schedule and exponentials, and its
+    proposals are the baseline's thinned and superposed to its own rates,
+    so knocking out an empty label set reproduces the baseline exactly.
+    ``abs_diff_se`` is the paired standard error of ``abs_diff``: the sd of
+    the per-sample difference series over that series' effective sample
+    size. ``warnings`` holds both scenarios' chain warnings, prefixed by
+    their scenario.
     """
 
     zeroed_labels: tuple
@@ -561,6 +659,7 @@ class KnockoutReport:
     counterfactual_se: float
     counterfactual_ess: float
     abs_diff: float
+    abs_diff_se: float
     pct_diff: float
     warnings: list
 
@@ -591,17 +690,21 @@ def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
     for lab in labels:
         pos = model.index_of(lab)
         zeroed[pos] = theta_fitted[pos]
-    theta_cf = theta_fitted - zeroed
 
     cs = _change_stats(model, init, nodes, dyads)
     rate = cs.linear_rate_matrix(theta_fitted)
-    base = _chain(*_inputs(cs, theta_fitted, rate, init), config)
+    groups = [_inputs(cs, theta_fitted, rate)]
     # the counterfactual rate lacks only the zeroed linear terms' share, and
     # equals the baseline's when no linear term is zeroed
     rate -= cs.linear_rate_matrix(zeroed)
-    cf = _chain(*_inputs(cs, theta_cf, rate, init), config)
-    base_mean, base_se = _mean_and_se(base)
-    cf_mean, cf_se = _mean_and_se(cf)
+    groups.append(_inputs(cs, theta_fitted - zeroed, rate))
+    del rate  # the chain needs only the two groups' Poisson means
+    base, cf = _chain(groups, init, config)
+    base_mean, base_se = _mean_and_se(base.sum_series, base.sum_ess)
+    cf_mean, cf_se = _mean_and_se(cf.sum_series, cf.sum_ess)
+    paired = cf.sum_series - base.sum_series
+    _, diff_se = _mean_and_se(paired, _sum_ess(paired, base.chain_sizes,
+                                               base.independent and cf.independent))
     diff = cf_mean - base_mean
     pct = 100.0 * diff / base_mean if base_mean != 0 else float("nan")
     return KnockoutReport(
@@ -613,6 +716,7 @@ def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
         counterfactual_se=cf_se,
         counterfactual_ess=cf.sum_ess,
         abs_diff=diff,
+        abs_diff_se=diff_se,
         pct_diff=pct,
         warnings=["%s: %s" % (scenario, message)
                   for scenario, run in (("baseline", base), ("counterfactual", cf))

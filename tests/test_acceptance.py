@@ -157,7 +157,7 @@ def test_c06_sampler_exactness():
         # every state after each chain's burn-in, over 8 chains, which pay the
         # per-block cost once between them; on 2 nodes the out-volumes are the state
         cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=123, n_chains=8)
-        run = _chain(*_resolve(model, theta, None, None, FlowNetwork.empty(2)), cfg)
+        run = _chain(*_resolve(model, theta, None, None, FlowNetwork.empty(2)), cfg)[0]
         a, b = run.out_volumes.T
         keep = (a <= 6) & (b <= 6)
         counts = np.zeros((7, 7))

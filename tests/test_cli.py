@@ -289,6 +289,7 @@ class TestKnockout:
         assert code == 0
         payload = json.loads((tmp_path / "ko" / "knockout.json").read_text())
         assert payload["pct_diff"] == 0.0
+        assert payload["abs_diff_se"] == 0.0
 
     def test_unknown_label_exits_2(self, fitted, tmp_path):
         cfg, fit_path = fitted

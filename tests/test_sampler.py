@@ -89,7 +89,8 @@ class TestChainBasics:
         cfg = ChainConfig(n_networks=1, burn_in=10, thin=1)
         init = FlowNetwork.empty(3, node_ids=("a", "b", "c"))
         # exp(800) overflows; exp(44) is too large for numpy's Poisson draw;
-        # exp(43) is not, but six such dyads would overflow the int64 totals
+        # exp(43) is not, but six such dyads would pass the 2^52 total below
+        # which the chain's float64 arithmetic is exact
         for log_rate in (800.0, 44.0, 43.0):
             with pytest.raises(ValidationError, match="dyad 'a' -> 'b'"):
                 mcmc_simulate(SUM_ONLY, np.array([log_rate]), None, None, init, cfg)
@@ -174,7 +175,7 @@ class TestPoissonTarget:
         cfg = ChainConfig(n_networks=steps // 10, burn_in=burn, thin=10, seed=77,
                           n_chains=8)
         run = sampler_mod._chain(*sampler_mod._resolve(
-            model, np.array([th_s, th_w]), None, None, FlowNetwork.empty(3)), cfg)
+            model, np.array([th_s, th_w]), None, None, FlowNetwork.empty(3)), cfg)[0]
         wps = np.minimum(run.out_volumes, run.in_volumes).sum(axis=1)
         tots = run.out_volumes.sum(axis=1)
 
@@ -197,7 +198,7 @@ class TestPoissonTarget:
             steps = 200_000
             cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=5, n_chains=8)
             run = sampler_mod._chain(*sampler_mod._resolve(
-                model, theta, None, None, FlowNetwork.empty(2)), cfg)
+                model, theta, None, None, FlowNetwork.empty(2)), cfg)[0]
             a, b = run.out_volumes.T
             keep = (a <= 6) & (b <= 6)
             counts = np.zeros((7, 7))
@@ -225,42 +226,52 @@ class TestBlockKernel:
                                        ("nonzero", "mutual_min", "waypoint_flow")])
     def test_block_kernel_matches_scalar_loop(self, n, kinds):
         # the same (dyad, v', e) sequence in schedule order through both, for
-        # one chain and for three side by side, each from its own start; it
-        # ends mid-block, and records fall every 7 steps, mostly mid-block
+        # one chain, for three side by side, and for two row groups of two
+        # chains whose second group zeroes the first term, each chain from
+        # its own start and sharing its exponentials with the other group;
+        # it ends mid-block, and records fall every 7 steps, mostly mid-block
         rng = np.random.default_rng(100 + n)
         dependence = [(self.DEPENDENCE[kind], kind) for kind in kinds]
+        knocked = [(0.0, kinds[0])] + dependence[1:]
         n_steps = max(3 * n * (n - 1), 500) + n // 2 + 1
         src, dst = (np.concatenate(a)
                     for a in zip(*sampler_mod._schedule(n, n_steps, rng, 1)))
         record_at = np.append(np.arange(3, n_steps, 7), n_steps)
         nn = n * n
-        for n_chains in (1, 3):
-            dense = rng.poisson(1.5, (n_chains, n, n))
-            dense[:, np.arange(n), np.arange(n)] = 0
-            proposed = rng.poisson(1.5, (n_chains, n_steps))
+        for groups, n_chains in (([dependence], 1), ([dependence], 3),
+                                 ([dependence, knocked], 2)):
+            shape = (len(groups), n_chains)
+            dense = rng.poisson(1.5, shape + (n, n))
+            dense[..., np.arange(n), np.arange(n)] = 0
+            proposed = rng.poisson(1.5, shape + (n_steps,))
             expo = rng.standard_exponential((n_chains, n_steps))
             state = np.concatenate([sampler_mod._dense_state(FlowNetwork.from_dense(d), 1)
-                                    for d in dense])
+                                    for d in dense.reshape((-1, n, n))]).reshape(shape + (-1,))
             records = []
 
             def record():
-                out_vol = state[:, nn:nn + n]
-                records.append([(int(out_vol[c].sum()), state[c, nn + n:].tolist(),
-                                 out_vol[c].tolist()) for c in range(n_chains)])
+                out_vol = state[:, :, nn:nn + n]
+                records.append([[(int(out_vol[g, c].sum()), state[g, c, nn + n:].tolist(),
+                                  out_vol[g, c].tolist()) for c in range(n_chains)]
+                                for g in range(len(groups))])
 
-            n_rejected = sampler_mod._run_blocks(state, n, dependence, src, dst,
-                                                 proposed, expo, record_at, record)
-            assert n_rejected.shape == (n_chains,)
-            for c in range(n_chains):
-                y, out_vol, in_vol, want_records, want_rejected = scalar_chain(
-                    dense[c].tolist(), dependence, src.tolist(), dst.tolist(),
-                    proposed[c].tolist(), expo[c].tolist(), record_at.tolist())
-                assert state[c, :nn].reshape(n, n).tolist() == y
-                assert state[c, nn:nn + n].tolist() == out_vol
-                assert state[c, nn + n:].tolist() == in_vol
-                assert [rec[c] for rec in records] == want_records
-                assert n_rejected[c] == want_rejected
-                assert 0 < n_rejected[c] < n_steps
+            n_rejected = sampler_mod._run_blocks(state, n, sampler_mod._pieces(groups),
+                                                 src, dst, proposed, expo, record_at, record)
+            assert n_rejected.shape == shape
+            for g, dep in enumerate(groups):
+                for c in range(n_chains):
+                    y, out_vol, in_vol, want_records, want_rejected = scalar_chain(
+                        dense[g, c].tolist(), dep, src.tolist(), dst.tolist(),
+                        proposed[g, c].tolist(), expo[c].tolist(), record_at.tolist())
+                    assert state[g, c, :nn].reshape(n, n).tolist() == y
+                    assert state[g, c, nn:nn + n].tolist() == out_vol
+                    assert state[g, c, nn + n:].tolist() == in_vol
+                    assert [rec[g][c] for rec in records] == want_records
+                    assert n_rejected[g, c] == want_rejected
+                    if any(th for th, _kind in dep):
+                        assert 0 < n_rejected[g, c] < n_steps
+                    else:  # without dependence every proposal is accepted
+                        assert n_rejected[g, c] == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 200])
     def test_sweeps_visit_every_dyad_once_in_node_disjoint_blocks(self, n):
@@ -291,7 +302,7 @@ class TestBlockKernel:
                               seed=3, n_chains=n_chains)
             tracemalloc.start()
             try:
-                run = sampler_mod._chain(lam, dependence, FlowNetwork.empty(n), cfg)
+                run = sampler_mod._chain([(lam, dependence)], FlowNetwork.empty(n), cfg)[0]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -331,8 +342,8 @@ class TestMultiChain:
         model, theta, current, _lag, nodes, dyads = knockout_data
         cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5)
         resolved = sampler_mod._resolve(model, theta, nodes, dyads, current)
-        ref = sampler_mod._chain(*resolved, cfg, True)
-        summaries = sampler_mod._chain(*resolved, cfg)
+        ref = sampler_mod._chain(*resolved, cfg, True)[0]
+        summaries = sampler_mod._chain(*resolved, cfg)[0]
         run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
         assert [net.total_flow for net in run.networks] == run.sum_series.tolist()
         assert summaries.networks == []
@@ -406,10 +417,10 @@ class TestAdequacy:
         model, theta, current, _lag, nodes, dyads = small_data
 
         def fake_chain(*args, **kwargs):
-            return sampler_mod.ChainRun(
+            return [sampler_mod.ChainRun(
                 np.tile(current.in_volumes(), (20, 1)),
                 np.tile(current.out_volumes(), (20, 1)),
-                np.full(20, float(current.total_flow)), 0, 0, 20.0, [], [])
+                np.full(20, float(current.total_flow)), 0, 0, 20.0, [], [], (20,), False)]
 
         monkeypatch.setattr(sampler_mod, "_chain", fake_chain)
         report = adequacy_check(model, theta, nodes, dyads, current,
@@ -516,6 +527,7 @@ class TestKnockout:
         report = knockout_experiment(model, theta, nodes, dyads, set(), cfg,
                                      init=current)
         assert report.abs_diff == 0.0
+        assert report.abs_diff_se == 0.0  # the paired series is all zeros
         assert report.pct_diff == 0.0
         assert report.baseline_mean == report.counterfactual_mean
 
@@ -536,6 +548,65 @@ class TestKnockout:
         assert report.pct_diff > 0
         assert report.abs_diff == pytest.approx(
             report.counterfactual_mean - report.baseline_mean)
+
+    def test_scenarios_are_the_chains_a_simulation_runs(self, knockout_data):
+        # the baseline row group draws the stream a lone chain draws; zeroing
+        # a dependence term alone leaves the rates as they are, so the
+        # coupled counterfactual is the lone chain at the knocked-out theta
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5, n_chains=2)
+        report = knockout_experiment(model, theta, nodes, dyads, {"nonzero"}, cfg,
+                                     init=current)
+        knocked = theta.copy()
+        knocked[model.index_of("nonzero")] = 0.0
+        assert (report.baseline_mean, report.baseline_se) == expected_total_flow(
+            model, theta, nodes, dyads, cfg, init=current)
+        assert (report.counterfactual_mean, report.counterfactual_se) == expected_total_flow(
+            model, knocked, nodes, dyads, cfg, init=current)
+
+    @pytest.mark.parametrize("theta_pol", [-1.5, 0.8])
+    def test_coupled_dyads_follow_the_rates_at_zero_dependence(self, knockout_data,
+                                                               theta_pol):
+        # zeroing a negative dissimilarity term raises every rate and a
+        # positive one lowers it; superposition, or thinning, then moves every
+        # dyad of every coupled sample the same way
+        _model, _theta, current, _lag, nodes, dyads = knockout_data
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("dyad", "political_dissim")))
+        theta = np.array([-0.5, theta_pol])
+        cs = ChangeStats(model, current, nodes, dyads)
+        groups = [sampler_mod._inputs(cs, th, cs.linear_rate_matrix(th))
+                  for th in (theta, np.array([-0.5, 0.0]))]
+        cfg = ChainConfig(n_networks=6, burn_in=3000, thin=1000, seed=9, n_chains=2)
+        base, cf = sampler_mod._chain(groups, current, cfg, keep_networks=True)
+        sign = 1 if theta_pol < 0 else -1
+        for b, c in zip(base.networks, cf.networks):
+            assert np.all(sign * (c.dense_matrix() - b.dense_matrix()) >= 0)
+        assert np.all(sign * (cf.sum_series - base.sum_series) > 0)
+
+    def test_linear_counterfactual_mean_is_exact(self, knockout_data):
+        # zeroing the intercept and the origin's population term moves each
+        # rate by exp(-0.5 (log_population_i - 10)), up for half the origins
+        # and down for the rest, so both thinning and superposition act; the
+        # coupled difference of dyad ij is then Poisson(|lam_cf - lam_b|)
+        _model, _theta, current, _lag, nodes, dyads = knockout_data
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("dyad", "political_dissim"),
+                                 TermSpec("node_out", "log_population"),
+                                 TermSpec("node_in", "log_population")))
+        theta = np.array([-5.0, -1.0, 0.5, 0.3])
+        knocked = np.array([0.0, -1.0, 0.0, 0.3])
+        cs = ChangeStats(model, current, nodes, dyads)
+        off = ~np.eye(current.n_nodes, dtype=bool)
+        lam_b, lam_cf = (np.exp(cs.linear_rate_matrix(th))[off] for th in (theta, knocked))
+        assert (lam_cf > lam_b).any() and (lam_cf < lam_b).any()
+        cfg = ChainConfig(seed=13)
+        report = knockout_experiment(model, theta, nodes, dyads,
+                                     {"sum", "node_out:log_population"}, cfg, init=current)
+        assert report.counterfactual_ess == report.baseline_ess == cfg.n_networks
+        assert abs(report.counterfactual_mean - lam_cf.sum()) <= 4 * report.counterfactual_se
+        assert abs(report.abs_diff - (lam_cf - lam_b).sum()) <= 4 * report.abs_diff_se
+        paired = math.sqrt(np.abs(lam_cf - lam_b).sum() / cfg.n_networks)
+        assert report.abs_diff_se == pytest.approx(paired, rel=0.25)
+        assert report.abs_diff_se < math.hypot(report.baseline_se, report.counterfactual_se)
 
     def test_single_string_is_one_label(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
@@ -634,6 +705,24 @@ class TestDiagnostics:
         cfg = ChainConfig(n_networks=2, burn_in=100, thin=1, seed=2, n_chains=2)
         run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
         assert [w.split(" ")[0] for w in run.warnings] == ["burn_in"]
+
+    def test_linear_chain_at_default_config_counts_every_sample(self, knockout_data):
+        # without dependence every proposal is accepted, so a thin of 2
+        # sweeps makes every sample an independent exact draw: its ESS is the
+        # sample count, not Geyer's noisy estimate of it
+        model, theta, current, _lag, nodes, dyads = knockout_data
+        keep = [k for k, t in enumerate(model.terms) if t.kind != "nonzero"]
+        linear = ModelSpec(terms=tuple(model.terms[k] for k in keep))
+        sweep = current.n_nodes * (current.n_nodes - 1)
+        for cfg in (ChainConfig(seed=3), ChainConfig(seed=3, n_chains=3)):
+            run = mcmc_simulate(linear, theta[keep], nodes, dyads, current, cfg)
+            assert run.independent and run.sum_ess == cfg.n_networks == 100
+        # a thin below 2 sweeps, or a dependence term, keeps Geyer's estimate
+        cfg = ChainConfig(n_networks=20, seed=3)
+        for m, th, thin in ((linear, theta[keep], 2 * sweep - 1), (model, theta, 2 * sweep)):
+            run = mcmc_simulate(m, th, nodes, dyads, current, replace(cfg, thin=thin))
+            assert not run.independent
+            assert run.sum_ess == sampler_mod._ess(run.sum_series)
 
     def test_linear_model_at_default_config_warns_nothing(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
