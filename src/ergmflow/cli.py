@@ -51,21 +51,23 @@ def _config_hash(config):
 
 # Every config key: a top-level ``key`` or a ``section.key``. A number's
 # entry is (type, default, smallest allowed value), a path's is str (a string
-# or null); any other key's is None.
+# or null); any other key's is None. The estimator's and the chain's defaults
+# are read from fit_mple and ChainConfig.
+_FIT = fit_mple.__kwdefaults__
 _KEYS = {
     "seed": (int, 0, 0),  # synth seeds numpy with it, which takes no negative seed
     "out": str, "flows": str, "lagged_flows": str, "nodes": str, "distances": str,
     "model": None, "estimator": None, "chain": None, "synth": None,
     "estimator.seed": (int, None, 0),  # None: derived from the root seed
     "estimator.sample_size": (int, None, 1),  # None: a census of all dyads
-    "estimator.ridge_lambda": (float, 0.01, 0.0),
-    "estimator.tol": (float, 1e-6, math.ulp(0.0)),  # the smallest float > 0
-    "estimator.max_iter": (int, 50, 1),
-    "chain.n_networks": (int, 100, 1),
+    "estimator.ridge_lambda": (float, _FIT["ridge_lambda"], 0.0),
+    "estimator.tol": (float, _FIT["tol"], math.ulp(0.0)),  # the smallest float > 0
+    "estimator.max_iter": (int, _FIT["max_iter"], 1),
+    "chain.n_networks": (int, ChainConfig.n_networks, 1),
     "chain.burn_in": (int, None, 1),  # None: ChainConfig's default
     "chain.thin": (int, None, 1),
     "chain.seed": (int, None, 0),
-    "chain.n_chains": (int, 1, 1),
+    "chain.n_chains": (int, ChainConfig.n_chains, 1),
     "synth.n_nodes": (int, 50, 2),
     "synth.model": None,
     "synth.theta_true": None,

@@ -13,17 +13,17 @@ scheme and re-weighted by inverse inclusion probabilities, so the weighted
 objective is unbiased for the full-census pseudo-log-likelihood. The sampler
 codes dyad (i, j) as i * n + j, as the edge arrays and the chain state do.
 
-Per-dyad contributions are evaluated in vectorized chunks with a fixed
-chunk order. A chunk stores what does not depend on theta: the observed
-counts, weights and nonlinear statistics, the linear design, and the
-segments, whose bounds and intercepts are integers kept as int32 (int64
-where a value does not fit) and whose slopes are int8. Building the chunks
+The sample is split into chunks of 4,096 dyads in a fixed order. A chunk
+stores what does not depend on theta: the observed counts, weights and
+nonlinear statistics, the linear design, and the segments, whose bounds and
+intercepts are integers kept as int32 (int64 where a value does not fit)
+and whose slopes are int8. A chunk is the unit of work: building the chunks
 and evaluating each one run on a thread pool of the CPUs that BLAS leaves
-idle, created and shut down inside the call. An evaluation's workers take
-a block of a chunk's rows each, and the calling thread takes every sum
-over the chunk's dyads and drops its state before the next chunk, so no
-state outlives its chunk and values, gradients and Hessians are
-reproducible bit-for-bit for a given sample whatever the number of workers.
+idle, at most 8, created and shut down inside the call. One worker
+evaluates a whole chunk and returns its value, gradient and Hessian, and
+the calling thread adds them in chunk order. So at most one chunk's state
+is alive per worker, and values, gradients and Hessians are reproducible
+bit-for-bit for a given sample whatever the number of workers.
 
 scipy and the thread pool are imported inside the functions that use them,
 so that importing the package, and every command but ``fit``, does not pay
@@ -56,10 +56,7 @@ __all__ = [
     "effect_multiplier",
 ]
 
-_CHUNK_DYADS = 16384
-# the fewest dyads a worker takes of a chunk at once; the per-dyad functions
-# cost some 0.1 ms per call, a tenth of a block of this size
-_BLOCK_ROWS = 2048
+_CHUNK_DYADS = 4096
 _THETA_NORM_GUARD = 1e4
 
 
@@ -255,7 +252,7 @@ class _Chunk:
 
     The segment bounds and intercepts of :meth:`ChangeStats.nonlinear_segments`
     are volumes and counts, so they are kept as integers (``hi`` without its
-    final inf column) and :meth:`segments` gives them back as float64.
+    final inf column); :func:`_dyad_state` gives them back as float64.
     """
 
     def __init__(self, cs, ii, jj, w):
@@ -270,33 +267,19 @@ class _Chunk:
         self.nl_obs = c[rows, at] + self.d[rows, at] * self.y[:, None]
         self.lo, self.hi, self.c = _as_int(lo), _as_int(hi[:, :-1]), _as_int(c)
 
-    def segments(self):
-        """(lo, hi, c) as float64, ``hi`` ending in its inf column."""
-        hi = np.column_stack([self.hi, np.full(len(self.y), np.inf)])
-        return self.lo.astype(np.float64), hi, self.c.astype(np.float64)
 
-    def log_pmf(self, theta, v):
-        """log P(y_ij = v | rest) per dyad (-inf or NaN where some e^a_s
-        overflows), and per segment (a, log P, share of the normalizer).
-        """
-        lo, hi, c = self.segments()
-        with np.errstate(over="ignore", invalid="ignore"):
-            rate = self.x @ theta[self.lin]
-        out = [np.empty(len(v))] + [np.empty(lo.shape) for _ in range(3)]
-        _log_pmf(theta[self.nl], rate, self.d, lo, hi, c, v, out)
-        return out[0], out[1:]
-
-
-def _log_pmf(theta_nl, rate, d, lo, hi, c, v, out):
-    """:meth:`_Chunk.log_pmf` from the dyads' linear predictors ``rate`` and
-    segments, row by row, written into ``out``: log P(y_ij = v) per dyad,
-    then a, log P and share per segment."""
+def _dyad_state(ch, theta, v):
+    """log P(y_ij = v | rest) per dyad of chunk ``ch`` (-inf or NaN where
+    some e^a_s overflows), then per segment its slope a, log P and share of
+    the normalizer, then the segments (lo, hi ending in its inf column, c)
+    as float64."""
     from scipy.special import gammaln
-    log_pmf, slope, log_p, q = out
+    lo, c = ch.lo.astype(np.float64), ch.c.astype(np.float64)
+    hi = np.column_stack([ch.hi, np.full(len(v), np.inf)])
     with np.errstate(over="ignore", invalid="ignore"):
-        intercept = c @ theta_nl
-        np.add(rate[:, None], d @ theta_nl, out=slope)
-        log_p[...] = _log_poisson_interval(slope, lo, hi)
+        intercept = c @ theta[ch.nl]
+        slope = (ch.x @ theta[ch.lin])[:, None] + ch.d @ theta[ch.nl]
+        log_p = _log_poisson_interval(slope, lo, hi)
         log_z = intercept + np.exp(slope) + log_p
         top = log_z.max(axis=1, keepdims=True)
         share = np.exp(log_z - top)
@@ -304,8 +287,9 @@ def _log_pmf(theta_nl, rate, d, lo, hi, c, v, out):
         rows = np.arange(len(v))
         at = np.sum(hi < v[:, None], axis=1)  # the segment holding v
         log_w = intercept[rows, at] + slope[rows, at] * v - gammaln(v + 1.0)
-        np.subtract(log_w, (top + np.log(total))[:, 0], out=log_pmf)
-        np.divide(share, total, out=q)
+        log_pmf = log_w - (top + np.log(total))[:, 0]
+        q = share / total
+    return log_pmf, slope, log_p, q, lo, hi, c
 
 
 def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
@@ -324,7 +308,7 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
     chunk = _Chunk(ChangeStats(model, network, nodes, dyads),
                    np.array([int(i)], dtype=np.intp), np.array([int(j)], dtype=np.intp),
                    np.ones(1))
-    value = float(chunk.log_pmf(theta, np.array([float(v)]))[0][0])
+    value = float(_dyad_state(chunk, theta, np.array([float(v)]))[0][0])
     if not math.isfinite(value):
         raise EstimationError(
             "non-finite conditional normalizer for dyad (%d, %d); "
@@ -333,10 +317,6 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
 
 
 # -- weighted pseudo-likelihood ----------------------------------------------
-#
-# The sample is split into chunks of a fixed size and order, which bounds
-# memory and makes the reductions deterministic. _objective evaluates one
-# chunk at a time, so no chunk's state outlives it.
 
 def _cpus():
     """The CPUs this process may run on that numpy's BLAS leaves idle: BLAS
@@ -357,12 +337,12 @@ def _cpus():
 @contextmanager
 def _thread_map():
     """A ``map(fn, items)`` that returns ``[fn(item) for item in items]``,
-    computed on a thread pool of :func:`_cpus` workers that lives as long as
-    the ``with`` block, or in the calling thread where there is one worker
-    or one item. Each call runs under the numpy error state of the map's
-    caller, which threads do not inherit."""
+    computed on a thread pool of :func:`_cpus` workers, but at most 8, that
+    lives as long as the ``with`` block, or in the calling thread where there
+    is one worker or one item. Each call runs under the numpy error state of
+    the map's caller, which threads do not inherit."""
     from concurrent.futures import ThreadPoolExecutor
-    workers = _cpus()
+    workers = min(_cpus(), 8)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         def thread_map(fn, items):
             if workers == 1 or len(items) == 1:
@@ -374,20 +354,6 @@ def _thread_map():
                     return fn(item)
             return list(pool.map(call, items))
         yield thread_map
-
-
-def _by_rows(thread_map, fn, n, *shapes):
-    """Float64 arrays of shapes (n,) + ``shapes``, which ``fn(rows, out)``
-    fills, ``out`` being their ``rows``: one block of at least _BLOCK_ROWS
-    rows for each of up to :func:`_cpus` workers. ``fn`` works row by row,
-    so the bytes do not depend on the blocks, and the blocks' temporaries
-    add up to about those of one call over all n rows."""
-    out = [np.empty((n,) + shape) for shape in shapes]
-    blocks = max(1, min(_cpus(), n // _BLOCK_ROWS))
-    cuts = [n * i // blocks for i in range(blocks + 1)]
-    thread_map(lambda rows: fn(rows, [whole[rows] for whole in out]),
-               [slice(a, b) for a, b in zip(cuts, cuts[1:])])
-    return out
 
 
 def _chunks(model, network, nodes, dyads, sample):
@@ -403,30 +369,47 @@ def _chunks(model, network, nodes, dyads, sample):
                           range(0, len(w), _CHUNK_DYADS))
 
 
-def _dyad_terms(ch, rows, slope, log_p, q, lo, hi, c, order, out):
-    """Writes into ``out`` the per-dyad terms of :func:`_objective`'s sums
-    over the chunk's ``rows``: w (y - E v) and E nonlinear; with ``order`` 2
-    also x w var(v), w cov(v, nonlinear), the deviations h_s - E nonlinear,
-    those times w q_s, and the slopes times w q_s s2_s. Row by row."""
-    w, d, q = ch.w[rows], ch.d[rows], q[rows]
-    m, s2 = _segment_moments(slope[rows], log_p[rows], lo[rows], hi[rows])
+def _chunk_objective(ch, theta, order):
+    """One chunk's share of :func:`_objective`, unpenalized: (value, gradient
+    or None, Hessian or None). The derivatives are taken only where the value
+    is finite.
+
+    Each dyad's conditional is a mixture over segments with weights q_s;
+    within segment s, v has mean m_s and variance s2_s (see
+    :func:`_segment_moments`). A linear term changes by x * v, a
+    nonlinear one by h_s + d_s * (v - m_s) with h_s = c_s + d_s * m_s.
+    Covariances are summed as within-segment plus between-segment parts,
+    each around its own mean, so no large raw moments cancel.
+    """
+    log_pmf, slope, log_p, q, lo, hi, c = _dyad_state(ch, theta, ch.y)
+    value = float(ch.w @ log_pmf)
+    if not (order and math.isfinite(value)):
+        return value, None, None
+    lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
+    n, s, k = d.shape
+    m, s2 = _segment_moments(slope, log_p, lo, hi)
     mean_v = np.sum(q * m, axis=1)
-    h = c[rows] + d * m[:, :, None]
+    h = c + d * m[:, :, None]
     mean_nl = np.einsum("dsk,ds->dk", h, q)
-    np.multiply(w, ch.y[rows] - mean_v, out=out[0])
-    np.subtract(ch.nl_obs[rows], mean_nl, out=out[1])
+    grad = np.zeros(len(theta))
+    grad[lin] = x.T @ (w * (ch.y - mean_v))
+    grad[nl] = w @ (ch.nl_obs - mean_nl)
     if order < 2:
-        return
-    x_var, w_cov, dev, dev_wq, d_wq_s2 = out[2:]
+        return value, grad, None
+    hess = np.zeros((len(theta), len(theta)))
     dm = m - mean_v[:, None]
-    np.subtract(h, mean_nl[:, None, :], out=dev)
+    dev = np.subtract(h, mean_nl[:, None, :], out=h)  # h is not needed again
     var_v = np.sum(q * (dm * dm + s2), axis=1)
-    cov_lin_nl = np.einsum("ds,dsk->dk", q, dm[:, :, None] * dev + s2[:, :, None] * d)
+    cov_lin_nl = np.einsum("ds,dsk->dk", q * dm, dev) + np.einsum("ds,dsk->dk", q * s2, d)
     wq = w[:, None] * q
-    np.multiply(ch.x[rows], (w * var_v)[:, None], out=x_var)
-    np.multiply(w[:, None], cov_lin_nl, out=w_cov)
-    np.multiply(dev, wq[:, :, None], out=dev_wq)
-    np.multiply(d, (wq * s2)[:, :, None], out=d_wq_s2)
+    hess[np.ix_(lin, lin)] = -(x.T @ (x * (w * var_v)[:, None]))
+    block = x.T @ (w[:, None] * cov_lin_nl)
+    hess[np.ix_(lin, nl)] = -block
+    hess[np.ix_(nl, lin)] = -block.T
+    dev_wq, d_wq_s2 = dev * wq[:, :, None], d * (wq * s2)[:, :, None]
+    dev, dev_wq, d_wq_s2, d = (a.reshape(n * s, k) for a in (dev, dev_wq, d_wq_s2, d))
+    hess[np.ix_(nl, nl)] = -(dev.T @ dev_wq + d.T @ d_wq_s2)
+    return value, grad, hess
 
 
 def _objective(chunks, theta, ridge_lambda, order):
@@ -435,48 +418,19 @@ def _objective(chunks, theta, ridge_lambda, order):
     asked for is None. A non-finite value (NaN or -inf where a normalizer
     overflows) comes back with no derivatives.
 
-    Each dyad's conditional is a mixture over segments with weights q_s;
-    within segment s, v has mean m_s and variance s2_s (see
-    :func:`_segment_moments`). A linear term changes by x * v, a
-    nonlinear one by h_s + d_s * (v - m_s) with h_s = c_s + d_s * m_s.
-    Covariances are summed as within-segment plus between-segment parts,
-    each around its own mean, so no large raw moments cancel.
-
-    Workers take the per-dyad terms a block of rows each (:func:`_by_rows`);
-    the calling thread takes every sum over a chunk's dyads, in chunk
-    order, so the bytes do not depend on the number of workers.
+    A worker evaluates a whole chunk (:func:`_chunk_objective`), and the
+    calling thread adds the chunks' results in chunk order, so the bytes do
+    not depend on the number of workers.
     """
     value = 0.0
     grad, hess = np.zeros(len(theta)), np.zeros((len(theta), len(theta)))
     with _thread_map() as thread_map:
-        for ch in chunks:
-            lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
-            n, s, k = d.shape
-            lo, hi, c = ch.segments()
-            with np.errstate(over="ignore", invalid="ignore"):
-                rate = x @ theta[lin]
-            log_pmf, slope, log_p, q = _by_rows(
-                thread_map, lambda rows, out: _log_pmf(theta[nl], rate[rows], d[rows], lo[rows],
-                                                       hi[rows], c[rows], ch.y[rows], out),
-                n, (), (s,), (s,), (s,))
-            value += float(w @ log_pmf)
-            if not (order and math.isfinite(value)):
-                continue
-            lin_terms, nl_terms, *second = _by_rows(
-                thread_map, lambda rows, out: _dyad_terms(ch, rows, slope, log_p, q, lo, hi, c,
-                                                          order, out),
-                n, (), (k,), *([(len(lin),), (k,), (s, k), (s, k), (s, k)] if order == 2 else []))
-            grad[lin] += x.T @ lin_terms
-            grad[nl] += w @ nl_terms
-            if order < 2:
-                continue
-            x_var, w_cov, dev, dev_wq, d_wq_s2 = second
-            hess[np.ix_(lin, lin)] -= x.T @ x_var
-            block = x.T @ w_cov
-            hess[np.ix_(lin, nl)] -= block
-            hess[np.ix_(nl, lin)] -= block.T
-            dev, dev_wq, d_wq_s2, d = (a.reshape(n * s, k) for a in (dev, dev_wq, d_wq_s2, d))
-            hess[np.ix_(nl, nl)] -= dev.T @ dev_wq + d.T @ d_wq_s2
+        for v, g, h in thread_map(lambda ch: _chunk_objective(ch, theta, order), chunks):
+            value += v
+            if order and math.isfinite(value):
+                grad += g
+                if order == 2:
+                    hess += h
     value -= ridge_lambda * float(theta @ theta)
     if not math.isfinite(value):
         return value, None, None

@@ -601,7 +601,9 @@ def adequacy_check(model, theta, nodes, dyads, observed, config):
     sim_in = run.in_volumes.astype(np.float64)
     sim_out = run.out_volumes.astype(np.float64)
 
-    degenerate = bool(sim_in.std(axis=0).max() == 0 and sim_out.std(axis=0).max() == 0)
+    # one network has no spread to lose, so it never counts as degenerate
+    degenerate = bool(len(sim_in) > 1 and sim_in.std(axis=0).max() == 0
+                      and sim_out.std(axis=0).max() == 0)
     warnings = ["degenerate chain: all simulated volumes identical"] if degenerate else []
 
     node_ids = observed.node_ids if observed.node_ids is not None else tuple(range(n))

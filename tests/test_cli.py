@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from ergmflow import ChainConfig, cli, fit_mple
 from ergmflow._jsonio import write_json
 from ergmflow.cli import main
 
@@ -493,3 +495,32 @@ def test_lagged_term_without_lagged_flows_exits_2_naming_it(synth_dir, tmp_path,
     assert main(["fit", "--config", str(cfg_path)]) == 2
     assert "lagged_flows" in capsys.readouterr().err
     assert not (tmp_path / "nolag" / "fit.json").exists()
+
+
+def test_config_without_estimator_or_chain_keys_runs_at_the_library_defaults(
+        fitted, tmp_path, monkeypatch):
+    cfg_path, fit_path = fitted
+    config = json.loads(cfg_path.read_text())
+    config.update(estimator={}, chain={}, out=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    calls = {}
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls[name] = args, kwargs
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, call)
+
+    spy("fit_mple")
+    spy("adequacy_check")
+    assert main(["fit", "--config", str(path)]) == 0
+    assert main(["gof", "--config", str(path), "--fit", str(fit_path)]) == 0
+    keys = ("ridge_lambda", "tol", "max_iter")
+    defaults = inspect.signature(fit_mple).parameters
+    assert {k: calls["fit_mple"][1][k] for k in keys} == {k: defaults[k].default for k in keys}
+    chain = calls["adequacy_check"][0][-1]
+    assert (chain.n_networks, chain.n_chains) == (ChainConfig().n_networks,
+                                                  ChainConfig().n_chains)

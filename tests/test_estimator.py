@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -345,10 +346,55 @@ class TestChunkStorage:
         lo, hi, c, _d = cs.nonlinear_segments(sample.src, sample.dst)
         chunk = _Chunk(cs, sample.src, sample.dst, sample.weights)
         assert {chunk.lo.dtype, chunk.hi.dtype, chunk.c.dtype} == {np.dtype(dtype)}
-        got = chunk.segments()
-        assert np.all(np.isinf(got[1][:, -1]))
-        for g, want in zip(got, (lo, hi, c)):
-            assert g.dtype == np.float64 and np.array_equal(g, want)
+        assert np.all(np.isinf(hi[:, -1]))  # the column the chunk does not store
+        for got, want in zip((chunk.lo, chunk.hi, chunk.c), (lo, hi[:, :-1], c)):
+            assert np.array_equal(got.astype(np.float64), want)
+
+
+class TestThreadPool:
+    BLAS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.mark.parametrize("env, want", [
+        ({}, 1),  # BLAS runs a thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 5),
+        ({"MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": " 1 "}, 6),
+        ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 5),
+        ({"OPENBLAS_NUM_THREADS": "-1", "MKL_NUM_THREADS": "1.5"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "32"}, 1),
+    ])
+    def test_cpus_are_those_blas_leaves_idle(self, monkeypatch, env, want):
+        # the first of the three variables that holds a count above 0 wins
+        monkeypatch.setattr(estimator_mod.os, "sched_getaffinity", lambda pid: set(range(6)),
+                            raising=False)
+        for var in self.BLAS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert estimator_mod._cpus() == want
+
+    def test_cpus_without_affinity_counts_every_cpu(self, monkeypatch):
+        monkeypatch.delattr(estimator_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(estimator_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert estimator_mod._cpus() == 4
+
+    def test_pool_never_exceeds_8_workers(self, monkeypatch):
+        monkeypatch.setattr(estimator_mod, "_cpus", lambda: 64)
+        lock, running, most = threading.Lock(), [0], [0]
+
+        def work(item):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.02)
+            with lock:
+                running[0] -= 1
+            return item
+
+        with estimator_mod._thread_map() as thread_map:
+            assert thread_map(work, list(range(40))) == list(range(40))
+        assert 2 <= most[0] <= 8
 
 
 class TestFitMple:
@@ -377,6 +423,16 @@ class TestFitMple:
         with pytest.raises(EstimationError, match="non-finite .* derivatives"):
             _newton(objective, np.zeros(1), 1e-6, 5, [])
 
+    def test_newton_notes_a_stalled_step_halving(self):
+        def objective(t):  # the gradient points uphill, but every step falls
+            return -float(t @ t) - float(t[0] != 0.0), np.ones(1), -np.eye(1)
+
+        notes = []
+        theta, value, _grad, _hess, iterations = _newton(objective, np.zeros(1), 1e-6, 5,
+                                                         notes, "Poisson start ")
+        assert notes == ["Poisson start step halving stalled at iteration 1"]
+        assert theta.tolist() == [0.0] and value == 0.0 and iterations == 1
+
     def test_objective_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
         # value and derivatives are taken chunk by chunk, so one evaluation
         # holds one chunk's state whatever the number of chunks
@@ -402,12 +458,10 @@ class TestFitMple:
 
         assert peak(chunks) <= 1.25 * peak(chunks[:2])
 
-    @pytest.mark.parametrize("workers", [3, 8])
-    def test_objective_memory_does_not_grow_with_the_worker_count(self, monkeypatch, workers):
-        # the workers share one chunk's rows, so together they hold about
-        # one chunk's state, as one worker does
+    @pytest.mark.parametrize("workers", [1, 3, 8, 16])
+    def test_objective_memory_is_one_chunk_per_worker(self, monkeypatch, workers):
+        # a worker holds one chunk's state at a time, and at most 8 work at once
         monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 512)
-        monkeypatch.setattr(estimator_mod, "_BLOCK_ROWS", 32)
         rng = np.random.default_rng(3)
         mat = rng.poisson(0.6, (150, 150))
         np.fill_diagonal(mat, 0)
@@ -427,18 +481,17 @@ class TestFitMple:
             finally:
                 tracemalloc.stop()
 
-        assert peak(chunks, workers) <= 1.25 * peak(chunks[:2], 1)
+        assert peak(chunks, workers) <= 1.25 * min(workers, 8) * peak(chunks[:1], 1)
 
     @pytest.mark.parametrize("theta", [[-0.9, 0.3, 0.1, -0.8, 0.25],
                                        [400.0, -400.0, 0.0, 0.0, 0.0]])  # overflows
     def test_objective_bytes_do_not_depend_on_the_worker_count(self, small_data, monkeypatch,
                                                                 theta):
-        # every sum over dyads is taken over a whole chunk whatever the
-        # blocks, and each worker keeps the caller's error state, so the
-        # overflowing theta stays silent under the error filter
+        # one worker takes each chunk's sums and the caller adds them in
+        # chunk order, and each worker keeps the caller's error state, so
+        # the overflowing theta stays silent under the error filter
         model, _theta, net, _lag, nodes, dyads = small_data
         monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 128)
-        monkeypatch.setattr(estimator_mod, "_BLOCK_ROWS", 16)
         chunks = _chunks(model, net, nodes, dyads, stratified_dyad_sample(net, 400, seed=1))
         assert len(chunks) >= 3
 
@@ -462,7 +515,6 @@ class TestFitMple:
     def test_fit_bytes_do_not_depend_on_the_worker_count(self, small_data, monkeypatch):
         model, _theta, net, _lag, nodes, dyads = small_data
         monkeypatch.setattr(estimator_mod, "_CHUNK_DYADS", 128)
-        monkeypatch.setattr(estimator_mod, "_BLOCK_ROWS", 16)
         sample = stratified_dyad_sample(net, 400, seed=1)
         threads = threading.active_count()
 

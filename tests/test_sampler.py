@@ -9,7 +9,7 @@ import pytest
 import ergmflow.sampler as sampler_mod
 import ergmflow.stats as stats_mod
 from ergmflow import (ChainConfig, ChangeStats, FlowNetwork, ModelSpec, TermSpec,
-                      ValidationError, adequacy_check, expected_total_flow,
+                      ValidationError, adequacy_check, build_network, expected_total_flow,
                       knockout_experiment, mcmc_simulate, statistic_vector)
 
 from oracles import correlate_ess, exact_two_node_distribution, scalar_chain
@@ -431,6 +431,32 @@ class TestAdequacy:
         assert report.out_outside.sum() == 0
         assert report.degenerate
         assert report.warnings
+
+    @pytest.mark.parametrize("n_networks", [1, 2])
+    def test_a_real_chain_is_not_degenerate(self, n_networks):
+        # one network has sd 0 by construction, which is no sign of a stuck chain
+        observed = build_network([(0, 1, 3), (2, 4, 1), (5, 3, 2)], n_nodes=6)
+        report = adequacy_check(SUM_ONLY, np.array([math.log(2.0)]), None, None, observed,
+                                ChainConfig(n_networks=n_networks, seed=0))
+        assert not report.degenerate
+        assert not any("degenerate" in w for w in report.warnings)
+
+    @pytest.mark.parametrize("n_networks, degenerate", [(1, False), (2, True)])
+    def test_identical_networks_are_degenerate_from_two_up(self, small_data, monkeypatch,
+                                                           n_networks, degenerate):
+        model, theta, current, _lag, nodes, dyads = small_data
+        k = n_networks
+
+        def fake_chain(*args, **kwargs):
+            return [sampler_mod.ChainRun(
+                np.tile(current.in_volumes(), (k, 1)), np.tile(current.out_volumes(), (k, 1)),
+                np.full(k, float(current.total_flow)), 0, 0, float(k), [], [], (k,), False)]
+
+        monkeypatch.setattr(sampler_mod, "_chain", fake_chain)
+        report = adequacy_check(model, theta, nodes, dyads, current,
+                                ChainConfig(n_networks=k, seed=0))
+        assert report.degenerate == degenerate
+        assert bool(report.warnings) == degenerate
 
     def test_envelopes_contain_median(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
