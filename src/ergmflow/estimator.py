@@ -18,8 +18,8 @@ stores what does not depend on theta: the observed counts, weights and
 nonlinear statistics, the linear design, and the segments, whose bounds and
 intercepts are integers kept as int32 (int64 where a value does not fit)
 and whose slopes are int8. A chunk is the unit of work: building the chunks
-and evaluating each one run on a thread pool of the CPUs that BLAS leaves
-idle, at most 8, created and shut down inside the call. One worker
+and evaluating each one run on a thread pool of the CPUs this process may
+run on, at most 8, created and shut down inside the call. One worker
 evaluates a whole chunk and returns its value, gradient and Hessian, and
 the calling thread adds them in chunk order. So at most one chunk's state
 is alive per worker, and values, gradients and Hessians are reproducible
@@ -319,19 +319,11 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
 # -- weighted pseudo-likelihood ----------------------------------------------
 
 def _cpus():
-    """The CPUs this process may run on that numpy's BLAS leaves idle: BLAS
-    runs one thread per CPU unless OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or
-    OMP_NUM_THREADS (the first one set) fixes the count, and its threads
-    spin for a while after each product, holding their CPUs."""
+    """The CPUs this process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus - int(value) + 1)
-    return 1
+        return os.cpu_count() or 1
 
 
 @contextmanager

@@ -106,14 +106,19 @@ class ChainConfig:
     n_chains: int = 1
 
     def __post_init__(self):
-        if self.n_networks < 1:
-            raise ValidationError("n_networks must be >= 1")
-        if self.n_chains < 1:
-            raise ValidationError("n_chains must be >= 1")
-        if self.burn_in is not None and self.burn_in < 1:
-            raise ValidationError("burn_in must be >= 1 when given")
-        if self.thin is not None and self.thin < 1:
-            raise ValidationError("thin must be >= 1 when given")
+        def integer(value):
+            return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+        for name in ("n_networks", "n_chains", "burn_in", "thin"):
+            value = getattr(self, name)
+            if name in ("burn_in", "thin") and value is None:
+                continue
+            if not integer(value) or value < 1:
+                raise ValidationError("%s must be an integer >= 1, got %r" % (name, value))
+        if not (isinstance(self.seed, np.random.SeedSequence)
+                or integer(self.seed) and self.seed >= 0):
+            raise ValidationError("seed must be an integer >= 0 or a SeedSequence, "
+                                  "got %r" % (self.seed,))
 
     def resolved(self, n_dyads):
         burn = self.burn_in if self.burn_in is not None else 10 * n_dyads

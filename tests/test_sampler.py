@@ -71,6 +71,16 @@ class TestChainBasics:
             ChainConfig(n_networks=1, thin=0)
         with pytest.raises(ValidationError, match="n_chains"):
             ChainConfig(n_chains=0)
+        for field, value in [("n_networks", 2.5), ("n_networks", True),
+                             ("n_networks", np.bool_(True)), ("n_chains", 1.5),
+                             ("burn_in", 6.9), ("thin", 2.0), ("thin", False),
+                             ("seed", -1), ("seed", 1.0), ("seed", True), ("seed", "7")]:
+            with pytest.raises(ValidationError, match=field):
+                ChainConfig(**{field: value})
+        # numpy integers count as integers, and a SeedSequence as a seed
+        ChainConfig(n_networks=np.int64(3), n_chains=np.int32(2), burn_in=np.uint8(9),
+                    thin=np.int16(4), seed=np.uint64(2 ** 63))
+        ChainConfig(seed=np.random.SeedSequence(5))
 
     def test_single_node_rejected_by_every_entry_point(self):
         one = FlowNetwork.empty(1)
