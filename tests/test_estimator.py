@@ -354,23 +354,25 @@ class TestChunkStorage:
 class TestThreadPool:
     BLAS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
-    @pytest.mark.parametrize("env", [
-        {},
-        {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        {"MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"},
-        {"OMP_NUM_THREADS": " 1 "},
-        {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"},
-        {"OPENBLAS_NUM_THREADS": "-1", "MKL_NUM_THREADS": "1.5"},
-        {"OPENBLAS_NUM_THREADS": "32"},
+    @pytest.mark.parametrize("env, cpus", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 5),
+        ({"MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": " 1 "}, 6),
+        ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 5),
+        ({"OPENBLAS_NUM_THREADS": "-1", "MKL_NUM_THREADS": "1.5"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "32"}, 1),
     ])
-    def test_cpus_are_the_affinity_cpus_whatever_the_blas_variables(self, monkeypatch, env):
-        monkeypatch.setattr(estimator_mod.os, "sched_getaffinity", lambda pid: set(range(6)),
+    def test_cpus_are_those_blas_leaves_idle(self, monkeypatch, env, cpus):
+        # BLAS threads cost the chunk workers nothing, so BLAS leaves every CPU
+        # of the affinity set to the pool, whatever the BLAS variables say
+        monkeypatch.setattr(estimator_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         for var in self.BLAS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert estimator_mod._cpus() == 6
+        assert estimator_mod._cpus() == cpus
 
     def test_cpus_without_affinity_counts_every_cpu(self, monkeypatch):
         monkeypatch.delattr(estimator_mod.os, "sched_getaffinity", raising=False)
