@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer test shared across the package."""
+
+import numpy as np
 
 
 class ErgmFlowError(Exception):
@@ -13,3 +15,8 @@ class ValidationError(ErgmFlowError, ValueError):
 class EstimationError(ErgmFlowError, RuntimeError):
     """Raised when an estimation run cannot proceed (non-finite objective,
     divergent parameters, empty sample)."""
+
+
+def is_integer(value):
+    """Whether ``value`` is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

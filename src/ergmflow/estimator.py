@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jsonio import write_json
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, is_integer
 from .stats import ChangeStats, ModelSpec, model_to_dict
 
 __all__ = [
@@ -108,9 +108,11 @@ def stratified_dyad_sample(network, n_total, seed):
     dyads (total zero / sampled zero). ``n_total`` above the dyad count is
     clamped to a census with unit weights.
     """
+    if not (is_integer(n_total) and n_total >= 1):
+        raise ValidationError("n_total must be >= 1 and an integer, got %r" % (n_total,))
+    if not (seed is None or is_integer(seed) and seed >= 0):
+        raise ValidationError("seed must be None or an integer >= 0, got %r" % (seed,))
     n_total = int(n_total)
-    if n_total < 1:
-        raise ValidationError("n_total must be >= 1, got %d" % n_total)
     n = network.n_nodes
     total = n * (n - 1)
     src, dst, _ = network.edge_arrays()
@@ -305,6 +307,7 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
     i, j = dyad
     if i == j:
         raise ValidationError("dyad (%r, %r) is a self-loop" % (i, j))
+    network.value(i, j)  # checks both nodes
     chunk = _Chunk(ChangeStats(model, network, nodes, dyads),
                    np.array([int(i)], dtype=np.intp), np.array([int(j)], dtype=np.intp),
                    np.ones(1))
@@ -326,26 +329,23 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-@contextmanager
-def _thread_map():
-    """A ``map(fn, items)`` that returns ``[fn(item) for item in items]``,
-    computed on a thread pool of :func:`_cpus` workers, but at most 8, that
-    lives as long as the ``with`` block, or in the calling thread where there
-    is one worker or one item. Each call runs under the numpy error state of
-    the map's caller, which threads do not inherit."""
+def _thread_map(fn, items):
+    """``[fn(item) for item in items]``, computed on a thread pool of
+    :func:`_cpus` workers, but at most 8, created and shut down inside the
+    call, or in the calling thread where there is one worker or one item.
+    Each call runs under the caller's numpy error state, which threads do
+    not inherit."""
     from concurrent.futures import ThreadPoolExecutor
     workers = min(_cpus(), 8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        def thread_map(fn, items):
-            if workers == 1 or len(items) == 1:
-                return [fn(item) for item in items]
-            err = np.geterr()
+    if workers == 1 or len(items) == 1:
+        return [fn(item) for item in items]
+    err = np.geterr()
 
-            def call(item):
-                with np.errstate(**err):
-                    return fn(item)
-            return list(pool.map(call, items))
-        yield thread_map
+    def call(item):
+        with np.errstate(**err):
+            return fn(item)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(call, items))
 
 
 def _chunks(model, network, nodes, dyads, sample):
@@ -355,10 +355,9 @@ def _chunks(model, network, nodes, dyads, sample):
     ii = np.asarray(sample.src, dtype=np.intp)
     jj = np.asarray(sample.dst, dtype=np.intp)
     w = np.asarray(sample.weights, dtype=np.float64)
-    with _thread_map() as thread_map:
-        return thread_map(lambda k: _Chunk(cs, ii[k:k + _CHUNK_DYADS], jj[k:k + _CHUNK_DYADS],
-                                           w[k:k + _CHUNK_DYADS]),
-                          range(0, len(w), _CHUNK_DYADS))
+    return _thread_map(lambda k: _Chunk(cs, ii[k:k + _CHUNK_DYADS], jj[k:k + _CHUNK_DYADS],
+                                        w[k:k + _CHUNK_DYADS]),
+                       range(0, len(w), _CHUNK_DYADS))
 
 
 def _chunk_objective(ch, theta, order):
@@ -416,19 +415,23 @@ def _objective(chunks, theta, ridge_lambda, order):
     """
     value = 0.0
     grad, hess = np.zeros(len(theta)), np.zeros((len(theta), len(theta)))
-    with _thread_map() as thread_map:
-        for v, g, h in thread_map(lambda ch: _chunk_objective(ch, theta, order), chunks):
-            value += v
-            if order and math.isfinite(value):
-                grad += g
-                if order == 2:
-                    hess += h
+    for v, g, h in _thread_map(lambda ch: _chunk_objective(ch, theta, order), chunks):
+        value += v
+        if order and math.isfinite(value):
+            grad += g
+            if order == 2:
+                hess += h
     value -= ridge_lambda * float(theta @ theta)
     if not math.isfinite(value):
         return value, None, None
     grad -= 2.0 * ridge_lambda * theta
     hess -= 2.0 * ridge_lambda * np.eye(len(theta))
     return value, (grad if order else None), (hess if order == 2 else None)
+
+
+def _check_ridge(ridge_lambda):
+    if not (isinstance(ridge_lambda, numbers.Real) and 0 <= ridge_lambda < math.inf):
+        raise ValidationError("ridge_lambda must be >= 0 and finite, got %r" % (ridge_lambda,))
 
 
 def penalized_pseudo_loglik(model, theta, network, nodes, dyads, sample,
@@ -441,8 +444,7 @@ def penalized_pseudo_loglik(model, theta, network, nodes, dyads, sample,
     penalty gradient; the Hessian is minus the weighted conditional
     covariances minus ``2 * ridge_lambda * I``.
     """
-    if ridge_lambda < 0:
-        raise ValidationError("ridge_lambda must be >= 0")
+    _check_ridge(ridge_lambda)
     theta = model.check_theta(theta)
     chunks = _chunks(model, network, nodes, dyads, sample)
     order = 2 if hessian else 1 if gradient else 0
@@ -586,12 +588,11 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
     standard errors and a non-converged flag, not fabricated values.
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
-    if ridge_lambda < 0:
-        raise ValidationError("ridge_lambda must be >= 0")
-    if not tol > 0:
+    _check_ridge(ridge_lambda)
+    if not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValidationError("tol must be > 0, got %r" % (tol,))
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1, got %r" % (max_iter,))
+    if not (is_integer(max_iter) and max_iter >= 1):
+        raise ValidationError("max_iter must be >= 1 and an integer, got %r" % (max_iter,))
     chunks = _chunks(model, network, nodes, dyads, sample)
     n_terms = model.n_terms
     theta = np.zeros(n_terms)

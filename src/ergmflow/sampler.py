@@ -25,16 +25,17 @@ counted in proposals; a block is cut short where a sample is recorded. The
 random draws are made per chunk of about ``_RNG_BLOCK`` proposals, so the
 chain's temporaries do not grow with the network.
 
-Every simulation is resolved once into the Poisson means and the
-(theta_k, kind) dependence terms, and runs through :func:`_chain` as one or
-more row groups: one for a simulation, two for a knockout's baseline and
-counterfactual. Each group's ``ChainConfig.n_chains`` chains run side by
-side in one state array, one row per chain, from one random stream: every
-row follows the same sweep schedule, which reads no state, so each is still
-an exact Metropolis-Hastings chain, and each block of every row is updated
-in one numpy pass. The groups also share the exponentials, and a later
-group's proposals are the first group's thinned and superposed to its own
-means (common random numbers), so the knockout's difference is paired.
+Every simulation is resolved once, by :func:`_groups`, into the Poisson means
+and the (theta_k, kind) dependence terms of each theta, and runs through
+:func:`_chain` as one or more row groups: one for a simulation, two for a
+knockout's baseline and counterfactual. Each group's ``ChainConfig.n_chains``
+chains run side by side in one state array, one row per chain, from one
+random stream: every row follows the same sweep schedule, which reads no
+state, so each is still an exact Metropolis-Hastings chain, and each block of
+every row is updated in one numpy pass. The groups also share the
+exponentials, and a later group's proposals are the first group's thinned and
+superposed to its own means (common random numbers), so the knockout's
+difference is paired.
 
 Every chain records, per sample, the Sum statistic and the per-node in- and
 out-volume vectors from its running state (:class:`ChainRun`). Only
@@ -54,7 +55,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._jsonio import write_json
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .network import FlowNetwork
 from .stats import ChangeStats, dependence_pieces
 
@@ -106,17 +107,14 @@ class ChainConfig:
     n_chains: int = 1
 
     def __post_init__(self):
-        def integer(value):
-            return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
         for name in ("n_networks", "n_chains", "burn_in", "thin"):
             value = getattr(self, name)
             if name in ("burn_in", "thin") and value is None:
                 continue
-            if not integer(value) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValidationError("%s must be an integer >= 1, got %r" % (name, value))
         if not (isinstance(self.seed, np.random.SeedSequence)
-                or integer(self.seed) and self.seed >= 0):
+                or is_integer(self.seed) and self.seed >= 0):
             raise ValidationError("seed must be an integer >= 0 or a SeedSequence, "
                                   "got %r" % (self.seed,))
 
@@ -189,7 +187,7 @@ def mcmc_simulate(model, theta, nodes, dyads, init, config):
     series, the per-sample node volumes and the acceptance counts. Identical
     (seed, config, theta) always reproduce the identical sequence.
     """
-    return _chain(*_resolve(model, theta, nodes, dyads, init), config,
+    return _chain(_groups(model, [theta], nodes, dyads, init), init, config,
                   keep_networks=True)[0]
 
 
@@ -214,28 +212,25 @@ def _proposal_means(rate, node_ids):
     return lam
 
 
-def _change_stats(model, init, nodes, dyads):
-    """The :class:`ChangeStats` a simulation from ``init`` is resolved with;
-    a chain needs at least 2 nodes."""
+def _groups(model, thetas, nodes, dyads, init):
+    """One :func:`_chain` row group (Poisson means, [(theta_k, kind)] of the
+    dependence terms) per theta in ``thetas``, for chains from ``init``. One
+    :class:`ChangeStats` serves them all, and each later group's linear
+    log-rate is the one before less that of the difference of their thetas,
+    so only the covariates whose coefficients change are evaluated again."""
+    thetas = [model.check_theta(theta) for theta in thetas]
     if init.n_nodes < 2:
         raise ValidationError("a chain needs a network of at least 2 nodes, got %d"
                               % init.n_nodes)
-    return ChangeStats(model, init, nodes, dyads)
-
-
-def _inputs(cs, theta, rate):
-    """(Poisson means of the linear log-rate ``rate``, [(theta_k, kind)] of
-    every dependence term), all that a row group of :func:`_chain` reads."""
-    dependence = [(float(theta[pos]), kind) for pos, kind in cs.nonlin]
-    return _proposal_means(rate, cs.network.node_ids), dependence
-
-
-def _resolve(model, theta, nodes, dyads, init):
-    """Check theta and ``init`` and return the arguments of a one-group
-    :func:`_chain` before its config: ([:func:`_inputs`], init)."""
-    theta = model.check_theta(theta)
-    cs = _change_stats(model, init, nodes, dyads)
-    return [_inputs(cs, theta, cs.linear_rate_matrix(theta))], init
+    cs = ChangeStats(model, init, nodes, dyads)
+    rate = cs.linear_rate_matrix(thetas[0])
+    groups = []
+    for k, theta in enumerate(thetas):
+        if k:
+            rate -= cs.linear_rate_matrix(thetas[k - 1] - theta)
+        groups.append((_proposal_means(rate, init.node_ids),
+                       [(float(theta[pos]), kind) for pos, kind in cs.nonlin]))
+    return groups
 
 
 def _rounds(n, rounds, perms):
@@ -420,9 +415,9 @@ def _sum_ess(series, sizes, independent):
 
 def _chain(groups, init, config, keep_networks=False):
     """Run the ``config.n_chains`` chains of each row group in ``groups``, a
-    list of :func:`_inputs` (lam, dependence) pairs, and return one
-    :class:`ChainRun` per group, its chains merged in chain order, holding
-    the network snapshots only when ``keep_networks`` is set.
+    list of (lam, dependence) pairs as :func:`_groups` builds them, and
+    return one :class:`ChainRun` per group, its chains merged in chain
+    order, holding the network snapshots only when ``keep_networks`` is set.
 
     Every chain of every group starts at ``init`` in one state array and
     follows one sweep schedule. Group 0 draws its proposals and the
@@ -601,7 +596,7 @@ def adequacy_check(model, theta, nodes, dyads, observed, config):
     with per-node envelopes, outside-envelope flags, and the two
     observed-versus-simulated-median correlations.
     """
-    run = _chain(*_resolve(model, theta, nodes, dyads, observed), config)[0]
+    run = _chain(_groups(model, [theta], nodes, dyads, observed), observed, config)[0]
     n = observed.n_nodes
     sim_in = run.in_volumes.astype(np.float64)
     sim_out = run.out_volumes.astype(np.float64)
@@ -632,7 +627,7 @@ def adequacy_check(model, theta, nodes, dyads, observed, config):
 def expected_total_flow(model, theta, nodes, dyads, config, init):
     """Monte-Carlo mean of total flow under the model, with its standard error
     over the effective sample size (:func:`_mean_and_se`). Chains start at ``init``."""
-    run = _chain(*_resolve(model, theta, nodes, dyads, init), config)[0]
+    run = _chain(_groups(model, [theta], nodes, dyads, init), init, config)[0]
     return _mean_and_se(run.sum_series, run.sum_ess)
 
 
@@ -698,15 +693,8 @@ def knockout_experiment(model, theta_fitted, nodes, dyads, zero_labels, config,
         pos = model.index_of(lab)
         zeroed[pos] = theta_fitted[pos]
 
-    cs = _change_stats(model, init, nodes, dyads)
-    rate = cs.linear_rate_matrix(theta_fitted)
-    groups = [_inputs(cs, theta_fitted, rate)]
-    # the counterfactual rate lacks only the zeroed linear terms' share, and
-    # equals the baseline's when no linear term is zeroed
-    rate -= cs.linear_rate_matrix(zeroed)
-    groups.append(_inputs(cs, theta_fitted - zeroed, rate))
-    del rate  # the chain needs only the two groups' Poisson means
-    base, cf = _chain(groups, init, config)
+    base, cf = _chain(_groups(model, [theta_fitted, theta_fitted - zeroed], nodes, dyads,
+                              init), init, config)
     base_mean, base_se = _mean_and_se(base.sum_series, base.sum_ess)
     cf_mean, cf_se = _mean_and_se(cf.sum_series, cf.sum_ess)
     paired = cf.sum_series - base.sum_series

@@ -14,7 +14,7 @@ from ergmflow import (ChainConfig, DyadCovariateSet, FlowNetwork, ModelSpec,
                       knockout_experiment, mutual_min_stat,
                       penalized_pseudo_loglik, stratified_dyad_sample,
                       waypoint_flow_stat)
-from ergmflow.sampler import _chain, _resolve
+from ergmflow.sampler import _chain, _groups
 
 from oracles import (brute_mutual_min, brute_waypoint, central_gradient,
                      central_hessian, exact_two_node_distribution,
@@ -157,7 +157,8 @@ def test_c06_sampler_exactness():
         # every state after each chain's burn-in, over 8 chains, which pay the
         # per-block cost once between them; on 2 nodes the out-volumes are the state
         cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=123, n_chains=8)
-        run = _chain(*_resolve(model, theta, None, None, FlowNetwork.empty(2)), cfg)[0]
+        init = FlowNetwork.empty(2)
+        run = _chain(_groups(model, [theta], None, None, init), init, cfg)[0]
         a, b = run.out_volumes.T
         keep = (a <= 6) & (b <= 6)
         counts = np.zeros((7, 7))

@@ -222,6 +222,19 @@ def test_non_numeric_theta_in_fit_file_exits_2_naming_it(fitted, tmp_path, capsy
     assert not (tmp_path / "gof" / "adequacy.json").exists()
 
 
+def test_fit_file_without_theta_exits_2_naming_it(fitted, tmp_path, capsys):
+    cfg, fit_path = fitted
+    payload = json.loads(fit_path.read_text())
+    del payload["theta"]
+    bad = tmp_path / "fit_no_theta.json"
+    bad.write_text(json.dumps(payload))
+    code = main(["gof", "--config", str(cfg), "--fit", str(bad),
+                 "--out", str(tmp_path / "gof")])
+    assert code == 2
+    assert "lacks field 'theta'" in capsys.readouterr().err
+    assert not (tmp_path / "gof" / "adequacy.json").exists()
+
+
 class TestSimulate:
     def test_writes_networks(self, fitted, tmp_path):
         cfg, fit_path = fitted

@@ -77,6 +77,25 @@ class TestStratifiedSample:
         with pytest.raises(ValidationError):
             stratified_dyad_sample(net, 0, seed=0)
 
+    @pytest.mark.parametrize("n_total, seed, match", [
+        (2.5, 1, "n_total must be >= 1 and an integer"),
+        (True, 1, "n_total must be >= 1 and an integer"),
+        (np.float64(4.0), 1, "n_total must be >= 1 and an integer"),
+        (4, -1, "seed must be None or an integer >= 0"),
+        (4, 1.5, "seed must be None or an integer >= 0"),
+        (4, True, "seed must be None or an integer >= 0")])
+    def test_non_integer_count_or_bad_seed_rejected(self, n_total, seed, match):
+        net = build_network([(0, 1, 1)], n_nodes=3)
+        with pytest.raises(ValidationError, match=match):
+            stratified_dyad_sample(net, n_total, seed=seed)
+
+    def test_numpy_integer_count_and_seed_accepted(self):
+        net = build_network([(0, 1, 1)], n_nodes=3)
+        want = stratified_dyad_sample(net, 4, seed=7)
+        got = stratified_dyad_sample(net, np.int64(4), seed=np.uint32(7))
+        assert pairs(got) == pairs(want)
+        assert stratified_dyad_sample(net, 4, seed=None).n_dyads == 4
+
     def test_full_scale_allocation(self):
         # tie/no-tie with a million-dyad target on a 3142-node network with
         # 274,197 nonzero dyads: the nonzero stratum is exhausted and the
@@ -208,7 +227,8 @@ class TestConditionalLogPmf:
 
     @pytest.mark.parametrize("dyad, v, match", [
         ((0, 1), -1, "non-negative integer"), ((0, 1), 1.5, "non-negative integer"),
-        ((1, 1), 0, "self-loop")])
+        ((1, 1), 0, "self-loop"), ((0, -1), 0, "node -1 out of range for 3 nodes"),
+        ((0, 9), 0, "node 9 out of range for 3 nodes")])
     def test_bad_count_or_dyad_rejected(self, dyad, v, match):
         model = ModelSpec(terms=(TermSpec("sum"),))
         net = FlowNetwork.empty(3)
@@ -321,6 +341,13 @@ class TestPenalizedPseudoLoglik:
         with pytest.raises(EstimationError, match="non-finite"):
             penalized_pseudo_loglik(model, theta, net, nodes, dyads, sample, **shape)
 
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, "x"])
+    def test_non_finite_ridge_rejected(self, small_data, ridge):
+        model, _theta, net, _lag, nodes, dyads = small_data
+        sample = stratified_dyad_sample(net, 100, seed=0)
+        with pytest.raises(ValidationError, match="ridge_lambda must be >= 0 and finite"):
+            penalized_pseudo_loglik(model, np.zeros(5), net, nodes, dyads, sample, ridge)
+
     def test_negative_ridge_rejected(self, small_data):
         model, _theta, net, _lag, nodes, dyads = small_data
         sample = stratified_dyad_sample(net, 100, seed=0)
@@ -392,8 +419,7 @@ class TestThreadPool:
                 running[0] -= 1
             return item
 
-        with estimator_mod._thread_map() as thread_map:
-            assert thread_map(work, list(range(40))) == list(range(40))
+        assert estimator_mod._thread_map(work, list(range(40))) == list(range(40))
         assert 2 <= most[0] <= 8
 
 
@@ -588,7 +614,13 @@ class TestFitMple:
         ({"tol": 0}, "tol must be > 0"), ({"tol": -1.0}, "tol must be > 0"),
         ({"tol": math.nan}, "tol must be > 0"),
         ({"max_iter": 0}, "max_iter must be >= 1"),
-        ({"max_iter": -3}, "max_iter must be >= 1")])
+        ({"max_iter": -3}, "max_iter must be >= 1"),
+        ({"max_iter": 2.5}, "max_iter must be >= 1 and an integer"),
+        ({"max_iter": True}, "max_iter must be >= 1 and an integer"),
+        ({"tol": "x"}, "tol must be > 0"),
+        ({"ridge_lambda": math.nan}, "ridge_lambda must be >= 0 and finite"),
+        ({"ridge_lambda": math.inf}, "ridge_lambda must be >= 0 and finite"),
+        ({"ridge_lambda": "x"}, "ridge_lambda must be >= 0 and finite")])
     def test_tol_and_max_iter_out_of_range_rejected(self, small_data, option, match):
         model, _theta, net, _lag, nodes, dyads = small_data
         with pytest.raises(ValidationError, match=match):

@@ -311,19 +311,23 @@ class TestLoaders:
         assert str(info.value) == ("%s row 3: %s value %r is not a whole number"
                                    % (p, column, cell))
 
-    @pytest.mark.parametrize("loader", ["flows", "nodes"])
+    @pytest.mark.parametrize("loader", ["flows", "nodes", "flow_header"])
     def test_oversized_field_named(self, tmp_path, loader):
-        # a field over csv's 131,072-character limit in the third row
+        # a field over csv's 131,072-character limit in the third row, or in
+        # a flow file's header
         big = "x" * 140_000
+        row = 3
         if loader == "flows":
             text, load = "origin,destination,count\nA,B,3\n\n%s,A,1\n" % big, load_flows
+        elif loader == "flow_header":
+            text, load, row = "origin,destination,%s\nA,B,3\n" % big, load_flows, 1
         else:
             text = "\n".join([NODE_HEADER, _node_line("a"), "", _node_line(big)]) + "\n"
             load = load_nodes
         p = _write(tmp_path, text)
         with pytest.raises(ValidationError) as info:
             load(p)
-        assert str(info.value).startswith("%s row 3: field larger than field limit" % p)
+        assert str(info.value).startswith("%s row %d: field larger than field limit" % (p, row))
 
     def test_distance_unknown_id(self, tmp_path):
         p = tmp_path / "d.csv"

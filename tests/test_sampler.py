@@ -184,8 +184,9 @@ class TestPoissonTarget:
         # volumes of 8 chains, which pay the per-block cost once between them
         cfg = ChainConfig(n_networks=steps // 10, burn_in=burn, thin=10, seed=77,
                           n_chains=8)
-        run = sampler_mod._chain(*sampler_mod._resolve(
-            model, np.array([th_s, th_w]), None, None, FlowNetwork.empty(3)), cfg)[0]
+        init = FlowNetwork.empty(3)
+        run = sampler_mod._chain(sampler_mod._groups(
+            model, [np.array([th_s, th_w])], None, None, init), init, cfg)[0]
         wps = np.minimum(run.out_volumes, run.in_volumes).sum(axis=1)
         tots = run.out_volumes.sum(axis=1)
 
@@ -207,8 +208,9 @@ class TestPoissonTarget:
             burn = 5000
             steps = 200_000
             cfg = ChainConfig(n_networks=steps, burn_in=burn, thin=1, seed=5, n_chains=8)
-            run = sampler_mod._chain(*sampler_mod._resolve(
-                model, theta, None, None, FlowNetwork.empty(2)), cfg)[0]
+            init = FlowNetwork.empty(2)
+            run = sampler_mod._chain(sampler_mod._groups(model, [theta], None, None, init),
+                                     init, cfg)[0]
             a, b = run.out_volumes.T
             keep = (a <= 6) & (b <= 6)
             counts = np.zeros((7, 7))
@@ -351,9 +353,9 @@ class TestMultiChain:
     def test_single_chain_keeps_config_seed(self, knockout_data):
         model, theta, current, _lag, nodes, dyads = knockout_data
         cfg = ChainConfig(n_networks=6, burn_in=2000, thin=500, seed=5)
-        resolved = sampler_mod._resolve(model, theta, nodes, dyads, current)
-        ref = sampler_mod._chain(*resolved, cfg, True)[0]
-        summaries = sampler_mod._chain(*resolved, cfg)[0]
+        groups = sampler_mod._groups(model, [theta], nodes, dyads, current)
+        ref = sampler_mod._chain(groups, current, cfg, True)[0]
+        summaries = sampler_mod._chain(groups, current, cfg)[0]
         run = mcmc_simulate(model, theta, nodes, dyads, current, cfg)
         assert [net.total_flow for net in run.networks] == run.sum_series.tolist()
         assert summaries.networks == []
@@ -609,9 +611,8 @@ class TestKnockout:
         _model, _theta, current, _lag, nodes, dyads = knockout_data
         model = ModelSpec(terms=(TermSpec("sum"), TermSpec("dyad", "political_dissim")))
         theta = np.array([-0.5, theta_pol])
-        cs = ChangeStats(model, current, nodes, dyads)
-        groups = [sampler_mod._inputs(cs, th, cs.linear_rate_matrix(th))
-                  for th in (theta, np.array([-0.5, 0.0]))]
+        groups = sampler_mod._groups(model, [theta, np.array([-0.5, 0.0])], nodes, dyads,
+                                     current)
         cfg = ChainConfig(n_networks=6, burn_in=3000, thin=1000, seed=9, n_chains=2)
         base, cf = sampler_mod._chain(groups, current, cfg, keep_networks=True)
         sign = 1 if theta_pol < 0 else -1

@@ -33,6 +33,10 @@ class TestTermSpec:
 
 
 class TestModelSpec:
+    def test_no_terms_rejected(self):
+        with pytest.raises(ValidationError, match="a model needs at least one term"):
+            ModelSpec(terms=())
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             ModelSpec(terms=(TermSpec("sum", label="a"),
