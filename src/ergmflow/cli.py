@@ -26,9 +26,9 @@ from . import __version__
 from ._jsonio import write_json
 from .errors import EstimationError, ValidationError
 from .estimator import fit_mple, stratified_dyad_sample
-from .ingest import (build_dyad_covariates, load_flows, load_nodes,
-                     synthetic_generate, write_distances_csv, write_flows_csv,
-                     write_nodes_csv)
+from .ingest import (_load_network, build_dyad_covariates, load_flows,
+                     load_nodes, synthetic_generate, write_distances_csv,
+                     write_flows_csv, write_nodes_csv)
 from .network import DyadCovariateSet, build_network, summarize
 from .sampler import (ChainConfig, adequacy_check, knockout_experiment,
                       mcmc_simulate)
@@ -181,13 +181,11 @@ def _require(config, key):
 
 def _load_dataset(config, need_lag):
     nodes = load_nodes(_require(config, "nodes"))
-    flow_records = load_flows(_require(config, "flows"))
-    network = build_network(flow_records, node_ids=nodes.ids)
+    network = _load_network(_require(config, "flows"), nodes.ids, "")
     lagged = None
     lag_path = config.get("lagged_flows")
     if lag_path:
-        lagged = build_network(load_flows(lag_path), node_ids=nodes.ids,
-                               period_label="lagged")
+        lagged = _load_network(lag_path, nodes.ids, "lagged")
     elif need_lag:
         raise ValidationError("model uses lagged_log_flow but config has no "
                               "'lagged_flows' path")

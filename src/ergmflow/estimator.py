@@ -113,6 +113,7 @@ def stratified_dyad_sample(network, n_total, seed):
     if not (seed is None or is_integer(seed) and seed >= 0):
         raise ValidationError("seed must be None or an integer >= 0, got %r" % (seed,))
     n_total = int(n_total)
+    seed = None if seed is None else int(seed)  # fit.json holds it
     n = network.n_nodes
     total = n * (n - 1)
     src, dst, _ = network.edge_arrays()

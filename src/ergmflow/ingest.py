@@ -13,8 +13,11 @@ typed columns and is validated before the next is read, so a loader needs
 one block of memory beyond what it returns. The distance loader parses a
 block with ``np.loadtxt`` if it has no quote, NUL or blank line; the first
 block that has one, fails to parse or has a bad row, and every block after
-it, go through :mod:`csv`. A malformed file is rejected naming its first
-offending row in file order. Rows are numbered from 2 for the first data
+it, go through :mod:`csv`. The commands read flow files the same way, into
+edge arrays; a file that numpy or the checks refuse goes whole through
+:func:`load_flows` and :func:`~ergmflow.network.build_network`, for the same
+network or message. A malformed file is rejected naming its first offending
+row in file order. Rows are numbered from 2 for the first data
 row (the header is row 1), and blank lines are skipped without being
 counted, so in a file without blank lines the row number is the line
 number.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 from types import SimpleNamespace
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import (NODE_COLUMNS, REGIONS, DyadCovariateSet, FlowNetwork,
-                      NodeTable)
+                      NodeTable, build_network)
 from .sampler import ChainConfig, mcmc_simulate
 from .stats import ModelSpec
 
@@ -262,6 +266,49 @@ def _whole(cell):
         raise
 
 
+def _block_parser(node_ids, value):
+    """``fast`` for :func:`_read_blocks` on two node-id columns and a
+    ``value`` column (a numpy dtype).
+
+    ``parse(lines, picks)`` returns the rows' node indices (-1 for an
+    unknown id) and values, or None for a block csv must read: one with a
+    quote, a NUL, a blank line or a line over csv's field limit, or one
+    ``np.loadtxt`` refuses. numpy's str drops trailing NULs, so ids holding
+    one are left out of the sorted id table, and its width (longest id + 1)
+    keeps a file id cut to it unknown. Only an id that differs from the row
+    above is looked up, as the writers repeat the first id over long runs.
+    """
+    known = {x: k for k, x in enumerate(node_ids) if "\0" not in x}
+    order = sorted(known)
+    names = np.array(order, dtype="U%d" % (max(map(len, order), default=0) + 1))
+    codes = np.array([known[x] for x in order], dtype=np.intp)
+
+    def lookup(ids):
+        new = np.ones(len(ids), dtype=bool)
+        new[1:] = ids[1:] != ids[:-1]
+        heads = ids[new]
+        pos = np.minimum(np.searchsorted(names, heads), len(names) - 1)
+        return np.where(names[pos] == heads, codes[pos], -1)[np.cumsum(new) - 1]
+
+    def parse(lines, picks):
+        if (not known or '"' in (text := "".join(lines)) or "\0" in text
+                or max(map(len, lines)) > csv.field_size_limit()
+                or not {"\n", "\r\n", "\r"}.isdisjoint(lines)):
+            return None
+        try:
+            rows = np.loadtxt(lines, dtype=[("ids", names.dtype, 2), ("value", value)],
+                              delimiter=",", comments=None, usecols=picks, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+        # a copy of the values, as a view would keep the id columns alive
+        return lookup(rows["ids"][:, 0]), lookup(rows["ids"][:, 1]), rows["value"].copy()
+
+    return parse
+
+
+_FLOW_COLUMNS = ("origin", "destination", "count")
+
+
 def load_flows(path):
     """Read a flow edge list; returns (origin, destination, count) records.
 
@@ -270,8 +317,7 @@ def load_flows(path):
     """
     records = []
     seen = {}
-    for first_row, (origin, destination, raw) in _read_blocks(
-            path, ("origin", "destination", "count")):
+    for first_row, (origin, destination, raw) in _read_blocks(path, _FLOW_COLUMNS):
         count, non_whole = _parse(raw, int)
         if non_whole is not None:
             count, non_whole = _parse(raw, _whole)
@@ -287,6 +333,43 @@ def load_flows(path):
         seen.update(zip(keys, range(first_row, first_row + len(keys))))
         records.extend(zip(origin, destination, count))
     return records
+
+
+def _load_network(path, node_ids, period_label):
+    """``build_network(load_flows(path), node_ids=..., period_label=...)``
+    read into edge arrays, with no per-row records.
+
+    A block csv must read, an unknown id, a self-loop, a negative count or a
+    repeated ordered pair sends the whole file through :func:`load_flows`,
+    whose message names the first offending row.
+    """
+    node_ids = [str(x) for x in node_ids]
+    n = len(node_ids)
+    parse = _block_parser(node_ids, np.int64)
+    blocks = [(np.empty(0, dtype=np.int64),) * 2]  # (src * n + dst, count)
+
+    def take(lines, picks):
+        if (block := parse(lines, picks)) is None:
+            return False
+        i, j, count = block
+        blocks.append((i * n + j, count))
+        return bool(((i >= 0) & (j >= 0) & (i != j) & (count >= 0)).all())
+
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "3.5" into an int64 column as 3, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            refused = next(_read_blocks(path, _FLOW_COLUMNS, take), None) is not None
+    except ValidationError:  # csv could not read a row
+        refused = True
+    if not refused:
+        pairs, count = (np.concatenate(c) for c in zip(*blocks))
+        blocks.clear()
+        if not (np.diff(np.sort(pairs)) == 0).any():
+            keep = count != 0
+            return FlowNetwork._from_arrays(n, *np.divmod(pairs[keep], n), count[keep],
+                                            period_label, node_ids)
+    return build_network(load_flows(path), node_ids=node_ids, period_label=period_label)
 
 
 # (field, node-file columns, dtype) of each entry of NODE_COLUMNS
@@ -348,24 +431,12 @@ def load_distances(path, node_ids):
     n = len(node_ids)
     km = np.full((n, n), np.nan)
     np.fill_diagonal(km, 0.0)
-    # sorted ids for the block parser; numpy's str drops trailing NULs, so ids
-    # with one go to csv, and width (longest + 1) keeps a cut file id unknown
-    known = {x: k for x, k in index.items() if "\0" not in x}
-    names = np.array(sorted(known), dtype="U%d" % (max(map(len, known), default=0) + 1))
-    codes = np.array([known[x] for x in sorted(known)], dtype=np.intp)
+    parse = _block_parser(node_ids, np.float64)
 
     def store(lines, picks):
-        if (not known or '"' in (text := "".join(lines)) or "\0" in text
-                or not {"\n", "\r\n", "\r"}.isdisjoint(lines)):
+        if (block := parse(lines, picks)) is None:
             return False
-        try:
-            rows = np.loadtxt(lines, dtype=[("ids", names.dtype, 2), ("km", np.float64)],
-                              delimiter=",", comments=None, usecols=picks, ndmin=1)
-        except ValueError:
-            return False
-        ids, d = rows["ids"].T, rows["km"]
-        pos = np.minimum(np.searchsorted(names, ids), len(names) - 1)
-        i, j = np.where(names[pos] == ids, codes[pos], -1)
+        i, j, d = block
         with np.errstate(invalid="ignore"):
             valid = (i >= 0) & (j >= 0) & (i != j) & (d > 0) & np.isfinite(d)
         if not valid.all() or _conflicts(km, i, j, d, valid).any():

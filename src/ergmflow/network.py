@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 
 __all__ = [
     "FlowNetwork",
@@ -41,7 +41,9 @@ RACIAL_CATEGORIES = ("hispanic", "black", "asian", "white", "other")
 
 
 def _check_node(node, n_nodes):
-    if not (0 <= int(node) < n_nodes):
+    if not is_integer(node):
+        raise ValidationError("node %r is not an integer index" % (node,))
+    if not 0 <= node < n_nodes:
         raise ValidationError("node %r out of range for %d nodes" % (node, n_nodes))
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ergmflow import ChainConfig, cli, fit_mple
+from ergmflow import ChainConfig, build_network, cli, fit_mple, ingest
 from ergmflow._jsonio import write_json
 from ergmflow.cli import main
 
@@ -498,6 +498,22 @@ def test_unknown_config_key_exits_2_naming_it(fitted, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert all(key in err for key in keys), err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_dataset_flow_files_are_read_without_flow_records(synth_dir, tmp_path, monkeypatch):
+    config = json.loads(_fit_config(synth_dir, tmp_path / "run").read_text())
+    nodes = ingest.load_nodes(config["nodes"])
+    want = [build_network(ingest.load_flows(config[key]), node_ids=nodes.ids)
+            for key in ("flows", "lagged_flows")]
+
+    def refuse(path):
+        raise AssertionError("load_flows read %s" % path)
+
+    monkeypatch.setattr(ingest, "load_flows", refuse)
+    network, _nodes, dyads = cli._load_dataset(config, True)
+    lagged = dyads._covariates["lagged_log_flow"][1]
+    assert (network, lagged) == tuple(want)
+    assert (network.period_label, lagged.period_label) == ("", "lagged")
 
 
 def test_lagged_term_without_lagged_flows_exits_2_naming_it(synth_dir, tmp_path, capsys):

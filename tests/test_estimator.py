@@ -89,12 +89,19 @@ class TestStratifiedSample:
         with pytest.raises(ValidationError, match=match):
             stratified_dyad_sample(net, n_total, seed=seed)
 
-    def test_numpy_integer_count_and_seed_accepted(self):
+    def test_numpy_integer_count_and_seed_accepted(self, tmp_path):
         net = build_network([(0, 1, 1)], n_nodes=3)
         want = stratified_dyad_sample(net, 4, seed=7)
         got = stratified_dyad_sample(net, np.int64(4), seed=np.uint32(7))
         assert pairs(got) == pairs(want)
         assert stratified_dyad_sample(net, 4, seed=None).n_dyads == 4
+        # the seed is stored as an int, so fit.json can hold it
+        net = build_network([(0, 1, 3), (1, 2, 1), (3, 0, 2)], n_nodes=4)
+        sample = stratified_dyad_sample(net, 5, seed=np.int64(3))
+        assert type(sample.seed) is int and sample.seed == 3
+        fit = fit_mple(ModelSpec(terms=(TermSpec("sum"),)), net, None, None, sample)
+        fit.write_json(tmp_path / "fit.json")
+        assert json.loads((tmp_path / "fit.json").read_text())["sample"]["seed"] == 3
 
     def test_full_scale_allocation(self):
         # tie/no-tie with a million-dyad target on a 3142-node network with

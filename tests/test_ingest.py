@@ -311,16 +311,23 @@ class TestLoaders:
         assert str(info.value) == ("%s row 3: %s value %r is not a whole number"
                                    % (p, column, cell))
 
-    @pytest.mark.parametrize("loader", ["flows", "nodes", "flow_header"])
+    @pytest.mark.parametrize("loader", ["flows", "nodes", "flow_header", "distance_km",
+                                        "flow_count_arrays"])
     def test_oversized_field_named(self, tmp_path, loader):
         # a field over csv's 131,072-character limit in the third row, or in
-        # a flow file's header
+        # a flow file's header; np.loadtxt would read the zero-padded numbers
         big = "x" * 140_000
         row = 3
         if loader == "flows":
             text, load = "origin,destination,count\nA,B,3\n\n%s,A,1\n" % big, load_flows
         elif loader == "flow_header":
             text, load, row = "origin,destination,%s\nA,B,3\n" % big, load_flows, 1
+        elif loader == "distance_km":
+            text = "id_a,id_b,km\nA,B,3\nA,C,%s5\n" % ("0" * 140_000)
+            load = lambda q: load_distances(q, IDS)
+        elif loader == "flow_count_arrays":
+            text = "origin,destination,count\nA,B,3\nA,C,%s5\n" % ("0" * 140_000)
+            load = lambda q: ingest._load_network(q, IDS, "")
         else:
             text = "\n".join([NODE_HEADER, _node_line("a"), "", _node_line(big)]) + "\n"
             load = load_nodes
@@ -465,6 +472,10 @@ def _long_flows(n_rows):
     return lines
 
 
+def _long_flow_ids(n_rows):
+    return ["o%d" % k for k in range(97)] + ["d%d" % k for k in range(n_rows)]
+
+
 def _node_line(node_id, **change):
     row = dict(zip(ROWLOOP_NODE_COLUMNS, [
         node_id, "s1", "West", "1000", "1.5", "4.0", "10.0", "20.0", "5.0",
@@ -533,6 +544,32 @@ FLOW_CORPUS = {
 }
 FLOW_LOADS = {"short_row_valid", "valid", "whole_decimals"}
 
+# flow files for the array loader over NETWORK_IDS: ids the node table does
+# not hold, and counts int() reads that np.loadtxt may not
+NETWORK_IDS = IDS + [" E ", "F\0"]
+NETWORK_CORPUS = {
+    "unknown_id": "origin,destination,count\nA,B,1\nA,Z,2\n",
+    "self_loop": "origin,destination,count\nA,B,1\nC,C,2\n",
+    "zero_self_loop": "origin,destination,count\nA,B,1\nC,C,0\n",
+    "zero_counts": "origin,destination,count\nA,B,0\nB,A,3\nA,C,0\n",
+    "zero_count_duplicate": "origin,destination,count\nA,B,0\nB,A,3\nA,B,1\n",
+    "id_holding_nul": "origin,destination,count\nF\0,A,1\nA,F\0,2\n",
+    "unknown_id_holding_nul": "origin,destination,count\nA\0,B,1\n",
+    "id_holding_spaces": "origin,destination,count\n E ,A,1\nA, E ,2\n",
+    "id_without_its_spaces": "origin,destination,count\nE,A,1\n",
+    "count_underscore": "origin,destination,count\nA,B,1_000\n",
+    "count_arabic_indic_digit": "origin,destination,count\nA,B,\u0663\n",
+    "count_spaces": "origin,destination,count\nA,B, 5 \n",
+    "count_plus": "origin,destination,count\nA,B,+5\n",
+    "count_hex": "origin,destination,count\nA,B,0x10\n",
+    "count_trailing_point": "origin,destination,count\nA,B,5.\n",
+    "count_beyond_int64": "origin,destination,count\nA,B,9223372036854775808\n",
+}
+# count_beyond_int64 loads because build_network keeps it, as a wrapped int64
+NETWORK_LOADS = {"zero_counts", "id_holding_nul", "id_holding_spaces",
+                 "count_underscore", "count_arabic_indic_digit", "count_spaces",
+                 "count_plus", "count_trailing_point", "count_beyond_int64"}
+
 NODE_CORPUS = {
     "duplicate_id": [_node_line("a"), _node_line("b"), _node_line("a")],
     "non_numeric_population": [_node_line("a", population="12 000")],
@@ -563,6 +600,19 @@ def _write(tmp_path, text, name="in.csv"):
     return p
 
 
+def _assert_same_network(p, ids):
+    """The array loader returns what build_network makes of the row loop's
+    records, or raises the same message."""
+    new = _outcome(ingest._load_network, p, ids, "lagged")
+    old = _outcome(lambda q: build_network(rowloop_load_flows(q), node_ids=ids,
+                                           period_label="lagged"), p)
+    net = _assert_same_outcome(new, old)
+    if new[0] == "ok":
+        assert net == old[1]
+        assert (net.node_ids, net.period_label) == (old[1].node_ids, "lagged")
+    return new
+
+
 class TestLoaderParity:
     """The streaming loaders return what the row loop returned, bit for bit,
     and raise the same message naming the same row."""
@@ -587,6 +637,13 @@ class TestLoaderParity:
         if new[0] == "ok":
             assert records == rowloop_load_flows(p)
             assert [type(r[2]) for r in records] == [int] * len(records)
+        _assert_same_network(p, IDS)
+
+    @pytest.mark.parametrize("case", sorted(NETWORK_CORPUS))
+    def test_network_corpus(self, tmp_path, case):
+        p = _write(tmp_path, NETWORK_CORPUS[case])
+        new = _assert_same_network(p, NETWORK_IDS)
+        assert new[0] == ("ok" if case in NETWORK_LOADS else "error")
 
     @pytest.mark.parametrize("case", sorted(NODE_CORPUS))
     def test_node_corpus(self, tmp_path, case):
@@ -699,6 +756,39 @@ class TestLoaderParity:
         new = _outcome(load_flows, p)
         assert new[0] == "error" and "first at row 6" in new[1]
         _assert_same_outcome(new, _outcome(rowloop_load_flows, p))
+        new = _assert_same_network(p, _long_flow_ids(ingest._BLOCK_ROWS + 100))
+        assert new[0] == "error" and "first at row 6" in new[1]
+
+    @pytest.mark.parametrize("fault", ["unknown", "self", "negative", "non_numeric",
+                                       "duplicate_in_same_block", "quote", "blank_line"])
+    def test_flow_fault_in_second_block(self, tmp_path, fault):
+        n_rows = 2 * ingest._BLOCK_ROWS + 100
+        lines = _long_flows(n_rows)
+        k = ingest._BLOCK_ROWS + 500  # a row of the second block
+        a, b, _c = lines[k].split(",")
+        if fault == "unknown":
+            lines[k] = "%s,zz,3" % a
+        elif fault == "self":
+            lines[k] = "%s,%s,3" % (a, a)
+        elif fault == "negative":
+            lines[k] = "%s,%s,-3" % (a, b)
+        elif fault == "non_numeric":
+            lines[k] = "%s,%s,n/a" % (a, b)
+        elif fault == "duplicate_in_same_block":
+            lines[k] = lines[k - 10]
+        elif fault == "quote":
+            lines[k] = '"%s",%s,3' % (a, b)
+        else:
+            lines.insert(k, "")
+        p = _write(tmp_path, "\n".join(lines) + "\n")
+        new = _assert_same_network(p, _long_flow_ids(n_rows))
+        assert new[0] == ("ok" if fault in ("quote", "blank_line") else "error")
+        if fault in ("negative", "non_numeric", "duplicate_in_same_block"):
+            assert ("row %d:" % (k + 1)) in new[1]
+        elif fault == "unknown":  # build_network names the id or the pair, not the row
+            assert new[1] == "unknown node id 'zz'"
+        elif fault == "self":
+            assert new[1] == "self-loop (%d, %d) is not allowed" % ((int(a[1:]),) * 2)
 
     def test_node_duplicate_across_blocks(self, tmp_path):
         lines = [_node_line("n%05d" % k) for k in range(ingest._BLOCK_ROWS + 50)]
@@ -779,6 +869,27 @@ def test_distance_loader_memory_is_a_block_not_the_file(tmp_path):
             tracemalloc.stop()
         del got
     assert peaks["new"] <= 0.5 * peaks["oracle"], peaks
+
+
+def test_flow_arrays_take_less_memory_than_flow_records(tmp_path):
+    n, rows = 400, 60_000
+    ids = ["n%03d" % k for k in range(n)]
+    rng = np.random.default_rng(0)
+    src, off = np.divmod(rng.choice(n * (n - 1), rows, replace=False), n - 1)
+    net = FlowNetwork._from_arrays(n, src, off + (off >= src), rng.integers(1, 50, rows),
+                                   node_ids=ids)
+    p = tmp_path / "f.csv"
+    write_flows_csv(p, net)
+    peaks = {}
+    for name, load in (("arrays", lambda: ingest._load_network(p, ids, "")),
+                       ("records", lambda: build_network(load_flows(p), node_ids=ids))):
+        tracemalloc.start()
+        try:
+            assert load() == net
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["arrays"] <= 0.5 * peaks["records"], peaks
 
 
 # -- writer -> loader round trips --------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ergmflow import (DyadCovariateSet, FlowNetwork, NodeTable,
-                      ValidationError, build_network, summarize)
+from ergmflow import (DyadCovariateSet, FlowNetwork, ModelSpec, NodeTable,
+                      TermSpec, ValidationError, build_network,
+                      conditional_log_pmf, conditional_profile, summarize)
 
 
 def net_abc(records):
@@ -290,3 +291,25 @@ class TestDyadCovariateSet:
         for name in ("political_dissim", "custom"):
             with pytest.raises(ValidationError, match=r"node %d out of range for 3 nodes" % bad):
                 dyads.value(name, i, j)
+
+
+SUM_ONLY = ModelSpec(terms=(TermSpec("sum"),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda net, dyads: net.value(0, 1.5),
+    lambda net, dyads: net.value(np.float64(1.0), 0),
+    lambda net, dyads: net.in_volume(1.5),
+    lambda net, dyads: net.out_volume(1.0),
+    lambda net, dyads: dyads.value("custom", 0, 1.5),
+    lambda net, dyads: conditional_profile(SUM_ONLY, net, None, None, (0, 1.5), 3),
+    lambda net, dyads: conditional_log_pmf(SUM_ONLY, np.zeros(1), net, None, None,
+                                           (0, 1.5), 2),
+], ids=["value", "value_float64", "in_volume", "out_volume", "covariate_value",
+        "conditional_profile", "conditional_log_pmf"])
+def test_fractional_node_index_rejected(call):
+    # int() would read 1.5 as node 1, and dyad (0, 1) holds 3
+    net = build_network([(0, 1, 3), (1, 0, 2), (2, 3, 1)], n_nodes=4)
+    dyads = DyadCovariateSet(4, {"custom": np.ones((4, 4))})
+    with pytest.raises(ValidationError, match="is not an integer index"):
+        call(net, dyads)
