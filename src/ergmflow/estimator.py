@@ -25,9 +25,11 @@ the calling thread adds them in chunk order. So at most one chunk's state
 is alive per worker, and values, gradients and Hessians are reproducible
 bit-for-bit for a given sample whatever the number of workers.
 
-scipy and the thread pool are imported inside the functions that use them,
-so that importing the package, and every command but ``fit``, does not pay
-for loading them.
+The estimator needs numpy alone: the Poisson interval probabilities are
+sums of pmf terms from Loader's saddle-point log-pmf, kept in log space, and
+the linear algebra is ``numpy.linalg``. The thread pool is imported inside
+the function that uses it, so that importing the package, and every command
+but ``fit``, does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -157,90 +159,174 @@ def census_sample(network):
 
 # -- conditional pmf ---------------------------------------------------------
 
-def _log_series(a, lo, hi, below):
-    """log P(lo <= X <= hi), X ~ Poisson(e^a), summed from the end nearer
-    the mean (hi where ``below``, else lo), where term ratios are below one
-    and shrink; stops once a term is under 1e-17 of the sum."""
-    from scipy.special import gammaln
-    lam = np.exp(a)
-    start = np.where(below, hi, lo)
-    total = np.ones_like(a)
-    term = np.ones_like(a)
-    active = np.flatnonzero(hi > lo)
-    k = 0
-    while len(active):
-        k += 1
-        term[active] *= np.where(below[active], (start[active] - (k - 1)) / lam[active],
-                                 lam[active] / (start[active] + k))
-        total[active] += term[active]
-        active = active[(term[active] > 1e-17 * total[active]) & (hi[active] - lo[active] > k)]
-    return start * a - gammaln(start + 1.0) - lam + np.log(total)
+# log k! is tabled below _SMALL, and where k and lam are both below it the
+# log-pmf is k a - log k! - lam
+_SMALL = 64
+_LOG_2PI = math.log(2.0 * math.pi)
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_SMALL)])
+# stirlerr(k) for k < 16, where its series converges too slowly
+_STIRLERR = _LOG_FACTORIAL[:16] - np.array(
+    [0.0] + [(k + 0.5) * math.log(k) - k + 0.5 * _LOG_2PI for k in range(1, 16)])
+_BLOCK_TERMS = 1 << 20  # the most terms one call of _log_sum holds at once
 
 
-def _log_poisson_interval(a, lo, hi):
-    """log P(lo <= X <= hi) for X ~ Poisson(e^a), elementwise; -inf where
-    lo > hi, and ``hi`` may be inf. Each endpoint takes the regularized
-    incomplete gamma tail on its own side of the mean, so no tail is one
-    minus another; where the result underflows, :func:`_log_series` sums it
-    from the nearer endpoint instead."""
-    from scipy.special import gammainc, gammaincc
-    out = np.full(np.shape(a), -np.inf)
-    live = lo <= hi
-    a, lo, hi = a[live], lo[live], hi[live]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lam = np.exp(a)
-        below = hi < lam
-        above = lo > lam
-        # t_lo: P(X >= lo) above the mean, else P(X < lo);
-        # t_hi: P(X <= hi) below the mean, else P(X > hi)
-        t_lo = np.zeros_like(a)
-        t_hi = np.zeros_like(a)
-        for t, k, upper, need in ((t_lo, lo, above, lo > 0),
-                                  (t_hi, hi + 1.0, ~below, hi < np.inf)):
-            up, low = need & upper, need & ~upper
-            t[up] = gammainc(k[up], lam[up])
-            t[low] = gammaincc(k[low], lam[low])
-        prob = np.where(below, t_hi - t_lo, np.where(above, t_lo - t_hi, 1.0 - t_lo - t_hi))
-        res = np.log(prob)
-        tiny = ~(prob >= 1e-280)  # underflowing, or too close to it to trust
-        res[tiny] = _log_series(a[tiny], lo[tiny], hi[tiny], below[tiny])
-    out[live] = res
+def _stirlerr(k):
+    """log k! - (k + 1/2) log k + k - log(2 pi) / 2, the error of Stirling's
+    formula, at integer-valued float k >= 1: a table below 16, the Stirling
+    series from there."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kk = k * k
+        out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
+    small = k < 16
+    out[small] = _STIRLERR[k[small].astype(np.intp)]
     return out
 
 
-def _segment_moments(a, log_p, lo, hi):
-    """Mean and variance of v within each segment, under weights e^{a v} / v!.
+def _log_factorial(k):
+    """log k! at integer-valued float k >= 0: a table below 64, Stirling's
+    formula with :func:`_stirlerr` from there."""
+    small = k < _SMALL
+    out = np.empty_like(k)
+    out[small] = _LOG_FACTORIAL[k[small].astype(np.intp)]
+    big = k[~small]
+    out[~small] = (big + 0.5) * np.log(big) - big + 0.5 * _LOG_2PI + _stirlerr(big)
+    return out
 
-    With P_k = P(lo-k <= X <= hi-k), X ~ Poisson(lam = e^a), the mean is
-    lam P_1/P_0 and E[v(v-1)] = lam^2 P_2/P_0. Above the mean P_1 - P_0 =
-    pi(lo-1) - pi(hi) (pi the pmf) adds more than it takes, so the moments
-    follow from lam pi(lo-1)/P_0 and lam pi(hi)/P_0, taken in log space.
-    Elsewhere that difference would cancel, and P_1, P_2 come from
-    :func:`_log_poisson_interval`. Segments with log_p = -inf get zeros.
+
+def _bd0(x, lam):
+    """x log(x / lam) + lam - x for x > 0, the deviance part of the log-pmf;
+    where x is within 10% of lam, a series in v = (x - lam) / (x + lam),
+    whose terms shrink by v^2 < 0.01, so the value does not cancel."""
+    d = x - lam
+    out = x * np.log(x / lam) - d
+    near = np.abs(d) < 0.1 * (x + lam)
+    if near.any():
+        xn, dn = x[near], d[near]
+        v = dn / (xn + lam[near])
+        total, term, v2 = dn * v, 2.0 * xn * v, v * v
+        j = 1
+        while True:
+            term *= v2
+            grown = total + term / (2 * j + 1)
+            if (grown == total).all():
+                break
+            total, j = grown, j + 1
+        out[near] = total
+    return out
+
+
+def _log_pmf(k, a, lam):
+    """log P(X = k) for X ~ Poisson(lam = e^a), at integer-valued float k >= 0
+    (1-D arrays). Where k and lam are both below 64 this is k a - log k! - lam;
+    elsewhere those terms would cancel, and it is Loader's saddle-point form
+    -stirlerr(k) - bd0(k, lam) - log(2 pi k) / 2 (C. Loader, "Fast and
+    accurate computation of binomial probabilities", 2000)."""
+    plain = (k < _SMALL) & (lam < _SMALL)
+    out = np.empty_like(lam)
+    kp = k[plain]
+    out[plain] = kp * a[plain] - _LOG_FACTORIAL[kp.astype(np.intp)] - lam[plain]
+    rest = ~plain
+    kr, lr = k[rest], lam[rest]
+    pos = kr > 0
+    out[rest] = -lr  # k = 0
+    kp, lp = kr[pos], lr[pos]
+    out[np.flatnonzero(rest)[pos]] = -_stirlerr(kp) - _bd0(kp, lp) - 0.5 * (_LOG_2PI + np.log(kp))
+    return out
+
+
+def _log_sum(a, lam, start, count, down):
+    """Sum P(X = k) for X ~ Poisson(lam = e^a) over ``count`` integers k
+    from ``start``, down (``down``) or up; ``count`` may be inf. Returns the
+    log of the sum, and the mean and variance of |k - start| under its terms.
+
+    The sum runs away from the mean, where each term ratio is below one and
+    shrinks, and stops once a term is under 1e-17 of the sum. Terms are
+    running products of their ratios, taken in blocks whose width doubles
+    each pass, up to :data:`_BLOCK_TERMS` terms at once, so a sum of n terms
+    costs about log2(n) passes.
     """
-    from scipy.special import gammaln
-    with np.errstate(over="ignore"):
+    total, m1, m2 = np.ones_like(lam), np.zeros_like(lam), np.zeros_like(lam)
+    active = np.flatnonzero(count > 1)
+    s, n = start[active], count[active]
+    scale = 1.0 / lam[active] if down else lam[active]
+    last = np.ones(len(active))
+    done, width = 1, 4
+    while len(active):
+        j = np.arange(done, done + width, dtype=np.float64)
+        if down:  # term j / term j-1 = (start - j + 1) / lam
+            ratio = np.subtract(s, j[:, None] - 1.0)
+            ratio *= scale
+        else:  # lam / (start + j)
+            ratio = np.add(s, j[:, None])
+            np.divide(scale, ratio, out=ratio)
+        short = np.flatnonzero(n < done + width)
+        ratio[:, short] *= j[:, None] < n[short]  # past the last term
+        terms = np.cumprod(ratio, axis=0, out=ratio)
+        terms *= last
+        total[active] += terms.sum(axis=0)
+        m1[active] += j @ terms
+        m2[active] += (j * j) @ terms
+        last = terms[-1]
+        done += width
+        keep = (last > 1e-17 * total[active]) & (n > done)
+        active, s, n, scale, last = active[keep], s[keep], n[keep], scale[keep], last[keep]
+        width = min(2 * width, max(4, _BLOCK_TERMS // max(len(active), 1)))
+    mean = m1 / total
+    return _log_pmf(start, a, lam) + np.log(total), mean, m2 / total - mean * mean
+
+
+def _poisson_interval(a, lo, hi):
+    """For X ~ Poisson(lam = e^a), elementwise over arrays of one shape:
+    log P(lo <= X <= hi), and the mean and variance of X given
+    lo <= X <= hi; -inf, 0 and 0 where lo > hi. ``hi`` may be inf.
+
+    An interval below the mean is summed from hi down, and one above it from
+    lo up (:func:`_log_sum`). A bounded one holding the mean is split at the
+    mode m = floor(lam) into [lo, m], summed down, and [m + 1, hi], summed
+    up, and the two parts are mixed, so neither its probability nor its
+    variance is a small difference of large numbers however narrow it is.
+    [lo, inf) holding the mean is one less its lower tail [0, lo - 1], and
+    its moments follow from lam P(X = lo - 1) / P(X >= lo); [0, inf) is
+    taken directly. So no sum is longer than its interval or than the
+    spread of its terms, whatever lam is.
+    """
+    shape = np.shape(a)
+    a, lo, hi = np.ravel(a), np.ravel(lo), np.ravel(hi)
+    log_p = np.full(a.shape, -np.inf)
+    mean, var = np.zeros(a.shape), np.zeros(a.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = np.exp(a)
-    live = log_p > -np.inf
-    up = live & (lo > lam)
-    rest = live & ~up
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = a - lam - log_p
-        has_hi = up & (hi < np.inf)
-        s_lo = np.where(up & (lo >= 1), np.exp(base + (lo - 1.0) * a - gammaln(lo)), 0.0)
-        s_hi = np.where(has_hi, np.exp(base + hi * a - gammaln(hi + 1.0)), 0.0)
-        # lam (P_1/P_0 - 1) and lam^2 (P_2 - P_1)/P_0
-        e1 = s_lo - s_hi
-        f2 = (lo - 1.0) * s_lo - np.where(has_hi, hi * s_hi, 0.0)
-    mean = np.where(up, lam + e1, 0.0)
-    var = np.where(up, f2 - lam * e1 - e1 * e1 + mean, 0.0)
-    shift = np.array([[1.0], [2.0]])
-    r1, r2 = np.exp(_log_poisson_interval(
-        np.broadcast_to(a[rest], (2, rest.sum())), np.maximum(lo[rest] - shift, 0.0),
-        hi[rest] - shift) - log_p[rest])
-    mean[rest] = lam[rest] * r1
-    var[rest] = lam[rest] ** 2 * (r2 - r1 * r1) + mean[rest]
-    return mean, var
+        mode = np.floor(lam)
+        live = lo <= hi
+        below = live & (hi < lam)
+        above = live & (lo > lam)
+        split = live & ~below & ~above & (hi < np.inf)
+        tail = live & ~below & ~above & (hi == np.inf) & (lo > 0)
+        down = np.flatnonzero(below | split | tail)
+        top = np.where(below, hi, np.where(split, mode, lo - 1.0))[down]
+        count = np.where(below, hi - lo, np.where(split, mode - lo, lo - 1.0))[down] + 1.0
+        log_p[down], gap, var[down] = _log_sum(a[down], lam[down], top, count, True)
+        mean[down] = top - gap
+        up = np.flatnonzero(above | split & (hi > mode))
+        bottom = np.where(above, lo, mode + 1.0)[up]
+        log_u, gap, var_u = _log_sum(a[up], lam[up], bottom, hi[up] - bottom + 1.0, False)
+        # mix in the upper part with weight w; where there is no lower part, w = 1
+        log_pu = np.logaddexp(log_p[up], log_u)
+        w = np.exp(log_u - log_pu)
+        gap += bottom - mean[up]
+        mean[up] += w * gap
+        var[up] = (1.0 - w) * var[up] + w * var_u + w * (1.0 - w) * gap * gap
+        log_p[up] = log_pu
+        t = np.flatnonzero(tail)  # log_p holds the lower tail's there
+        log_p[t] = np.log1p(-np.exp(log_p[t]))
+        lam_t, lo_t = lam[t], lo[t]
+        edge = np.exp(a[t] + _log_pmf(lo_t - 1.0, a[t], lam_t) - log_p[t])
+        mean[t] = lam_t + edge
+        var[t] = lam_t + (lo_t - lam_t) * edge - edge * edge
+        whole = live & (lo == 0) & (hi == np.inf)
+        log_p[whole] = 0.0
+        mean[whole] = var[whole] = lam[whole]
+    return log_p.reshape(shape), mean.reshape(shape), var.reshape(shape)
 
 
 def _as_int(a):
@@ -273,26 +359,25 @@ class _Chunk:
 
 def _dyad_state(ch, theta, v):
     """log P(y_ij = v | rest) per dyad of chunk ``ch`` (-inf or NaN where
-    some e^a_s overflows), then per segment its slope a, log P and share of
-    the normalizer, then the segments (lo, hi ending in its inf column, c)
-    as float64."""
-    from scipy.special import gammaln
+    some e^a_s overflows), then per segment its share of the normalizer and
+    the mean and variance of v within it, then the segment intercepts c as
+    float64."""
     lo, c = ch.lo.astype(np.float64), ch.c.astype(np.float64)
     hi = np.column_stack([ch.hi, np.full(len(v), np.inf)])
     with np.errstate(over="ignore", invalid="ignore"):
         intercept = c @ theta[ch.nl]
         slope = (ch.x @ theta[ch.lin])[:, None] + ch.d @ theta[ch.nl]
-        log_p = _log_poisson_interval(slope, lo, hi)
+        log_p, mean, var = _poisson_interval(slope, lo, hi)
         log_z = intercept + np.exp(slope) + log_p
         top = log_z.max(axis=1, keepdims=True)
         share = np.exp(log_z - top)
         total = share.sum(axis=1, keepdims=True)
         rows = np.arange(len(v))
         at = np.sum(hi < v[:, None], axis=1)  # the segment holding v
-        log_w = intercept[rows, at] + slope[rows, at] * v - gammaln(v + 1.0)
+        log_w = intercept[rows, at] + slope[rows, at] * v - _log_factorial(v)
         log_pmf = log_w - (top + np.log(total))[:, 0]
         q = share / total
-    return log_pmf, slope, log_p, q, lo, hi, c
+    return log_pmf, q, mean, var, c
 
 
 def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
@@ -368,18 +453,17 @@ def _chunk_objective(ch, theta, order):
 
     Each dyad's conditional is a mixture over segments with weights q_s;
     within segment s, v has mean m_s and variance s2_s (see
-    :func:`_segment_moments`). A linear term changes by x * v, a
+    :func:`_poisson_interval`). A linear term changes by x * v, a
     nonlinear one by h_s + d_s * (v - m_s) with h_s = c_s + d_s * m_s.
     Covariances are summed as within-segment plus between-segment parts,
     each around its own mean, so no large raw moments cancel.
     """
-    log_pmf, slope, log_p, q, lo, hi, c = _dyad_state(ch, theta, ch.y)
+    log_pmf, q, m, s2, c = _dyad_state(ch, theta, ch.y)
     value = float(ch.w @ log_pmf)
     if not (order and math.isfinite(value)):
         return value, None, None
     lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
     n, s, k = d.shape
-    m, s2 = _segment_moments(slope, log_p, lo, hi)
     mean_v = np.sum(q * m, axis=1)
     h = c + d * m[:, :, None]
     mean_nl = np.einsum("dsk,ds->dk", h, q)
@@ -539,7 +623,6 @@ def _newton(objective, theta, tol, max_iter, notes, stage=""):
     (value, gradient, Hessian). Takes a scaled gradient step where the
     Hessian is not negative definite and halves each step until the value
     improves. Returns (theta, value, gradient, Hessian, steps)."""
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
     value, grad, hess = objective(theta)
     if not math.isfinite(value):
         raise EstimationError("pseudo-log-likelihood is non-finite at theta=%r" % (theta,))
@@ -547,8 +630,9 @@ def _newton(objective, theta, tol, max_iter, notes, stage=""):
     while iterations < max_iter and float(np.abs(grad).max()) >= tol:
         iterations += 1
         try:
-            step = cho_solve(cho_factor(-hess), grad)
-        except LinAlgError:
+            chol = np.linalg.cholesky(-hess)
+            step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+        except np.linalg.LinAlgError:
             scale = max(1.0, float(np.abs(np.diag(hess)).max()))
             step = grad / scale
             notes.append("%sindefinite Hessian at iteration %d; gradient step" % (stage, iterations))
@@ -588,7 +672,6 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
     penalized Hessian at the optimum; a singular Hessian yields NaN
     standard errors and a non-converged flag, not fabricated values.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
     _check_ridge(ridge_lambda)
     if not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValidationError("tol must be > 0, got %r" % (tol,))
@@ -617,12 +700,12 @@ def fit_mple(model, network, nodes, dyads, sample, *, ridge_lambda=0.01,
     cond = float(np.linalg.cond(neg_hess))
     if math.isfinite(cond) and cond < 1e12:
         try:
-            factor = cho_factor(neg_hess)
-            cov = cho_solve(factor, np.eye(n_terms))
-            std_errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        except LinAlgError:
+            chol = np.linalg.cholesky(neg_hess)
+        except np.linalg.LinAlgError:
             notes.append("Hessian not positive definite at optimum")
             converged = False
+        else:  # the diagonal of (L L^T)^-1 = L^-T L^-1
+            std_errors = np.sqrt(np.sum(np.linalg.inv(chol) ** 2, axis=0))
     else:
         notes.append("singular or ill-conditioned Hessian at optimum (cond=%.3g)" % cond)
         converged = False

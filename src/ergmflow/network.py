@@ -106,6 +106,11 @@ class FlowNetwork:
             k, i, j = first(~good)
             raise ValidationError("flow value for (%d, %d) must be a positive integer, got %r"
                                   % (i, j, val[k].item()))
+        # the store is int64, where a count of 2^63 or more would wrap
+        if val.dtype.kind in "uf" and (big := val >= 2 ** 63).any():
+            k, i, j = first(big)
+            raise ValidationError("flow value for (%d, %d) is %r, beyond the int64 maximum %d"
+                                  % (i, j, val[k].item(), 2 ** 63 - 1))
         codes = src * n_nodes + dst
         order = np.argsort(codes, kind="stable")
         codes = codes[order]

@@ -14,6 +14,60 @@ from ergmflow.errors import ValidationError
 from ergmflow.network import NodeTable
 
 
+# -- Poisson intervals -----------------------------------------------------------
+
+def scipy_log_poisson_interval(a, lo, hi):
+    """log P(lo <= X <= hi) for X ~ Poisson(e^a), elementwise, from
+    scipy.special: each endpoint's regularized incomplete gamma tail is taken
+    on its own side of the mean, and where the probability underflows the pmf
+    series is summed from the endpoint nearer the mean, starting from
+    k a - gammaln(k + 1) - e^a. -inf where lo > hi; ``hi`` may be inf."""
+    from scipy.special import gammainc, gammaincc, gammaln
+    out = []
+    for a_, lo_, hi_ in zip(*(np.broadcast_arrays(a, lo, hi))):
+        lam = math.exp(a_)
+        if lo_ > hi_:
+            out.append(-math.inf)
+            continue
+        # P(X < lo) and P(X > hi), or their complements on the far side
+        if hi_ < lam:
+            prob = gammaincc(hi_ + 1.0, lam) - (gammaincc(lo_, lam) if lo_ > 0 else 0.0)
+        elif lo_ > lam:
+            prob = gammainc(lo_, lam) - (gammainc(hi_ + 1.0, lam) if hi_ < math.inf else 0.0)
+        else:
+            prob = (1.0 - (gammaincc(lo_, lam) if lo_ > 0 else 0.0)
+                    - (gammainc(hi_ + 1.0, lam) if hi_ < math.inf else 0.0))
+        if prob >= 1e-280:
+            out.append(math.log(prob))
+            continue
+        below = hi_ < lam
+        start = hi_ if below else lo_
+        total = term = 1.0
+        k = 0
+        while k < hi_ - lo_ and term > 1e-17 * total:
+            k += 1
+            term *= (start - k + 1) / lam if below else lam / (start + k)
+            total += term
+        out.append(start * a_ - float(gammaln(start + 1.0)) - lam + math.log(total))
+    return np.array(out)
+
+
+def interval_moments(lam, lo, hi):
+    """Mean and variance of X ~ Poisson(lam) given lo <= X <= hi (lo <= hi,
+    ``hi`` may be inf), from the pmf's ratio recurrence summed in long double
+    outward from the truncated distribution's mode, over 40 sd + 200 values
+    on each side."""
+    big = np.longdouble(lam)
+    k0 = min(max(math.floor(lam), int(lo)), hi)
+    width = int(40 * math.sqrt(lam) + 200)
+    up = np.arange(k0 + 1, min(hi, k0 + width) + 1, dtype=np.longdouble)
+    down = np.arange(k0, max(int(lo), k0 - width), -1, dtype=np.longdouble)
+    k = np.concatenate([[np.longdouble(k0)], up, down - 1])
+    w = np.concatenate([[np.longdouble(1)], np.cumprod(big / up), np.cumprod(down / big)])
+    mean = (k * w).sum() / w.sum()
+    return float(mean), float(((k - mean) ** 2 * w).sum() / w.sum())
+
+
 # -- brute-force statistics on dense matrices ---------------------------------
 
 def brute_sum(dense):

@@ -18,8 +18,9 @@ import ergmflow.estimator as estimator_mod
 from ergmflow.estimator import _Chunk, _chunks, _newton, _objective
 
 from oracles import (brute_conditional_log_pmf, central_gradient,
-                     central_hessian, grid_pseudo_loglik, irls_poisson,
-                     offdiag_stratified_sample, relative_error)
+                     central_hessian, grid_pseudo_loglik, interval_moments,
+                     irls_poisson, offdiag_stratified_sample, relative_error,
+                     scipy_log_poisson_interval)
 
 
 def pairs(sample):
@@ -148,6 +149,73 @@ class TestStratifiedSample:
                 for got, ref in zip((s.src, s.dst, s.weights), want[:3]):
                     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
                 assert s.strata_counts == want[3]
+
+
+def _interval_grid(n_rates):
+    """(a, lo, hi) around each of ``n_rates`` rates lam = e^a from e^-12 to
+    1e5: every ordered pair of bounds from the mean plus -40 to 40 sd and
+    0, 1, 2, 5 and 1e6 (empty intervals included), and each with hi = inf."""
+    a, lo, hi = [], [], []
+    for lam in np.exp(np.linspace(-12.0, math.log(1e5), n_rates)):
+        sd = max(math.sqrt(lam), 1.0)
+        offsets = np.array([-40, -10, -5, -2, -1, -0.5, 0, 0.5, 1, 2, 5, 10, 40])
+        bounds = np.unique(np.clip(np.round(np.concatenate(
+            [lam + sd * offsets, [0, 1, 2, 5, 1e6]])), 0, 1e6))
+        for b_lo in bounds:
+            for b_hi in [*bounds, math.inf]:
+                a.append(math.log(lam))
+                lo.append(b_lo)
+                hi.append(b_hi)
+    return np.array(a), np.array(lo), np.array(hi)
+
+
+def _assert_close(got, want):
+    """Within 1e-12 * max(1, |want|), and -inf exactly where ``want`` is."""
+    assert np.array_equal(got == -np.inf, want == -np.inf)
+    fin = want > -np.inf
+    err = np.abs(got[fin] - want[fin]) / np.maximum(1.0, np.abs(want[fin]))
+    assert err.max(initial=0.0) <= 1e-12, err.max()
+
+
+class TestPoissonInterval:
+    """The interval sums behind the conditional normalizer and its moments,
+    against scipy.special and long-double sums."""
+
+    def test_log_probability_matches_scipy(self):
+        a, lo, hi = _interval_grid(120)
+        got = estimator_mod._poisson_interval(a, lo, hi)[0]
+        _assert_close(got, scipy_log_poisson_interval(a, lo, hi))
+
+    def test_straddling_intervals_at_large_rates_match_scipy(self):
+        # each tail sum takes thousands of terms, so the doubling blocks are
+        # exercised; the bounds stay within 4 sd of the mean, because past
+        # about 4.5 sd above it scipy's gammainc loses digits at these rates
+        # (5e-6 relative at lam = 1e6 and 5 sd, against mpmath)
+        rng = np.random.default_rng(29)
+        lam = np.exp(rng.uniform(math.log(1e5), math.log(1e6), 10_000))
+        sd = np.sqrt(lam)
+        lo = np.floor(lam - rng.uniform(0, 4, lam.size) * sd)
+        hi = np.ceil(lam + rng.uniform(0, 4, lam.size) * sd)
+        a = np.log(lam)
+        got = estimator_mod._poisson_interval(a, lo, hi)[0]
+        _assert_close(got, scipy_log_poisson_interval(a, lo, hi))
+
+    def test_moments_match_long_double_sums(self):
+        a, lo, hi = _interval_grid(30)
+        _log_p, mean, var = estimator_mod._poisson_interval(a, lo, hi)
+        live = lo <= hi
+        assert np.all(mean[~live] == 0) and np.all(var[~live] == 0)
+        want = np.array([interval_moments(math.exp(x), l, h)
+                         for x, l, h in zip(a[live], lo[live], hi[live])])
+        _assert_close(mean[live], want[:, 0])
+        _assert_close(var[live], want[:, 1])
+
+    def test_log_factorial_matches_scipy(self):
+        from scipy.special import gammaln
+        k = np.concatenate([np.arange(2000.0), np.round(np.geomspace(2000, 1e9, 200))])
+        got = estimator_mod._log_factorial(k)
+        want = gammaln(k + 1.0)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, want))  # a few ulps
 
 
 class TestConditionalLogPmf:
@@ -482,7 +550,7 @@ class TestFitMple:
         chunks = _chunks(model, net, None, None, stratified_dyad_sample(net, 40 * 512, seed=2))
         assert len(chunks) == 40
         theta = np.array([-0.5, 0.2, 0.1, -0.01])
-        _objective(chunks[:1], theta, 0.01, 2)  # loads scipy and its caches
+        _objective(chunks[:1], theta, 0.01, 2)  # one-time allocations stay out of the readings
 
         def peak(part):
             tracemalloc.start()
@@ -506,7 +574,7 @@ class TestFitMple:
                                  TermSpec("mutual_min"), TermSpec("waypoint_flow")))
         chunks = _chunks(model, net, None, None, stratified_dyad_sample(net, 40 * 512, seed=2))
         theta = np.array([-0.5, 0.2, 0.1, -0.01])
-        _objective(chunks[:1], theta, 0.01, 2)  # loads scipy and its caches
+        _objective(chunks[:1], theta, 0.01, 2)  # one-time allocations stay out of the readings
 
         def peak(part, cpus):
             monkeypatch.setattr(estimator_mod, "_cpus", lambda: cpus)
