@@ -14,16 +14,18 @@ objective is unbiased for the full-census pseudo-log-likelihood. The sampler
 codes dyad (i, j) as i * n + j, as the edge arrays and the chain state do.
 
 The sample is split into chunks of 4,096 dyads in a fixed order. A chunk
-stores what does not depend on theta: the observed counts, weights and
-nonlinear statistics, the linear design, and the segments, whose bounds and
-intercepts are integers kept as int32 (int64 where a value does not fit)
-and whose slopes are int8. A chunk is the unit of work: building the chunks
-and evaluating each one run on a thread pool of the CPUs this process may
-run on, at most 8, created and shut down inside the call. One worker
-evaluates a whole chunk and returns its value, gradient and Hessian, and
-the calling thread adds them in chunk order. So at most one chunk's state
-is alive per worker, and values, gradients and Hessians are reproducible
-bit-for-bit for a given sample whatever the number of workers.
+stores the part of its data that does not depend on theta and is costly to
+rebuild: the observed counts, the linear design, the reverse counts and the
+segments' lower bounds, integers kept as int32 (int64 where a value does
+not fit). Each evaluation rebuilds the segments' upper bounds, intercepts
+and slopes and the observed nonlinear statistics from those. A chunk is
+the unit of work: building the chunks and evaluating each one run on a
+thread pool of the CPUs this process may run on, at most 8, created and
+shut down inside the call. One worker evaluates a whole chunk and returns
+its value, gradient and Hessian, and the calling thread adds them in chunk
+order. So at most one chunk's state is alive per worker, and values,
+gradients and Hessians are reproducible bit-for-bit for a given sample
+whatever the number of workers.
 
 The estimator needs numpy alone: the Poisson interval probabilities are
 sums of pmf terms from Loader's saddle-point log-pmf, kept in log space, and
@@ -337,36 +339,36 @@ def _as_int(a):
 
 
 class _Chunk:
-    """A block of dyads with all of their data that does not depend on theta.
-
-    The segment bounds and intercepts of :meth:`ChangeStats.nonlinear_segments`
-    are volumes and counts, so they are kept as integers (``hi`` without its
-    final inf column); :func:`_dyad_state` gives them back as float64.
+    """A block of dyads and the part of their data that does not depend on
+    theta and costs most to rebuild: the observed counts y, the linear
+    design x, and, as integers kept by :func:`_as_int`, the reverse counts
+    y_ji and the segments' lower bounds (:meth:`ChangeStats.segment_bounds`).
+    The dyad indices and weights are views of the sample's arrays.
+    :func:`_dyad_state` rebuilds the rest of the segments on every pass.
     """
 
     def __init__(self, cs, ii, jj, w):
+        self.cs, self.ii, self.jj, self.w = cs, ii, jj, w
         self.lin, self.nl = cs.lin_pos, cs.nonlin_pos
         self.y = cs.network.values_at(ii, jj).astype(np.float64)
-        self.w = w
+        y_ji = cs.network.values_at(jj, ii)
         self.x = cs.linear_design(ii, jj)
-        lo, hi, c, d = cs.nonlinear_segments(ii, jj)
-        self.d = d.astype(np.int8)  # slopes are 0, 1 or 2
-        rows = np.arange(len(self.y))
-        at = np.sum(hi < self.y[:, None], axis=1)  # the segment holding y
-        self.nl_obs = c[rows, at] + self.d[rows, at] * self.y[:, None]
-        self.lo, self.hi, self.c = _as_int(lo), _as_int(hi[:, :-1]), _as_int(c)
+        self.lo = _as_int(cs.segment_bounds(ii, jj, self.y, y_ji))
+        self.y_ji = _as_int(y_ji)
 
 
 def _dyad_state(ch, theta, v):
     """log P(y_ij = v | rest) per dyad of chunk ``ch`` (-inf or NaN where
-    some e^a_s overflows), then per segment its share of the normalizer and
-    the mean and variance of v within it, then the segment intercepts c as
-    float64."""
-    lo, c = ch.lo.astype(np.float64), ch.c.astype(np.float64)
-    hi = np.column_stack([ch.hi, np.full(len(v), np.inf)])
+    some e^a_s overflows); per segment its share of the normalizer and the
+    mean and variance of v within it; the segment intercepts c and slopes
+    d (int8), rebuilt from the chunk's lower bounds by
+    :meth:`ChangeStats.segment_terms`; and the nonlinear statistics' local
+    values c + d v at v, from the segment holding v."""
+    lo = ch.lo.astype(np.float64)
+    hi, c, d = ch.cs.segment_terms(ch.ii, ch.jj, ch.y, ch.y_ji, lo)
     with np.errstate(over="ignore", invalid="ignore"):
         intercept = c @ theta[ch.nl]
-        slope = (ch.x @ theta[ch.lin])[:, None] + ch.d @ theta[ch.nl]
+        slope = (ch.x @ theta[ch.lin])[:, None] + d @ theta[ch.nl]
         log_p, mean, var = _poisson_interval(slope, lo, hi)
         log_z = intercept + np.exp(slope) + log_p
         top = log_z.max(axis=1, keepdims=True)
@@ -377,7 +379,7 @@ def _dyad_state(ch, theta, v):
         log_w = intercept[rows, at] + slope[rows, at] * v - _log_factorial(v)
         log_pmf = log_w - (top + np.log(total))[:, 0]
         q = share / total
-    return log_pmf, q, mean, var, c
+    return log_pmf, q, mean, var, c, d, c[rows, at] + d[rows, at] * v[:, None]
 
 
 def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
@@ -458,18 +460,18 @@ def _chunk_objective(ch, theta, order):
     Covariances are summed as within-segment plus between-segment parts,
     each around its own mean, so no large raw moments cancel.
     """
-    log_pmf, q, m, s2, c = _dyad_state(ch, theta, ch.y)
+    log_pmf, q, m, s2, c, d, nl_obs = _dyad_state(ch, theta, ch.y)
     value = float(ch.w @ log_pmf)
     if not (order and math.isfinite(value)):
         return value, None, None
-    lin, nl, x, w, d = ch.lin, ch.nl, ch.x, ch.w, ch.d
+    lin, nl, x, w = ch.lin, ch.nl, ch.x, ch.w
     n, s, k = d.shape
     mean_v = np.sum(q * m, axis=1)
     h = c + d * m[:, :, None]
     mean_nl = np.einsum("dsk,ds->dk", h, q)
     grad = np.zeros(len(theta))
     grad[lin] = x.T @ (w * (ch.y - mean_v))
-    grad[nl] = w @ (ch.nl_obs - mean_nl)
+    grad[nl] = w @ (nl_obs - mean_nl)
     if order < 2:
         return value, grad, None
     hess = np.zeros((len(theta), len(theta)))

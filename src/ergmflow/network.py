@@ -38,6 +38,7 @@ __all__ = [
 
 REGIONS = ("Northeast", "South", "West", "Midwest")
 RACIAL_CATEGORIES = ("hispanic", "black", "asian", "white", "other")
+_INT64_MAX = 2 ** 63 - 1
 
 
 def _check_node(node, n_nodes):
@@ -110,7 +111,7 @@ class FlowNetwork:
         if val.dtype.kind in "uf" and (big := val >= 2 ** 63).any():
             k, i, j = first(big)
             raise ValidationError("flow value for (%d, %d) is %r, beyond the int64 maximum %d"
-                                  % (i, j, val[k].item(), 2 ** 63 - 1))
+                                  % (i, j, val[k].item(), _INT64_MAX))
         codes = src * n_nodes + dst
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
@@ -125,12 +126,26 @@ class FlowNetwork:
         self._dst = dst[order]
         self._val = val[order].astype(np.int64)
         self._codes = codes  # src * n + dst, sorted
-        self._in_vol = np.bincount(self._dst, weights=self._val,
-                                   minlength=n_nodes).astype(np.int64)
-        self._out_vol = np.bincount(self._src, weights=self._val,
-                                    minlength=n_nodes).astype(np.int64)
+        self._in_vol = self._volumes(self._dst, "in")
+        self._out_vol = self._volumes(self._src, "out")
         for arr in (self._src, self._dst, self._val, self._codes, self._in_vol, self._out_vol):
             arr.flags.writeable = False
+
+    def _volumes(self, ends, side):
+        """The sums of the stored values per node of ``ends``, exact in int64;
+        a sum past the int64 maximum raises ValidationError naming the node."""
+        val, vol = self._val, np.zeros(self.n_nodes, dtype=np.int64)
+        if len(val) and int(val.max()) * len(val) > _INT64_MAX:  # a sum might overflow
+            exact = np.zeros(self.n_nodes, dtype=object)
+            np.add.at(exact, ends, val.astype(object))
+            big = np.flatnonzero(exact > _INT64_MAX)
+            if len(big):
+                k = int(big[0])
+                node = k if self.node_ids is None else repr(self.node_ids[k])
+                raise ValidationError("%s-volume of node %s is %d, beyond the int64 maximum %d"
+                                      % (side, node, exact[k], _INT64_MAX))
+        np.add.at(vol, ends, val)
+        return vol
 
     # -- constructors ------------------------------------------------------
 

@@ -24,8 +24,9 @@ on theta only through a per-dyad linear rate plus the nonlinear profiles.
 global statistics, :meth:`ChangeStats.linear_design` and the sampler's
 :meth:`ChangeStats.linear_rate_matrix` all evaluate it on the dyads they need.
 :func:`dependence_pieces` is the one definition of each nonlinear term's
-single-dyad change; :meth:`ChangeStats.nonlinear_segments` and the sampler's
-acceptance ratio both read from it.
+single-dyad change; :meth:`ChangeStats.nonlinear_segments` (the estimator
+calls its two halves, the segment bounds and terms, on their own) and the
+sampler's acceptance ratio both read from it.
 """
 
 from __future__ import annotations
@@ -315,34 +316,54 @@ class ChangeStats:
                                                                self.nodes, self.dyads)
         return rate
 
+    def _pieces(self, ii, jj, y, y_ji):
+        """(k, p, q) per piece of :func:`dependence_pieces` on the dyads
+        (ii, jj) at values y and reverse values y_ji: the term at
+        ``nonlin_pos[k]`` gains min(p + v, q). p and q are (D, 1) columns,
+        or 1 x 1 where the piece is the same on every dyad."""
+        y, y_ji = np.asarray(y, dtype=np.float64), np.asarray(y_ji, dtype=np.float64)
+        volumes = self.out_vol[ii], self.in_vol[ii], self.out_vol[jj], self.in_vol[jj]
+        return [(k, np.reshape(p, (-1, 1)), np.reshape(q, (-1, 1)))
+                for k, (_pos, kind) in enumerate(self.nonlin)
+                for p, q in dependence_pieces(kind, y, y_ji, *volumes)]
+
+    def segment_bounds(self, ii, jj, y, y_ji):
+        """The lower bounds ``lo`` of :meth:`nonlinear_segments`, float64
+        (D, S), for the dyads (ii, jj) at values y and reverse values y_ji."""
+        pieces = self._pieces(ii, jj, y, y_ji)
+        b = np.full((len(ii), 1 + len(pieces)), -1.0)
+        for col, (_k, p, q) in enumerate(pieces, 1):
+            b[:, col:col + 1] = q - p
+        return np.maximum(np.sort(b, axis=1), -1.0) + 1.0
+
+    def segment_terms(self, ii, jj, y, y_ji, lo):
+        """(hi, c, d) of :meth:`nonlinear_segments` for the segments whose
+        lower bounds are ``lo``: each segment ends one below where the next
+        starts, and the last at inf; c is float64 and d int8."""
+        hi = np.empty_like(lo)
+        np.subtract(lo[:, 1:], 1.0, out=hi[:, :-1])
+        hi[:, -1] = np.inf
+        c = np.zeros(lo.shape + (len(self.nonlin),))
+        d = np.zeros(c.shape, dtype=np.int8)  # slopes are 0, 1 or 2
+        for k, p, q in self._pieces(ii, jj, y, y_ji):
+            # a non-empty segment lies wholly on one side of each break q - p
+            left = lo <= q - p
+            c[:, :, k] += np.where(left, p, q)
+            d[:, :, k] += left
+        return hi, c, d
+
     def nonlinear_segments(self, ii, jj):
         """Integer segments of y_ij on which every nonlinear term is linear.
 
         Returns (lo, hi, c, d): segment s of dyad n covers lo[n, s]..hi[n, s]
         (the last ends at inf; lo > hi marks an empty one), where the term at
         ``nonlin_pos[k]`` contributes c[n, s, k] + d[n, s, k] * y_ij. There
-        are at most 5 segments, one more than the breakpoints.
+        are at most 5 segments, one more than the breakpoints; ``lo`` is
+        :meth:`segment_bounds` and the rest :meth:`segment_terms`.
         """
-        y = self.network.values_at(ii, jj).astype(np.float64)
-        y_ji = self.network.values_at(jj, ii).astype(np.float64)
-        zero = np.zeros_like(y)
-        pieces = [(k, zero + p, zero + q)  # (k, p, q): term k gains min(p + v, q)
-                  for k, (_pos, kind) in enumerate(self.nonlin)
-                  for p, q in dependence_pieces(kind, y, y_ji, self.out_vol[ii],
-                                                self.in_vol[ii], self.out_vol[jj],
-                                                self.in_vol[jj])]
-        b = np.column_stack([zero - 1.0] + [q - p for _k, p, q in pieces])
-        b = np.maximum(np.sort(b, axis=1), -1.0)
-        lo = b + 1.0
-        hi = np.column_stack([b[:, 1:], np.full_like(y, np.inf)])
-        c = np.zeros(lo.shape + (len(self.nonlin),))
-        d = np.zeros_like(c)
-        for k, p, q in pieces:
-            # a non-empty segment lies wholly on one side of each break q - p
-            left = lo <= (q - p)[:, None]
-            c[:, :, k] += np.where(left, p[:, None], q[:, None])
-            d[:, :, k] += left
-        return lo, hi, c, d
+        y, y_ji = self.network.values_at(ii, jj), self.network.values_at(jj, ii)
+        lo = self.segment_bounds(ii, jj, y, y_ji)
+        return (lo,) + self.segment_terms(ii, jj, y, y_ji, lo)
 
 
 def conditional_profile(model, network, nodes, dyads, dyad, v_max):

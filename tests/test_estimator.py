@@ -15,7 +15,7 @@ from ergmflow import (ChangeStats, DyadCovariateSet, EstimationError,
                       effect_multiplier, fit_mple, penalized_pseudo_loglik,
                       pseudo_bic, stratified_dyad_sample)
 import ergmflow.estimator as estimator_mod
-from ergmflow.estimator import _Chunk, _chunks, _newton, _objective
+from ergmflow.estimator import _Chunk, _chunks, _dyad_state, _newton, _objective
 
 from oracles import (brute_conditional_log_pmf, central_gradient,
                      central_hessian, grid_pseudo_loglik, interval_moments,
@@ -441,16 +441,29 @@ class TestChunkStorage:
         # volumes past 2**31 - 1 widen the storage
         ([(0, 1, 3_000_000_000), (1, 0, 7), (1, 2, 5), (2, 0, 2_500_000_000)], np.int64),
     ])
-    def test_segments_are_stored_exactly(self, records, dtype):
+    def test_segments_are_rebuilt_exactly(self, records, dtype):
+        # a chunk stores the lower bounds and rebuilds the rest on each pass
         net = build_network(records, n_nodes=4)
         sample = census_sample(net)
         cs = ChangeStats(self.MODEL, net)
-        lo, hi, c, _d = cs.nonlinear_segments(sample.src, sample.dst)
+        lo, hi, c, d = cs.nonlinear_segments(sample.src, sample.dst)
         chunk = _Chunk(cs, sample.src, sample.dst, sample.weights)
-        assert {chunk.lo.dtype, chunk.hi.dtype, chunk.c.dtype} == {np.dtype(dtype)}
-        assert np.all(np.isinf(hi[:, -1]))  # the column the chunk does not store
-        for got, want in zip((chunk.lo, chunk.hi, chunk.c), (lo, hi[:, :-1], c)):
-            assert np.array_equal(got.astype(np.float64), want)
+        assert {chunk.lo.dtype, chunk.y_ji.dtype} == {np.dtype(dtype)}
+        lo_pass = chunk.lo.astype(np.float64)  # what each pass starts from
+        assert np.array_equal(lo_pass, lo)
+        hi_pass = cs.segment_terms(chunk.ii, chunk.jj, chunk.y, chunk.y_ji, lo_pass)[0]
+        *_, c_pass, d_pass, nl_obs = _dyad_state(chunk, np.zeros(4), chunk.y)
+        assert d_pass.dtype == np.int8
+        for got, want in zip((hi_pass, c_pass, d_pass), (hi, c, d)):
+            assert np.array_equal(got, want)
+        y = net.values_at(sample.src, sample.dst).astype(np.float64)
+        rows, at = np.arange(len(y)), np.sum(hi < y[:, None], axis=1)
+        assert np.array_equal(nl_obs, c[rows, at] + d[rows, at] * y[:, None])
+        if dtype is np.int32:  # the chunk's own arrays, not views of the sample's
+            shared = (sample.src, sample.dst, sample.weights, cs.lin_pos, cs.nonlin_pos)
+            own = sum(a.nbytes for a in vars(chunk).values() if isinstance(a, np.ndarray)
+                      and not any(np.shares_memory(a, b) for b in shared))
+            assert own <= 112 * len(y)
 
 
 class TestThreadPool:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,21 @@ class TestVolumes:
             np.fill_diagonal(mat, 0)
             net = FlowNetwork.from_dense(mat)
             assert net.in_volumes().sum() == net.out_volumes().sum() == net.total_flow
+
+    def test_volumes_are_exact_past_2_to_the_53(self):
+        net = net_abc([("A", "B", 2 ** 53 + 1), ("C", "B", 1)])
+        assert net.in_volumes()[1] == 2 ** 53 + 2
+        assert net.in_volumes().dtype == np.int64
+
+    def test_volume_at_the_int64_maximum_is_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = build_network([("A", "B", 2 ** 63 - 1)], node_ids=["A", "B"])
+        assert net.in_volume(1) == net.out_volume(0) == 2 ** 63 - 1
+
+    def test_volume_past_the_int64_maximum_rejected(self):
+        with pytest.raises(ValidationError, match="in-volume of node 'B' .* beyond the int64"):
+            net_abc([("A", "B", 2 ** 63 - 1), ("C", "B", 1)])
 
 
 class TestFlowNetwork:
