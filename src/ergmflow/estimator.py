@@ -332,8 +332,7 @@ def _poisson_interval(a, lo, hi):
 
 
 def _as_int(a):
-    """Integer-valued ``a`` in int32, or in int64 where some value does not
-    fit; both convert back to float64 exactly."""
+    """Integer ``a`` in int32, or in int64 where some value does not fit."""
     wide = np.abs(a).max(initial=0.0) > np.iinfo(np.int32).max
     return a.astype(np.int64 if wide else np.int32)
 
@@ -343,29 +342,41 @@ class _Chunk:
     theta and costs most to rebuild: the observed counts y, the linear
     design x, and, as integers kept by :func:`_as_int`, the reverse counts
     y_ji and the segments' lower bounds (:meth:`ChangeStats.segment_bounds`).
-    The dyad indices and weights are views of the sample's arrays.
-    :func:`_dyad_state` rebuilds the rest of the segments on every pass.
+    The dyad indices, the weights and the int64 node volume vectors, of a
+    network or a chain state, are shared. :func:`_dyad_state` rebuilds the
+    rest of the segments on every pass.
     """
 
-    def __init__(self, cs, ii, jj, w):
+    def __init__(self, cs, ii, jj, w, y, y_ji, out_vol, in_vol):
         self.cs, self.ii, self.jj, self.w = cs, ii, jj, w
+        self.out_vol, self.in_vol = out_vol, in_vol
         self.lin, self.nl = cs.lin_pos, cs.nonlin_pos
-        self.y = cs.network.values_at(ii, jj).astype(np.float64)
-        y_ji = cs.network.values_at(jj, ii)
         self.x = cs.linear_design(ii, jj)
-        self.lo = _as_int(cs.segment_bounds(ii, jj, self.y, y_ji))
         self.y_ji = _as_int(y_ji)
+        self.lo = _as_int(cs.segment_bounds(self.neighbourhood(y)))
+        self.y = y.astype(np.float64)
+
+    def neighbourhood(self, y):
+        """The dyads' s = (y_ij, out_i, in_j, y_ji, in_i, out_j), y_ij = y."""
+        ii, jj = self.ii, self.jj
+        return y, self.out_vol[ii], self.in_vol[jj], self.y_ji, self.in_vol[ii], self.out_vol[jj]
+
+
+def _network_chunk(cs, network, ii, jj, w):
+    """The :class:`_Chunk` of the dyads (ii, jj) of ``network``."""
+    return _Chunk(cs, ii, jj, w, network.values_at(ii, jj), network.values_at(jj, ii),
+                  network.out_volumes(), network.in_volumes())
 
 
 def _dyad_state(ch, theta, v):
     """log P(y_ij = v | rest) per dyad of chunk ``ch`` (-inf or NaN where
     some e^a_s overflows); per segment its share of the normalizer and the
     mean and variance of v within it; the segment intercepts c and slopes
-    d (int8), rebuilt from the chunk's lower bounds by
-    :meth:`ChangeStats.segment_terms`; and the nonlinear statistics' local
-    values c + d v at v, from the segment holding v."""
+    d (int8), which :meth:`ChangeStats.segment_terms` rebuilds from the
+    chunk's lower bounds and :meth:`_Chunk.neighbourhood`; and the nonlinear
+    statistics' local values c + d v at v, from the segment holding v."""
     lo = ch.lo.astype(np.float64)
-    hi, c, d = ch.cs.segment_terms(ch.ii, ch.jj, ch.y, ch.y_ji, lo)
+    hi, c, d = ch.cs.segment_terms(ch.neighbourhood(ch.y), lo)
     with np.errstate(over="ignore", invalid="ignore"):
         intercept = c @ theta[ch.nl]
         slope = (ch.x @ theta[ch.lin])[:, None] + d @ theta[ch.nl]
@@ -396,9 +407,9 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
     if i == j:
         raise ValidationError("dyad (%r, %r) is a self-loop" % (i, j))
     network.value(i, j)  # checks both nodes
-    chunk = _Chunk(ChangeStats(model, network, nodes, dyads),
-                   np.array([int(i)], dtype=np.intp), np.array([int(j)], dtype=np.intp),
-                   np.ones(1))
+    chunk = _network_chunk(ChangeStats(model, network, nodes, dyads), network,
+                           np.array([int(i)], dtype=np.intp),
+                           np.array([int(j)], dtype=np.intp), np.ones(1))
     value = float(_dyad_state(chunk, theta, np.array([float(v)]))[0][0])
     if not math.isfinite(value):
         raise EstimationError(
@@ -443,8 +454,8 @@ def _chunks(model, network, nodes, dyads, sample):
     ii = np.asarray(sample.src, dtype=np.intp)
     jj = np.asarray(sample.dst, dtype=np.intp)
     w = np.asarray(sample.weights, dtype=np.float64)
-    return _thread_map(lambda k: _Chunk(cs, ii[k:k + _CHUNK_DYADS], jj[k:k + _CHUNK_DYADS],
-                                        w[k:k + _CHUNK_DYADS]),
+    return _thread_map(lambda k: _network_chunk(cs, network, ii[k:k + _CHUNK_DYADS],
+                                                jj[k:k + _CHUNK_DYADS], w[k:k + _CHUNK_DYADS]),
                        range(0, len(w), _CHUNK_DYADS))
 
 

@@ -295,11 +295,11 @@ def _pieces(dependences):
     """
     theta = np.array([[th for th, _kind in dep] for dep in dependences],
                      dtype=np.float64).reshape(len(dependences), -1)
-    y_ij, out_i, in_j, y_ji, in_i, out_j = np.vstack([np.zeros(6), np.eye(6)]).T
+    s = np.vstack([np.zeros(6), np.eye(6)]).T
     maps, owner = [], []
     for k, (_th, kind) in enumerate(dependences[0]):
         if theta[:, k].any():
-            for p, q in dependence_pieces(kind, y_ij, y_ji, out_i, in_i, out_j, in_j):
+            for p, q in dependence_pieces(kind, *s):
                 maps.append(np.broadcast_to(q - p, 7))
                 owner.append(k)
     maps = np.reshape(np.array(maps, dtype=np.float64), (-1, 7))

@@ -24,9 +24,9 @@ on theta only through a per-dyad linear rate plus the nonlinear profiles.
 global statistics, :meth:`ChangeStats.linear_design` and the sampler's
 :meth:`ChangeStats.linear_rate_matrix` all evaluate it on the dyads they need.
 :func:`dependence_pieces` is the one definition of each nonlinear term's
-single-dyad change; :meth:`ChangeStats.nonlinear_segments` (the estimator
-calls its two halves, the segment bounds and terms, on their own) and the
-sampler's acceptance ratio both read from it.
+single-dyad change, a function of six numbers around the dyad; the
+estimator's segments (:meth:`ChangeStats.segment_bounds` and
+``segment_terms``) and the sampler's acceptance ratio both read from it.
 """
 
 from __future__ import annotations
@@ -245,16 +245,15 @@ def statistic_vector(model, network, nodes=None, dyads=None):
 
 # -- change statistics -----------------------------------------------------
 
-def dependence_pieces(kind, y_ij, y_ji, out_i, in_i, out_j, in_j):
+def dependence_pieces(kind, y_ij, out_i, in_j, y_ji, in_i, out_j):
     """A nonlinear term as a function of one dyad value v = y_ij.
 
     With every other dyad held fixed, the term's statistic is a constant
     plus the sum over the returned pieces (p, q) of min(p + v, q). The
-    arguments describe the current state around the dyad and may be plain
-    numbers or equal-shape arrays: y_ij, y_ji, and the out- and in-volumes
-    of i and j, which include y_ij. This is the one definition of each
-    nonlinear term's change statistic; the global statistics are its
-    reference.
+    arguments, plain numbers or equal-shape arrays, are the dyad's
+    neighbourhood s: y_ij, the volumes out_i and in_j that move with it,
+    y_ji, and in_i and out_j. This is the one definition of each nonlinear
+    term's change statistic; the global statistics are its reference.
     """
     if kind == "nonzero":  # 1[v > 0] is min(v, 1) on the integers
         return ((0, 1),)
@@ -266,15 +265,16 @@ def dependence_pieces(kind, y_ij, y_ji, out_i, in_i, out_j, in_j):
 
 
 class ChangeStats:
-    """Vectorized single-dyad change statistics over a fixed network.
+    """Vectorized single-dyad change statistics of one model.
 
     Evaluates, for batches of dyads (i, j) and candidate values v, the
-    statistic contributions that move when y_ij is set to v while the rest
-    of the network stays at its observed values. Linear terms contribute
-    x_ij * v with the per-dyad unit change x_ij of
-    :func:`linear_unit_change`; the nonlinear terms contribute the
-    piecewise-linear profiles of :meth:`nonlinear_segments`, built from
-    :func:`dependence_pieces` at the observed values, looked up in the network.
+    statistic contributions that move when y_ij is set to v while every
+    other dyad stays fixed. Linear terms contribute x_ij * v with the
+    per-dyad unit change x_ij of :func:`linear_unit_change`; the nonlinear
+    terms contribute the segments of :meth:`segment_bounds` and
+    :meth:`segment_terms`, read from :func:`dependence_pieces` on
+    neighbourhoods s that the caller gathers from a network or a chain
+    state. It keeps the term positions, covariates and ``network``'s size.
 
     Shared by the pseudo-likelihood estimator, the sampler and
     :func:`conditional_profile`; instances are read-only once built.
@@ -283,12 +283,9 @@ class ChangeStats:
     """
 
     def __init__(self, model, network, nodes=None, dyads=None):
-        self.network = network
         self.n_nodes = network.n_nodes
         self.nodes = nodes
         self.dyads = dyads
-        self.out_vol = network.out_volumes().astype(np.float64)
-        self.in_vol = network.in_volumes().astype(np.float64)
         linear = [t.kind not in NONLINEAR_KINDS for t in model.terms]
         self.lin_pos = np.flatnonzero(linear)
         self.lin_terms = [model.terms[pos] for pos in self.lin_pos]
@@ -316,54 +313,42 @@ class ChangeStats:
                                                                self.nodes, self.dyads)
         return rate
 
-    def _pieces(self, ii, jj, y, y_ji):
-        """(k, p, q) per piece of :func:`dependence_pieces` on the dyads
-        (ii, jj) at values y and reverse values y_ji: the term at
-        ``nonlin_pos[k]`` gains min(p + v, q). p and q are (D, 1) columns,
-        or 1 x 1 where the piece is the same on every dyad."""
-        y, y_ji = np.asarray(y, dtype=np.float64), np.asarray(y_ji, dtype=np.float64)
-        volumes = self.out_vol[ii], self.in_vol[ii], self.out_vol[jj], self.in_vol[jj]
+    def _pieces(self, s):
+        """(k, p, q) per piece of :func:`dependence_pieces` on ``s``: the
+        term at ``nonlin_pos[k]`` gains min(p + v, q). p and q are (D, 1)
+        columns, or 1 x 1 where the piece is the same on every dyad."""
         return [(k, np.reshape(p, (-1, 1)), np.reshape(q, (-1, 1)))
                 for k, (_pos, kind) in enumerate(self.nonlin)
-                for p, q in dependence_pieces(kind, y, y_ji, *volumes)]
+                for p, q in dependence_pieces(kind, *s)]
 
-    def segment_bounds(self, ii, jj, y, y_ji):
-        """The lower bounds ``lo`` of :meth:`nonlinear_segments`, float64
-        (D, S), for the dyads (ii, jj) at values y and reverse values y_ji."""
-        pieces = self._pieces(ii, jj, y, y_ji)
-        b = np.full((len(ii), 1 + len(pieces)), -1.0)
+    def segment_bounds(self, s):
+        """Lower bounds, int64 (D, S), of the integer segments of y_ij on
+        which every nonlinear term is linear, for neighbourhoods s, six int
+        arrays (y_ij, out_i, in_j, y_ji, in_i, out_j). The S <= 5 segments
+        are one more than the breaks q - p, and both are exact in int64."""
+        pieces = self._pieces(s)
+        b = np.full((len(s[0]), 1 + len(pieces)), -1, dtype=np.int64)
         for col, (_k, p, q) in enumerate(pieces, 1):
             b[:, col:col + 1] = q - p
-        return np.maximum(np.sort(b, axis=1), -1.0) + 1.0
+        return np.maximum(np.sort(b, axis=1), -1) + 1
 
-    def segment_terms(self, ii, jj, y, y_ji, lo):
-        """(hi, c, d) of :meth:`nonlinear_segments` for the segments whose
-        lower bounds are ``lo``: each segment ends one below where the next
-        starts, and the last at inf; c is float64 and d int8."""
+    def segment_terms(self, s, lo):
+        """(hi, c, d) of the segments of s whose lower bounds are ``lo``
+        (:meth:`segment_bounds` in float64): segment t ends at hi[:, t], or
+        inf, and the term at ``nonlin_pos[k]`` contributes c[:, t, k] +
+        d[:, t, k] * y_ij on it; c is float64, d int8. Exact below 2**53."""
         hi = np.empty_like(lo)
         np.subtract(lo[:, 1:], 1.0, out=hi[:, :-1])
         hi[:, -1] = np.inf
         c = np.zeros(lo.shape + (len(self.nonlin),))
         d = np.zeros(c.shape, dtype=np.int8)  # slopes are 0, 1 or 2
-        for k, p, q in self._pieces(ii, jj, y, y_ji):
+        for k, p, q in self._pieces(s):
+            p, q, brk = (np.asarray(a, dtype=np.float64) for a in (p, q, q - p))
             # a non-empty segment lies wholly on one side of each break q - p
-            left = lo <= q - p
+            left = lo <= brk
             c[:, :, k] += np.where(left, p, q)
             d[:, :, k] += left
         return hi, c, d
-
-    def nonlinear_segments(self, ii, jj):
-        """Integer segments of y_ij on which every nonlinear term is linear.
-
-        Returns (lo, hi, c, d): segment s of dyad n covers lo[n, s]..hi[n, s]
-        (the last ends at inf; lo > hi marks an empty one), where the term at
-        ``nonlin_pos[k]`` contributes c[n, s, k] + d[n, s, k] * y_ij. There
-        are at most 5 segments, one more than the breakpoints; ``lo`` is
-        :meth:`segment_bounds` and the rest :meth:`segment_terms`.
-        """
-        y, y_ji = self.network.values_at(ii, jj), self.network.values_at(jj, ii)
-        lo = self.segment_bounds(ii, jj, y, y_ji)
-        return (lo,) + self.segment_terms(ii, jj, y, y_ji, lo)
 
 
 def conditional_profile(model, network, nodes, dyads, dyad, v_max):
@@ -392,7 +377,10 @@ def conditional_profile(model, network, nodes, dyads, dyad, v_max):
     x = cs.linear_design(ii, jj)[0]
     for k, pos in enumerate(cs.lin_pos):
         prof[:, pos] += x[k] * (vgrid - y_obs)
-    _lo, hi, c, d = cs.nonlinear_segments(ii, jj)
+    out_vol, in_vol = network.out_volumes(), network.in_volumes()
+    s = (network.values_at(ii, jj), out_vol[ii], in_vol[jj],
+         network.values_at(jj, ii), in_vol[ii], out_vol[jj])
+    hi, c, d = cs.segment_terms(s, cs.segment_bounds(s).astype(np.float64))
     v = np.append(vgrid, y_obs)[:, None]
     at = np.sum(hi[0] < v, axis=1)  # the segment holding each value
     local = c[0, at] + d[0, at] * v

@@ -281,6 +281,15 @@ def correlate_ess(series):
 
 # -- dyad sampling over the n (n - 1) off-diagonal codes ------------------------
 
+def neighbourhood(network, ii, jj):
+    """Each dyad's s = (y_ij, out_i, in_j, y_ji, in_i, out_j) as six int64
+    arrays, read one dyad and one node at a time."""
+    rows = [(network.value(i, j), network.out_volume(i), network.in_volume(j),
+             network.value(j, i), network.in_volume(i), network.out_volume(j))
+            for i, j in zip(np.asarray(ii).tolist(), np.asarray(jj).tolist())]
+    return tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+
+
 def offdiag_codes(src, dst, n):
     """Index of each ordered dyad (src, dst) among the n (n - 1) pairs of
     distinct nodes, row-major with the diagonal removed."""

@@ -9,18 +9,20 @@ import warnings
 import numpy as np
 import pytest
 
-from ergmflow import (ChangeStats, DyadCovariateSet, EstimationError,
+from ergmflow import (ChainConfig, ChangeStats, DyadCovariateSet, EstimationError,
                       FlowNetwork, ModelSpec, TermSpec, ValidationError,
                       build_network, census_sample, conditional_log_pmf,
-                      effect_multiplier, fit_mple, penalized_pseudo_loglik,
-                      pseudo_bic, stratified_dyad_sample)
+                      effect_multiplier, fit_mple, mcmc_simulate,
+                      penalized_pseudo_loglik, pseudo_bic, stratified_dyad_sample)
 import ergmflow.estimator as estimator_mod
-from ergmflow.estimator import _Chunk, _chunks, _dyad_state, _newton, _objective
+from ergmflow.estimator import (_Chunk, _chunks, _dyad_state, _network_chunk, _newton,
+                                _objective)
+from ergmflow.sampler import _dense_state
 
 from oracles import (brute_conditional_log_pmf, central_gradient,
                      central_hessian, grid_pseudo_loglik, interval_moments,
-                     irls_poisson, offdiag_stratified_sample, relative_error,
-                     scipy_log_poisson_interval)
+                     irls_poisson, neighbourhood, offdiag_stratified_sample,
+                     relative_error, scipy_log_poisson_interval)
 
 
 def pairs(sample):
@@ -446,12 +448,14 @@ class TestChunkStorage:
         net = build_network(records, n_nodes=4)
         sample = census_sample(net)
         cs = ChangeStats(self.MODEL, net)
-        lo, hi, c, d = cs.nonlinear_segments(sample.src, sample.dst)
-        chunk = _Chunk(cs, sample.src, sample.dst, sample.weights)
+        s = neighbourhood(net, sample.src, sample.dst)
+        lo = cs.segment_bounds(s).astype(np.float64)
+        hi, c, d = cs.segment_terms(s, lo)
+        chunk = _network_chunk(cs, net, sample.src, sample.dst, sample.weights)
         assert {chunk.lo.dtype, chunk.y_ji.dtype} == {np.dtype(dtype)}
         lo_pass = chunk.lo.astype(np.float64)  # what each pass starts from
         assert np.array_equal(lo_pass, lo)
-        hi_pass = cs.segment_terms(chunk.ii, chunk.jj, chunk.y, chunk.y_ji, lo_pass)[0]
+        hi_pass = cs.segment_terms(chunk.neighbourhood(chunk.y), lo_pass)[0]
         *_, c_pass, d_pass, nl_obs = _dyad_state(chunk, np.zeros(4), chunk.y)
         assert d_pass.dtype == np.int8
         for got, want in zip((hi_pass, c_pass, d_pass), (hi, c, d)):
@@ -464,6 +468,27 @@ class TestChunkStorage:
             own = sum(a.nbytes for a in vars(chunk).values() if isinstance(a, np.ndarray)
                       and not any(np.shares_memory(a, b) for b in shared))
             assert own <= 112 * len(y)
+
+
+class TestChainStateConditional:
+    def test_matches_the_snapshot_network(self):
+        # a chunk gathered from a chain's state row, not from a network
+        model = TestChunkStorage.MODEL
+        theta = np.array([0.3, -0.8, 0.4, 0.1])
+        n, nn = 6, 36
+        run = mcmc_simulate(model, theta, None, None, FlowNetwork.empty(n),
+                            ChainConfig(n_networks=1, seed=4))
+        snapshot = run.networks[0]
+        assert snapshot.n_edges
+        row = _dense_state(snapshot, 1)[0]
+        ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+        chunk = _Chunk(ChangeStats(model, snapshot), ii, jj, np.ones(len(ii)),
+                       row[ii * n + jj], row[jj * n + ii], row[nn:nn + n], row[nn + n:])
+        for v in (0, 1, 4):
+            got = _dyad_state(chunk, theta, np.full(len(ii), float(v)))[0]
+            want = [conditional_log_pmf(model, theta, snapshot, None, None, (i, j), v)
+                    for i, j in zip(ii.tolist(), jj.tolist())]
+            assert got.tolist() == want, v
 
 
 class TestThreadPool:

@@ -7,7 +7,7 @@ from ergmflow import (NONLINEAR_KINDS, ChangeStats, DyadCovariateSet, FlowNetwor
                       global_statistic, model_from_dict, model_to_dict,
                       mutual_min_stat, statistic_vector, waypoint_flow_stat)
 
-from oracles import brute_mutual_min, brute_stat_vector, brute_waypoint
+from oracles import brute_mutual_min, brute_stat_vector, brute_waypoint, neighbourhood
 
 
 def random_network(rng, n=6, rate=1.2):
@@ -228,14 +228,24 @@ class TestDependencePieces:
                         want = global_statistic(term, net) - global_statistic(term, base)
                         got = sum(min(p + vp, q) - min(p + mat[i, j], q)
                                   for p, q in dependence_pieces(
-                                      kind, int(mat[i, j]), int(mat[j, i]),
-                                      int(out_v[i]), int(in_v[i]),
-                                      int(out_v[j]), int(in_v[j])))
+                                      kind, int(mat[i, j]), int(out_v[i]),
+                                      int(in_v[j]), int(mat[j, i]),
+                                      int(in_v[i]), int(out_v[j])))
                         assert got == want, (kind, i, j, vp)
 
     def test_linear_kind_rejected(self):
         with pytest.raises(ValidationError):
             dependence_pieces("sum", 0, 0, 0, 0, 0, 0)
+
+
+class TestSegmentBounds:
+    def test_breaks_are_exact_past_2_53(self):
+        net = build_network([("A", "B", 2**53 + 1), ("C", "B", 2), ("B", "C", 1)],
+                            node_ids=["A", "B", "C"])
+        cs = ChangeStats(ModelSpec(terms=(TermSpec("sum"), TermSpec("waypoint_flow"))), net)
+        lo = cs.segment_bounds(neighbourhood(net, [1, 2], [0, 0]))  # (B, A) and (C, A)
+        assert lo.dtype == np.int64
+        assert lo.tolist() == [[0, 2**53 + 2, 2**53 + 3], [0, 0, 2**53 + 2]]
 
 
 class TestConditionalProfile:
@@ -365,6 +375,15 @@ class TestLinearTerms:
         n = current.n_nodes
         assert all(np.size(v) < n * n for v in vars(cs).values()
                    if isinstance(v, np.ndarray))
+        # nor anything that depends on the flows
+        other = ChangeStats(model, FlowNetwork.empty(n, node_ids=current.node_ids),
+                            nodes, dyads)
+        assert vars(cs).keys() == vars(other).keys()
+        for name, value in vars(cs).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, vars(other)[name]), name
+            else:
+                assert value == vars(other)[name], name
 
     def test_unknown_covariate_rejected_when_built(self, linear_case):
         _model, _theta, current, nodes, dyads = linear_case
