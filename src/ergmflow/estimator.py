@@ -14,18 +14,18 @@ objective is unbiased for the full-census pseudo-log-likelihood. The sampler
 codes dyad (i, j) as i * n + j, as the edge arrays and the chain state do.
 
 The sample is split into chunks of 4,096 dyads in a fixed order. A chunk
-stores the part of its data that does not depend on theta and is costly to
-rebuild: the observed counts, the linear design, the reverse counts and the
-segments' lower bounds, integers kept as int32 (int64 where a value does
-not fit). Each evaluation rebuilds the segments' upper bounds, intercepts
-and slopes and the observed nonlinear statistics from those. A chunk is
-the unit of work: building the chunks and evaluating each one run on a
-thread pool of the CPUs this process may run on, at most 8, created and
-shut down inside the call. One worker evaluates a whole chunk and returns
-its value, gradient and Hessian, and the calling thread adds them in chunk
-order. So at most one chunk's state is alive per worker, and values,
-gradients and Hessians are reproducible bit-for-bit for a given sample
-whatever the number of workers.
+stores the part of its data that does not depend on the dependence terms:
+the observed and reverse counts, int64 as they are gathered, and the linear
+design. Each evaluation rebuilds the segments (bounds, intercepts and
+slopes, :meth:`ChangeStats.segment_terms`) and the observed nonlinear
+statistics from the counts and the node volumes. A chunk is the unit of
+work: building the chunks and evaluating each one run on a thread pool of
+the CPUs this process may run on, at most 8, created and shut down inside
+the call. One worker evaluates a whole chunk and returns its value,
+gradient and Hessian, and the calling thread adds them in chunk order. So
+at most one chunk's state is alive per worker, and values, gradients and
+Hessians are reproducible bit-for-bit for a given sample whatever the
+number of workers.
 
 The estimator needs numpy alone: the Poisson interval probabilities are
 sums of pmf terms from Loader's saddle-point log-pmf, kept in log space, and
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonio import write_json
-from .errors import EstimationError, ValidationError, is_integer
+from .errors import EstimationError, ValidationError, check_count, is_integer
 from .stats import ChangeStats, ModelSpec, model_to_dict
 
 __all__ = [
@@ -331,35 +331,25 @@ def _poisson_interval(a, lo, hi):
     return log_p.reshape(shape), mean.reshape(shape), var.reshape(shape)
 
 
-def _as_int(a):
-    """Integer ``a`` in int32, or in int64 where some value does not fit."""
-    wide = np.abs(a).max(initial=0.0) > np.iinfo(np.int32).max
-    return a.astype(np.int64 if wide else np.int32)
-
-
 class _Chunk:
     """A block of dyads and the part of their data that does not depend on
-    theta and costs most to rebuild: the observed counts y, the linear
-    design x, and, as integers kept by :func:`_as_int`, the reverse counts
-    y_ji and the segments' lower bounds (:meth:`ChangeStats.segment_bounds`).
-    The dyad indices, the weights and the int64 node volume vectors, of a
-    network or a chain state, are shared. :func:`_dyad_state` rebuilds the
-    rest of the segments on every pass.
+    the dependence terms: the observed counts y and the reverse counts y_ji,
+    int64 as they are gathered, and the linear design x. The dyad indices,
+    the weights and the int64 node volume vectors, of a network or a chain
+    state, are shared. :func:`_dyad_state` rebuilds the segments from
+    :meth:`neighbourhood` on every pass.
     """
 
     def __init__(self, cs, ii, jj, w, y, y_ji, out_vol, in_vol):
         self.cs, self.ii, self.jj, self.w = cs, ii, jj, w
-        self.out_vol, self.in_vol = out_vol, in_vol
+        self.y, self.y_ji, self.out_vol, self.in_vol = y, y_ji, out_vol, in_vol
         self.lin, self.nl = cs.lin_pos, cs.nonlin_pos
         self.x = cs.linear_design(ii, jj)
-        self.y_ji = _as_int(y_ji)
-        self.lo = _as_int(cs.segment_bounds(self.neighbourhood(y)))
-        self.y = y.astype(np.float64)
 
-    def neighbourhood(self, y):
-        """The dyads' s = (y_ij, out_i, in_j, y_ji, in_i, out_j), y_ij = y."""
-        ii, jj = self.ii, self.jj
-        return y, self.out_vol[ii], self.in_vol[jj], self.y_ji, self.in_vol[ii], self.out_vol[jj]
+    def neighbourhood(self):
+        """The dyads' s = (y_ij, out_i, in_j, y_ji, in_i, out_j)."""
+        ii, jj, out_vol, in_vol = self.ii, self.jj, self.out_vol, self.in_vol
+        return self.y, out_vol[ii], in_vol[jj], self.y_ji, in_vol[ii], out_vol[jj]
 
 
 def _network_chunk(cs, network, ii, jj, w):
@@ -372,11 +362,11 @@ def _dyad_state(ch, theta, v):
     """log P(y_ij = v | rest) per dyad of chunk ``ch`` (-inf or NaN where
     some e^a_s overflows); per segment its share of the normalizer and the
     mean and variance of v within it; the segment intercepts c and slopes
-    d (int8), which :meth:`ChangeStats.segment_terms` rebuilds from the
-    chunk's lower bounds and :meth:`_Chunk.neighbourhood`; and the nonlinear
+    d (int8), which :meth:`ChangeStats.segment_terms` rebuilds, with the
+    segment bounds, from :meth:`_Chunk.neighbourhood`; and the nonlinear
     statistics' local values c + d v at v, from the segment holding v."""
-    lo = ch.lo.astype(np.float64)
-    hi, c, d = ch.cs.segment_terms(ch.neighbourhood(ch.y), lo)
+    v = v.astype(np.float64)  # as _log_factorial needs
+    lo, hi, c, d = ch.cs.segment_terms(ch.neighbourhood())
     with np.errstate(over="ignore", invalid="ignore"):
         intercept = c @ theta[ch.nl]
         slope = (ch.x @ theta[ch.lin])[:, None] + d @ theta[ch.nl]
@@ -401,8 +391,7 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
     y_ij this reduces to a Poisson log-pmf with rate exp(theta . unit-change).
     """
     theta = model.check_theta(theta)
-    if v < 0 or int(v) != v:
-        raise ValidationError("v must be a non-negative integer, got %r" % (v,))
+    v = check_count(v, "v")
     i, j = dyad
     if i == j:
         raise ValidationError("dyad (%r, %r) is a self-loop" % (i, j))
@@ -410,7 +399,7 @@ def conditional_log_pmf(model, theta, network, nodes, dyads, dyad, v):
     chunk = _network_chunk(ChangeStats(model, network, nodes, dyads), network,
                            np.array([int(i)], dtype=np.intp),
                            np.array([int(j)], dtype=np.intp), np.ones(1))
-    value = float(_dyad_state(chunk, theta, np.array([float(v)]))[0][0])
+    value = float(_dyad_state(chunk, theta, np.array([v]))[0][0])
     if not math.isfinite(value):
         raise EstimationError(
             "non-finite conditional normalizer for dyad (%d, %d); "

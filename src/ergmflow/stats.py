@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 __all__ = [
     "TermSpec",
@@ -271,10 +271,10 @@ class ChangeStats:
     statistic contributions that move when y_ij is set to v while every
     other dyad stays fixed. Linear terms contribute x_ij * v with the
     per-dyad unit change x_ij of :func:`linear_unit_change`; the nonlinear
-    terms contribute the segments of :meth:`segment_bounds` and
-    :meth:`segment_terms`, read from :func:`dependence_pieces` on
-    neighbourhoods s that the caller gathers from a network or a chain
-    state. It keeps the term positions, covariates and ``network``'s size.
+    terms contribute the segments of :meth:`segment_terms`, bounds
+    included, read from :func:`dependence_pieces` on neighbourhoods s that
+    the caller gathers from a network or a chain state. It keeps the term
+    positions, covariates and ``network``'s size.
 
     Shared by the pseudo-likelihood estimator, the sampler and
     :func:`conditional_profile`; instances are read-only once built.
@@ -332,11 +332,12 @@ class ChangeStats:
             b[:, col:col + 1] = q - p
         return np.maximum(np.sort(b, axis=1), -1) + 1
 
-    def segment_terms(self, s, lo):
-        """(hi, c, d) of the segments of s whose lower bounds are ``lo``
-        (:meth:`segment_bounds` in float64): segment t ends at hi[:, t], or
-        inf, and the term at ``nonlin_pos[k]`` contributes c[:, t, k] +
-        d[:, t, k] * y_ij on it; c is float64, d int8. Exact below 2**53."""
+    def segment_terms(self, s):
+        """(lo, hi, c, d) of the segments of s: segment t runs from lo[:, t]
+        (:meth:`segment_bounds` in float64) to hi[:, t], or inf, and the
+        term at ``nonlin_pos[k]`` contributes c[:, t, k] + d[:, t, k] * y_ij
+        on it; lo, hi and c are float64, d int8. Exact below 2**53."""
+        lo = self.segment_bounds(s).astype(np.float64)
         hi = np.empty_like(lo)
         np.subtract(lo[:, 1:], 1.0, out=hi[:, :-1])
         hi[:, -1] = np.inf
@@ -348,7 +349,7 @@ class ChangeStats:
             left = lo <= brk
             c[:, :, k] += np.where(left, p, q)
             d[:, :, k] += left
-        return hi, c, d
+        return lo, hi, c, d
 
 
 def conditional_profile(model, network, nodes, dyads, dyad, v_max):
@@ -364,8 +365,7 @@ def conditional_profile(model, network, nodes, dyads, dyad, v_max):
     i, j = dyad
     if i == j:
         raise ValidationError("conditional profile needs an off-diagonal dyad, got (%r, %r)" % (i, j))
-    if v_max < 0:
-        raise ValidationError("v_max must be >= 0, got %r" % (v_max,))
+    v_max = check_count(v_max, "v_max")
     y_obs = float(network.value(i, j))  # checks both nodes
     base = statistic_vector(model, network, nodes, dyads)
     cs = ChangeStats(model, network, nodes, dyads)
@@ -380,7 +380,7 @@ def conditional_profile(model, network, nodes, dyads, dyad, v_max):
     out_vol, in_vol = network.out_volumes(), network.in_volumes()
     s = (network.values_at(ii, jj), out_vol[ii], in_vol[jj],
          network.values_at(jj, ii), in_vol[ii], out_vol[jj])
-    hi, c, d = cs.segment_terms(s, cs.segment_bounds(s).astype(np.float64))
+    _lo, hi, c, d = cs.segment_terms(s)
     v = np.append(vgrid, y_obs)[:, None]
     at = np.sum(hi[0] < v, axis=1)  # the segment holding each value
     local = c[0, at] + d[0, at] * v

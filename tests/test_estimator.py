@@ -305,12 +305,24 @@ class TestConditionalLogPmf:
     @pytest.mark.parametrize("dyad, v, match", [
         ((0, 1), -1, "non-negative integer"), ((0, 1), 1.5, "non-negative integer"),
         ((1, 1), 0, "self-loop"), ((0, -1), 0, "node -1 out of range for 3 nodes"),
-        ((0, 9), 0, "node 9 out of range for 3 nodes")])
+        ((0, 9), 0, "node 9 out of range for 3 nodes"),
+        # a bool, a non-number, a non-finite or a negative float is no count
+        ((0, 1), True, "^v must be"), ((0, 1), np.bool_(False), "^v must be"),
+        ((0, 1), None, "^v must be"), ((0, 1), "2", "^v must be"),
+        ((0, 1), math.nan, "^v must be"), ((0, 1), math.inf, "^v must be"),
+        ((0, 1), np.float64(-2.0), "^v must be")])
     def test_bad_count_or_dyad_rejected(self, dyad, v, match):
         model = ModelSpec(terms=(TermSpec("sum"),))
         net = FlowNetwork.empty(3)
         with pytest.raises(ValidationError, match=match):
             conditional_log_pmf(model, np.array([0.0]), net, None, None, dyad, v)
+
+    def test_whole_float_count_accepted(self):
+        model = ModelSpec(terms=(TermSpec("sum"),))
+        net = FlowNetwork.empty(3)
+        want = conditional_log_pmf(model, np.array([0.5]), net, None, None, (0, 1), 2)
+        for v in (2.0, np.float64(2.0), np.float32(2.0), np.int32(2)):
+            assert conditional_log_pmf(model, np.array([0.5]), net, None, None, (0, 1), v) == want
 
 
 class TestPenalizedPseudoLoglik:
@@ -438,36 +450,68 @@ class TestChunkStorage:
     MODEL = ModelSpec(terms=(TermSpec("sum"), TermSpec("nonzero"),
                              TermSpec("mutual_min"), TermSpec("waypoint_flow")))
 
-    @pytest.mark.parametrize("records, dtype", [
+    @staticmethod
+    def passes(monkeypatch, chunk, theta, n_passes=2):
+        """The (lo, hi, c, d) of ``chunk.cs.segment_terms`` in each of
+        ``n_passes`` calls of :func:`_dyad_state`, and its last result."""
+        cs, seen = chunk.cs, []
+
+        def recorded(s):
+            seen.append(ChangeStats.segment_terms(cs, s))
+            return seen[-1]
+        monkeypatch.setattr(cs, "segment_terms", recorded)
+        for _ in range(n_passes):
+            state = _dyad_state(chunk, theta, chunk.y)
+        assert len(seen) == n_passes
+        return seen, state
+
+    @pytest.mark.parametrize("records, width", [
         ([(0, 1, 3), (1, 0, 2), (1, 2, 5), (2, 3, 1), (3, 1, 4)], np.int32),
-        # volumes past 2**31 - 1 widen the storage
+        # volumes past 2**31 - 1, which int32 cannot hold
         ([(0, 1, 3_000_000_000), (1, 0, 7), (1, 2, 5), (2, 0, 2_500_000_000)], np.int64),
     ])
-    def test_segments_are_rebuilt_exactly(self, records, dtype):
-        # a chunk stores the lower bounds and rebuilds the rest on each pass
+    def test_segments_are_rebuilt_exactly(self, monkeypatch, records, width):
+        # a chunk stores y and y_ji and rebuilds every segment quantity on each pass
         net = build_network(records, n_nodes=4)
         sample = census_sample(net)
         cs = ChangeStats(self.MODEL, net)
         s = neighbourhood(net, sample.src, sample.dst)
-        lo = cs.segment_bounds(s).astype(np.float64)
-        hi, c, d = cs.segment_terms(s, lo)
+        assert width is (np.int32 if max(a.max() for a in s) <= np.iinfo(np.int32).max
+                         else np.int64)
+        _lo, hi, c, d = want = cs.segment_terms(s)
+        assert d.dtype == np.int8
         chunk = _network_chunk(cs, net, sample.src, sample.dst, sample.weights)
-        assert {chunk.lo.dtype, chunk.y_ji.dtype} == {np.dtype(dtype)}
-        lo_pass = chunk.lo.astype(np.float64)  # what each pass starts from
-        assert np.array_equal(lo_pass, lo)
-        hi_pass = cs.segment_terms(chunk.neighbourhood(chunk.y), lo_pass)[0]
-        *_, c_pass, d_pass, nl_obs = _dyad_state(chunk, np.zeros(4), chunk.y)
+        assert chunk.y.dtype == chunk.y_ji.dtype == np.int64
+        assert not hasattr(chunk, "lo")
+        seen, (*_, c_pass, d_pass, nl_obs) = self.passes(monkeypatch, chunk, np.zeros(4))
+        for got in seen:
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
         assert d_pass.dtype == np.int8
-        for got, want in zip((hi_pass, c_pass, d_pass), (hi, c, d)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(c_pass, c) and np.array_equal(d_pass, d)
         y = net.values_at(sample.src, sample.dst).astype(np.float64)
         rows, at = np.arange(len(y)), np.sum(hi < y[:, None], axis=1)
         assert np.array_equal(nl_obs, c[rows, at] + d[rows, at] * y[:, None])
-        if dtype is np.int32:  # the chunk's own arrays, not views of the sample's
-            shared = (sample.src, sample.dst, sample.weights, cs.lin_pos, cs.nonlin_pos)
-            own = sum(a.nbytes for a in vars(chunk).values() if isinstance(a, np.ndarray)
-                      and not any(np.shares_memory(a, b) for b in shared))
-            assert own <= 112 * len(y)
+        # the chunk's own arrays, not views of the sample's or the network's
+        shared = (sample.src, sample.dst, sample.weights, cs.lin_pos, cs.nonlin_pos,
+                  net.out_volumes(), net.in_volumes())
+        own = sum(a.nbytes for a in vars(chunk).values() if isinstance(a, np.ndarray)
+                  and not any(np.shares_memory(a, b) for b in shared))
+        assert own == (8 * len(cs.lin_pos) + 8 + 8) * len(y)  # x, y and y_ji
+        assert own <= 96 * len(y)
+
+    def test_counts_past_2_53_are_kept_exactly(self, monkeypatch):
+        net = build_network([("A", "B", 2**53 + 1), ("C", "B", 2), ("B", "C", 1)],
+                            node_ids=["A", "B", "C"])
+        cs = ChangeStats(ModelSpec(terms=(TermSpec("sum"), TermSpec("waypoint_flow"))), net)
+        sample = census_sample(net)
+        chunk = _network_chunk(cs, net, sample.src, sample.dst, sample.weights)
+        ab = pairs(sample).index((0, 1))
+        assert chunk.y.dtype == np.int64 and int(chunk.y[ab]) == 2**53 + 1
+        lo = cs.segment_bounds(neighbourhood(net, sample.src, sample.dst)).astype(np.float64)
+        seen, _state = self.passes(monkeypatch, chunk, np.zeros(2))
+        for got in seen:
+            assert got[0].dtype == np.float64 and np.array_equal(got[0], lo)
 
 
 class TestChainStateConditional:

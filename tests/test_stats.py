@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,22 @@ class TestConditionalProfile:
         model = ModelSpec(terms=(TermSpec("sum"),))
         with pytest.raises(ValidationError, match="v_max"):
             conditional_profile(model, net, None, None, (0, 1), -1)
+
+    @pytest.mark.parametrize("v_max", [True, np.bool_(True), None, "3", 2.5, math.nan,
+                                       math.inf, np.float64(-1.0)])
+    def test_v_max_not_a_count_rejected(self, v_max):
+        net = build_network([(0, 1, 2)], n_nodes=2)
+        model = ModelSpec(terms=(TermSpec("sum"),))
+        with pytest.raises(ValidationError, match="^v_max must be a non-negative integer"):
+            conditional_profile(model, net, None, None, (0, 1), v_max)
+
+    def test_v_max_whole_float_accepted(self):
+        net = build_network([(0, 1, 2), (1, 0, 1)], n_nodes=2)
+        model = ModelSpec(terms=(TermSpec("sum"), TermSpec("mutual_min")))
+        want = conditional_profile(model, net, None, None, (0, 1), 3)
+        for v_max in (3.0, np.float64(3.0), np.int64(3)):
+            got = conditional_profile(model, net, None, None, (0, 1), v_max)
+            assert np.array_equal(got, want)
 
     def test_self_loop_rejected(self):
         net = build_network([(0, 1, 2)], n_nodes=2)
