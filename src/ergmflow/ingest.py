@@ -22,6 +22,11 @@ row (the header is row 1), and blank lines are skipped without being
 counted, so in a file without blank lines the row number is the line
 number.
 
+The writers are the loaders' round-trip partners. Each quotes an id or
+other text value once, as :class:`csv.writer` would, formats its rows from
+arrays, and writes them a block of at most as many rows as a loader reads
+at a time.
+
 Covariate scaling: dissimilarities and percent-derived covariates are
 proportions in [0, 1]; logged covariates of counts use log(1 + x) because
 zeros occur (lagged flows, immigrant inflows). Distances enter as log km.
@@ -95,6 +100,15 @@ def scalar_dissimilarity(x_a, x_b):
     return abs(x_a - x_b) / 100.0
 
 
+def _square(distance, n):
+    """A distance matrix as float64, checked to be (n, n)."""
+    km = np.asarray(distance, dtype=np.float64)
+    if km.shape != (n, n):
+        raise ValidationError("distance matrix has shape %r, expected (%d, %d)"
+                              % (km.shape, n, n))
+    return km
+
+
 def build_dyad_covariates(nodes, distance, lagged=None):
     """Assemble the standard dyad covariates for a node table.
 
@@ -109,10 +123,7 @@ def build_dyad_covariates(nodes, distance, lagged=None):
     if isinstance(distance, (str, bytes)) or hasattr(distance, "__fspath__"):
         km = load_distances(distance, nodes.ids)
     else:
-        km = np.asarray(distance, dtype=np.float64)
-        if km.shape != (n, n):
-            raise ValidationError("distance matrix has shape %r, expected (%d, %d)"
-                                  % (km.shape, n, n))
+        km = _square(distance, n)
     off = ~np.eye(n, dtype=bool)
     for bad, problem in ((~np.isfinite(km), "missing"), (km <= 0, "non-positive")):
         pairs = np.argwhere(off & bad)
@@ -494,40 +505,89 @@ def _conflicts(km, i, j, d, valid):
 
 # -- writers (round-trip partners of the loaders) -------------------------------
 
-def write_flows_csv(path, network):
+def _quoted(values):
+    """Each value as a str, quoted as :class:`csv.writer` quotes a field of a
+    row with more than one field (alone in a row, "" is written '""')."""
+    fields = []
+    csv.writer(SimpleNamespace(write=fields.append)).writerows((str(x), "") for x in values)
+    return [x[:-3] for x in fields]
+
+
+def _write_table(path, header, blocks):
+    """Write a CSV table: the header, then one write per block of rows.
+
+    Each block is a sequence of columns, each an iterable of formatted and
+    quoted fields; a block holds at most ``_BLOCK_ROWS`` rows and at least one.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["origin", "destination", "count"])
-        for origin, destination, count in network.to_edge_records():
-            writer.writerow([origin, destination, count])
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def write_flows_csv(path, network):
+    """Write a flow network as an ``origin,destination,count`` edge list.
+
+    One row per edge in (origin, destination) order, with the network's node
+    ids, or its node indices when it has none. Ids are quoted only where
+    :mod:`csv` needs it (a comma, a quote or a line break), and lines end in
+    CRLF, as :class:`csv.writer` writes them. Rows are formatted from the
+    edge arrays and written a block at a time. :func:`load_flows` reads the
+    file back to the network's edge records.
+    """
+    src, dst, count = network.edge_arrays()
+    get = _quoted(range(network.n_nodes) if network.node_ids is None
+                  else network.node_ids).__getitem__
+    _write_table(path, _FLOW_COLUMNS, (
+        (map(get, src[k:k + _BLOCK_ROWS].tolist()), map(get, dst[k:k + _BLOCK_ROWS].tolist()),
+         map(str, count[k:k + _BLOCK_ROWS].tolist()))
+        for k in range(0, len(count), _BLOCK_ROWS)))
 
 
 def write_nodes_csv(path, nodes):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_NODE_HEADER)
-        for k in range(nodes.n_nodes):
-            row = [nodes.ids[k], nodes.state[k], nodes.region[k]]
-            for field, cols, dtype in _NODE_FIELDS:
-                value = getattr(nodes, field)[k]
-                if dtype is np.int64:
-                    row.append(int(value))
-                elif len(cols) == 1:
-                    row.append(repr(float(value)))
-                else:
-                    row.extend(repr(float(100.0 * s)) for s in value)
-            writer.writerow(row)
+    """Write a :class:`NodeTable` as a node file, one row per node in order.
+
+    The columns are ``id,state,region`` and then those of
+    :data:`~ergmflow.network.NODE_COLUMNS`. Integer columns are written as
+    integers, the others as ``repr`` of the float, and racial shares as
+    percentages (``repr(100.0 * share)``). Text is quoted only where
+    :mod:`csv` needs it, and lines end in CRLF, as :class:`csv.writer`
+    writes them. Rows are formatted a column at a time and written a block
+    at a time. :func:`load_nodes` reads the file back to the same table,
+    racial shares to within 1e-15.
+    """
+    text = [_quoted(nodes.ids), _quoted(nodes.state), _quoted(nodes.region)]
+
+    def columns(start):
+        stop = start + _BLOCK_ROWS
+        yield from (column[start:stop] for column in text)
+        for field, cols, _ in _NODE_FIELDS:
+            values = getattr(nodes, field)[start:stop]
+            # tolist gives Python ints and floats, and repr of an int is its str
+            for column in (values,) if len(cols) == 1 else 100.0 * values.T:
+                yield map(repr, column.tolist())
+
+    _write_table(path, _NODE_HEADER, (tuple(columns(k))
+                                      for k in range(0, nodes.n_nodes, _BLOCK_ROWS)))
 
 
 def write_distances_csv(path, km, node_ids):
-    ids = []  # each id as csv.writer quotes it in a two-field row; alone, "" is '""'
-    csv.writer(SimpleNamespace(write=ids.append)).writerows((str(x), "") for x in node_ids)
-    ids, km = [x[:-3] for x in ids], np.asarray(km, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("id_a,id_b,km\r\n")
-        for i, a in enumerate(ids):
-            fh.write("".join(["%s,%s,%r\r\n" % (a, b, d) for b, d in
-                              zip(ids[i + 1:], km[i, i + 1:len(ids)].tolist(), strict=True)]))
+    """Write an (n, n) kilometre matrix as an ``id_a,id_b,km`` table.
+
+    One row per unordered pair, the upper triangle in row order, with the
+    distance as ``repr`` of the float. Ids are quoted only where :mod:`csv`
+    needs it, and lines end in CRLF, as :class:`csv.writer` writes them.
+    Rows are written a block at a time. :func:`load_distances` reads the
+    file back to the same matrix. A matrix that is not (n, n) for the n ids
+    raises ValidationError before the file is opened.
+    """
+    ids = _quoted(node_ids)
+    n = len(ids)
+    km = _square(km, n)
+    _write_table(path, ("id_a", "id_b", "km"), (
+        (itertools.repeat(a), ids[k:k + _BLOCK_ROWS],
+         map(repr, km[i, k:k + _BLOCK_ROWS].tolist()))
+        for i, a in enumerate(ids) for k in range(i + 1, n, _BLOCK_ROWS)))
 
 
 # -- group-flow aggregation ------------------------------------------------------

@@ -388,9 +388,9 @@ def scalar_chain(dense, dependence, src, dst, proposed, expo, record_at):
 # by data-row ordinal + 1, blank lines skipped. They differ from the package
 # on purpose in one way only: a NaN or infinite distance loads here.
 # ``rowloop_load_nodes`` returns the package's own NodeTable, so the parity
-# tests compare the loaders alone. ``rowloop_write_distances_csv`` writes
-# one ``csv.writer`` row per pair, as the package did before it wrote a
-# block of rows per call.
+# tests compare the loaders alone. The ``rowloop_write_*`` writers make one
+# ``csv.writer`` call per row, as the package did before it wrote a block of
+# rows per call.
 
 def _rowloop_rows(path, required):
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -451,6 +451,20 @@ ROWLOOP_NODE_COLUMNS = (
     "pct_black", "pct_asian", "pct_white", "pct_other", "pct_renter",
     "pct_highered", "pct_unemployment", "pct_rural", "pct_democrat_2008",
     "immigrant_inflow")
+
+# (NodeTable field, its node-file columns, dtype) in file order
+_ROWLOOP_NODE_FIELDS = (
+    ("population", ("population",), np.int64),
+    ("density", ("density",), np.float64),
+    ("psr", ("psr",), np.float64),
+    ("racial_shares", ROWLOOP_NODE_COLUMNS[6:11], np.float64),
+    ("renter_pct", ("pct_renter",), np.float64),
+    ("highered_pct", ("pct_highered",), np.float64),
+    ("unemployment_pct", ("pct_unemployment",), np.float64),
+    ("rural_pct", ("pct_rural",), np.float64),
+    ("democrat_poll_pct", ("pct_democrat_2008",), np.float64),
+    ("immigrant_inflow", ("immigrant_inflow",), np.int64),
+)
 
 
 def rowloop_load_nodes(path):
@@ -523,6 +537,31 @@ def rowloop_load_distances(path, node_ids):
                                       % (path, k, a, b))
             km[x, yy] = d
     return km
+
+
+def rowloop_write_flows_csv(path, network):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["origin", "destination", "count"])
+        for origin, destination, count in network.to_edge_records():
+            writer.writerow([origin, destination, count])
+
+
+def rowloop_write_nodes_csv(path, nodes):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ROWLOOP_NODE_COLUMNS)
+        for k in range(nodes.n_nodes):
+            row = [nodes.ids[k], nodes.state[k], nodes.region[k]]
+            for field, cols, dtype in _ROWLOOP_NODE_FIELDS:
+                value = getattr(nodes, field)[k]
+                if dtype is np.int64:
+                    row.append(int(value))
+                elif len(cols) == 1:
+                    row.append(repr(float(value)))
+                else:
+                    row.extend(repr(float(100.0 * s)) for s in value)
+            writer.writerow(row)
 
 
 def rowloop_write_distances_csv(path, km, node_ids):

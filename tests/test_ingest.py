@@ -3,6 +3,7 @@ import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from ergmflow.network import REGIONS, FlowNetwork
 from oracles import (ROWLOOP_NODE_COLUMNS, dense_dyad_covariates,
                      offdiag_dyads, rowloop_load_distances,
                      rowloop_load_flows, rowloop_load_nodes,
-                     rowloop_write_distances_csv)
+                     rowloop_write_distances_csv, rowloop_write_flows_csv,
+                     rowloop_write_nodes_csv)
 
 compositions = st.lists(st.floats(min_value=0.0, max_value=1000.0),
                         min_size=5, max_size=5).filter(lambda x: sum(x) > 1e-6)
@@ -923,6 +925,71 @@ def test_distance_writer_matches_row_loop(ids, empty_id, data, dtype):
         assert new.read_bytes() == old.read_bytes()
 
 
+def test_distance_writer_checks_shape(tmp_path):
+    p = tmp_path / "d.csv"
+    for km, ids, shape in ((np.full((4, 5), 2.0), ["a", "b", "c"], "(4, 5), expected (3, 3)"),
+                           (np.full((3, 3), 2.0), ["a", "b", "c", "d"],
+                            "(3, 3), expected (4, 4)"),
+                           (np.full(3, 2.0), ["a", "b", "c"], "(3,), expected (3, 3)")):
+        with pytest.raises(ValidationError) as exc:
+            write_distances_csv(p, km, ids)
+        assert str(exc.value) == "distance matrix has shape " + shape
+        assert not p.exists()
+
+
+def _assert_writes_row_loop_bytes(write, rowloop_write, *args):
+    """``write`` gives ``rowloop_write``'s bytes, also in blocks of 3 rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        rowloop_write(old, *args)
+        write(new, *args)
+        assert new.read_bytes() == old.read_bytes()
+        with mock.patch.object(ingest, "_BLOCK_ROWS", 3):
+            write(new, *args)
+        assert new.read_bytes() == old.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=_NODE_IDS, empty_id=st.booleans(), with_ids=st.booleans(), data=st.data())
+def test_flow_writer_matches_row_loop(ids, empty_id, with_ids, data):
+    ids = ids + [""] * empty_id
+    n = len(ids)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    edges = data.draw(st.dictionaries(pairs, st.integers(1, 2**62), max_size=12))
+    net = FlowNetwork(n, edges, node_ids=ids if with_ids else None)
+    _assert_writes_row_loop_bytes(write_flows_csv, rowloop_write_flows_csv, net)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=_NODE_IDS, data=st.data())
+def test_node_writer_matches_row_loop(ids, data):
+    _assert_writes_row_loop_bytes(write_nodes_csv, rowloop_write_nodes_csv,
+                                  _draw_node_table(ids, data))
+
+
+def _draw_node_table(ids, data):
+    """A NodeTable over ``ids`` with every column drawn over its whole range."""
+    n = len(ids)
+
+    def column(elements):
+        return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+    pct = st.floats(min_value=0.0, max_value=100.0)
+    raw_shares = np.array(column(st.lists(
+        st.floats(min_value=0.01, max_value=1.0), min_size=5, max_size=5)))
+    return NodeTable(
+        ids=ids, state=column(_ID_TEXT), region=column(st.sampled_from(REGIONS)),
+        population=column(st.integers(1, 2**62)),
+        density=column(st.floats(min_value=0.0, max_value=1e12)),
+        psr=column(st.floats(min_value=0.0, max_value=1e3)),
+        racial_shares=raw_shares / raw_shares.sum(axis=1, keepdims=True),
+        renter_pct=column(pct), highered_pct=column(pct),
+        unemployment_pct=column(pct), rural_pct=column(pct),
+        democrat_poll_pct=column(pct),
+        immigrant_inflow=column(st.integers(0, 2**62)))
+
+
 class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
     @given(ids=_NODE_IDS, data=st.data())
@@ -953,24 +1020,7 @@ class TestRoundTrips:
     @settings(max_examples=40, deadline=None)
     @given(ids=_NODE_IDS, data=st.data())
     def test_nodes(self, ids, data):
-        n = len(ids)
-
-        def column(elements):
-            return data.draw(st.lists(elements, min_size=n, max_size=n))
-
-        pct = st.floats(min_value=0.0, max_value=100.0)
-        raw_shares = np.array(column(st.lists(
-            st.floats(min_value=0.01, max_value=1.0), min_size=5, max_size=5)))
-        nodes = NodeTable(
-            ids=ids, state=column(_ID_TEXT), region=column(st.sampled_from(REGIONS)),
-            population=column(st.integers(1, 2**62)),
-            density=column(st.floats(min_value=0.0, max_value=1e12)),
-            psr=column(st.floats(min_value=0.0, max_value=1e3)),
-            racial_shares=raw_shares / raw_shares.sum(axis=1, keepdims=True),
-            renter_pct=column(pct), highered_pct=column(pct),
-            unemployment_pct=column(pct), rural_pct=column(pct),
-            democrat_poll_pct=column(pct),
-            immigrant_inflow=column(st.integers(0, 2**62)))
+        nodes = _draw_node_table(ids, data)
         got = _round_trip(write_nodes_csv, (nodes,), load_nodes)
         assert got.ids == nodes.ids
         for name in ("state", "region", "population", "density", "psr",
